@@ -24,9 +24,6 @@ class ReferenceRanking:
         if len(set(self.ordered_entities)) != len(self.ordered_entities):
             raise ValueError("duplicate entity in reference ranking")
 
-    def rank_of(self, entity: str) -> int:
-        return self.ordered_entities.index(entity) + 1
-
 
 def relevance_assignment(reference: ReferenceRanking, p: int) -> dict[str, float]:
     """rel(entity) = p / ideal rank; the top entity gets rel = p."""

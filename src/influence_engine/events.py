@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 
 SECONDS_PER_DAY = 86400
@@ -15,21 +15,13 @@ MAX_WINDOW_DAYS = WINDOW_DAYS[-1]
 
 @dataclass(frozen=True)
 class UserId:
-    """Canonical cross-network identity.
-
-    Equality and hashing are on ``profile_id`` only; ``network_ids`` is
-    descriptive metadata (one account per network at most).
-    """
+    """Canonical cross-network identity."""
 
     profile_id: str
-    network_ids: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if not self.profile_id:
             raise ValueError("profile_id must be non-empty")
-        networks = [n for n, _ in self.network_ids]
-        if len(networks) != len(set(networks)):
-            raise ValueError("duplicate network in network_ids")
 
 
 @dataclass(frozen=True)

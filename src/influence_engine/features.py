@@ -103,12 +103,6 @@ class RawFeatureTable:
     def get(self, user: str, key: FeatureKey) -> float:
         return self.values.get((user, key), 0.0)
 
-    def users_by_network(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = defaultdict(set)
-        for (user, key), _ in self.values.items():
-            out[key.network].add(user)
-        return out
-
 
 def _aggregate_shard(
     batch: IngestBatch, cohorts: CohortContext, registry: FeatureRegistry
@@ -219,9 +213,6 @@ class FeatureStore:
     def get(self, user: str, network: str) -> np.ndarray | None:
         return self.vectors.get((user, network))
 
-    def networks_of(self, user: str) -> list[str]:
-        return sorted(n for (u, n) in self.vectors if u == user)
-
     def users(self) -> list[str]:
         return sorted({u for (u, _) in self.vectors})
 
@@ -283,11 +274,3 @@ def dump_maxima(maxima: Mapping[FeatureKey, float], path: str | Path) -> None:
         for key, value in sorted(maxima.items(), key=lambda kv: kv[0].canonical())
     ]
     lineio.write_lines(path, lines)
-
-
-def load_maxima(path: str | Path) -> dict[FeatureKey, float]:
-    out = {}
-    for line in lineio.read_lines(path):
-        key, value = line.split("\t")
-        out[FeatureKey.parse(key)] = float(value)
-    return out

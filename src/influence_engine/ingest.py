@@ -5,6 +5,7 @@ from __future__ import annotations
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from datetime import date
 from pathlib import Path
 
 from . import lineio
@@ -76,32 +77,17 @@ class IngestBatch:
     labels: tuple[PairwiseLabel, ...]
     reference_time: int
 
-    @property
-    def window(self) -> TimeWindow:
-        return TimeWindow(self.reference_time, MAX_WINDOW_DAYS)
-
     def event_count(self) -> int:
         return sum(len(v) for v in self.events_by_author.values())
 
-    def authors(self) -> list[str]:
-        return sorted(self.events_by_author)
 
-
-def load_batch(
-    paths: InputPaths, reference_time: int, registry: FeatureRegistry
-) -> tuple[IngestBatch, LoadReport]:
-    """Read all input files into one immutable batch.
-
-    Unreadable files are fatal; malformed lines are counted and skipped so a
-    single dirty record cannot kill a run.
-    """
-    report = LoadReport()
-    window = TimeWindow(reference_time, MAX_WINDOW_DAYS)
-    ref_date = window.reference_date()
-
+def read_events(
+    path: Path, window: TimeWindow, registry: FeatureRegistry, report: LoadReport
+) -> dict[str, tuple[InteractionEvent, ...]]:
+    """Valid, in-window, first-seen events grouped by author."""
     events_by_author: dict[str, list[InteractionEvent]] = {}
     seen: set[tuple] = set()
-    for line in lineio.read_lines(paths.events):
+    for line in lineio.read_lines(path):
         try:
             raw = lineio.decode_event(line)
         except (ValueError, KeyError):
@@ -121,9 +107,15 @@ def load_batch(
         seen.add(key)
         events_by_author.setdefault(checked.author.profile_id, []).append(checked)
         report.accepted_events += 1
+    return {a: tuple(evs) for a, evs in events_by_author.items()}
 
+
+def read_profiles(
+    path: Path, ref_date: date, registry: FeatureRegistry, report: LoadReport
+) -> dict[tuple[str, str], ProfileSnapshot]:
+    """The latest snapshot per (profile_id, network) taken by ``ref_date``."""
     profiles: dict[tuple[str, str], ProfileSnapshot] = {}
-    for line in lineio.read_lines(paths.profiles):
+    for line in lineio.read_lines(path):
         try:
             profile = lineio.decode_profile(line)
         except (ValueError, KeyError):
@@ -137,38 +129,56 @@ def load_batch(
         if current is None or profile.as_of > current.as_of:
             profiles[key] = profile
     report.profiles = len(profiles)
+    return profiles
 
-    edges = []
-    for line in lineio.read_lines(paths.edges):
+
+def _read_registered(path: Path, decode, registry: FeatureRegistry, report: LoadReport) -> tuple:
+    """Decoded records whose network the registry knows, in file order."""
+    records = []
+    for line in lineio.read_lines(path):
         try:
-            edge = lineio.decode_edge(line)
+            record = decode(line)
         except (ValueError, KeyError):
             report.malformed_lines += 1
             continue
-        if edge.network not in registry.networks:
+        if record.network not in registry.networks:
             report.rejected["unknown-network"] += 1
             continue
-        edges.append(edge)
+        records.append(record)
+    return tuple(records)
+
+
+def read_edges(
+    path: Path, registry: FeatureRegistry, report: LoadReport
+) -> tuple[GraphEdge, ...]:
+    edges = _read_registered(path, lineio.decode_edge, registry, report)
     report.edges = len(edges)
+    return edges
 
-    labels = []
-    for line in lineio.read_lines(paths.labels):
-        try:
-            label = lineio.decode_label(line)
-        except (ValueError, KeyError):
-            report.malformed_lines += 1
-            continue
-        if label.network not in registry.networks:
-            report.rejected["unknown-network"] += 1
-            continue
-        labels.append(label)
+
+def read_labels(
+    path: Path, registry: FeatureRegistry, report: LoadReport
+) -> tuple[PairwiseLabel, ...]:
+    labels = _read_registered(path, lineio.decode_label, registry, report)
     report.labels = len(labels)
+    return labels
 
+
+def load_batch(
+    paths: InputPaths, reference_time: int, registry: FeatureRegistry
+) -> tuple[IngestBatch, LoadReport]:
+    """Read all input files into one immutable batch.
+
+    Unreadable files are fatal; malformed lines are counted and skipped so a
+    single dirty record cannot kill a run.
+    """
+    report = LoadReport()
+    window = TimeWindow(reference_time, MAX_WINDOW_DAYS)
     batch = IngestBatch(
-        events_by_author={a: tuple(evs) for a, evs in events_by_author.items()},
-        profiles=profiles,
-        edges=tuple(edges),
-        labels=tuple(labels),
+        events_by_author=read_events(paths.events, window, registry, report),
+        profiles=read_profiles(paths.profiles, window.reference_date(), registry, report),
+        edges=read_edges(paths.edges, registry, report),
+        labels=read_labels(paths.labels, registry, report),
         reference_time=reference_time,
     )
     return batch, report

@@ -15,8 +15,16 @@ from urllib.parse import quote, unquote
 from .events import GraphEdge, InteractionEvent, PairwiseLabel, ProfileSnapshot, UserId
 
 
+# the characters quote(..., safe="") leaves as they are
+_UNQUOTED = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~")
+
+
 def _enc(value: str) -> str:
-    return quote(value, safe="")
+    return value if _UNQUOTED.issuperset(value) else quote(value, safe="")
+
+
+def _dec(value: str) -> str:
+    return unquote(value) if "%" in value else value
 
 
 def _fields(line: str) -> dict[str, str]:
@@ -25,7 +33,7 @@ def _fields(line: str) -> dict[str, str]:
         key, sep, value = token.partition("=")
         if not sep or not key:
             raise ValueError(f"malformed token {token!r}")
-        out[key] = unquote(value)
+        out[key] = _dec(value)
     return out
 
 
@@ -82,11 +90,11 @@ def decode_profile(line: str) -> ProfileSnapshot:
         if not sep or not key:
             raise ValueError(f"malformed token {token!r}")
         if key.startswith("n:"):
-            numeric.append((unquote(key[2:]), float(value)))
+            numeric.append((_dec(key[2:]), float(value)))
         elif key.startswith("c:"):
-            categorical.append((unquote(key[2:]), unquote(value)))
+            categorical.append((_dec(key[2:]), _dec(value)))
         else:
-            plain[key] = unquote(value)
+            plain[key] = _dec(value)
     return ProfileSnapshot(
         user=UserId(plain["user"]),
         network=plain["network"],

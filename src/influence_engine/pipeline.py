@@ -21,6 +21,7 @@ from .evaluation import (
     order_by_external_scores,
     rank_correlation,
 )
+from .events import MAX_WINDOW_DAYS, TimeWindow
 from .features import CohortContext, FeatureStore
 from .graph import edges_by_network, graph_summary
 from .hierarchy import (
@@ -30,7 +31,7 @@ from .hierarchy import (
     save_snapshot,
     score_population,
 )
-from .ingest import InputPaths, load_batch
+from .ingest import InputPaths, LoadReport, load_batch, read_edges, read_labels
 from .population import (
     CampaignParams,
     PopulationParams,
@@ -97,20 +98,24 @@ class RunConfig:
         )
 
     def config_digest(self) -> str:
+        """Hash of the settings and of the contents of every file they name.
+
+        Paths are left out, so the same inputs in another directory give the
+        same digest; the input directory's files are hashed in the manifest.
+        """
         payload = json.dumps(
             {
-                "input_dir": str(self.input_dir),
-                "registry": str(self.registry_path),
-                "tree": str(self.tree_path),
+                "registry": _sha256_or_none(self.registry_path),
+                "tree": _sha256_or_none(self.tree_path),
                 "reference_time": self.reference_time,
                 "seed": self.seed,
                 "shards": self.shards,
-                "prior_snapshot": str(self.prior_snapshot),
+                "prior_snapshot": _sha256_or_none(self.prior_snapshot),
                 "holdout_fraction": self.holdout_fraction,
                 "nnls_tol": self.nnls_tol,
-                "latent": str(self.latent_path),
-                "reference_rankings": [str(p) for p in self.reference_rankings],
-                "population": str(self.population_path),
+                "latent": _sha256_or_none(self.latent_path),
+                "reference_rankings": [_sha256_or_none(p) for p in self.reference_rankings],
+                "population": _sha256_or_none(self.population_path),
                 "campaign": repr(self.campaign),
             },
             sort_keys=True,
@@ -120,6 +125,11 @@ class RunConfig:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _sha256_or_none(path: Path | None) -> str | None:
+    # a stage that needs a missing file fails on its own; the digest does not
+    return _sha256(path) if path is not None and path.is_file() else None
 
 
 def _load_registry(cfg: RunConfig) -> FeatureRegistry:
@@ -183,14 +193,9 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
     }
 
 
-def _reload_batch(cfg: RunConfig, out: Path):
+def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     registry = _load_registry(cfg)
     batch, _ = load_batch(InputPaths.in_dir(out / "ingest"), cfg.reference_time, registry)
-    return batch, registry
-
-
-def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
-    batch, registry = _reload_batch(cfg, out)
     prior = {}
     if cfg.prior_snapshot is not None:
         prior = load_snapshot(cfg.prior_snapshot).prior_scores()
@@ -215,9 +220,10 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 
 def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
-    batch, registry = _reload_batch(cfg, out)
+    registry = _load_registry(cfg)
+    labels = read_labels(InputPaths.in_dir(out / "ingest").labels, registry, LoadReport())
     store = load_store(_normalized_path(out), registry)
-    pairs = preprocess_labels(batch.labels)
+    pairs = preprocess_labels(labels)
 
     models_dir = out / "models"
     report_lines = []
@@ -246,7 +252,8 @@ def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 
 def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
-    batch, registry = _reload_batch(cfg, out)
+    registry = _load_registry(cfg)
+    edges = read_edges(InputPaths.in_dir(out / "ingest").edges, registry, LoadReport())
     store = load_store(_normalized_path(out), registry)
     tree = load_tree(cfg.tree_path)
 
@@ -259,12 +266,10 @@ def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
             models[node.network] = load_model(model_path, registry)
 
     stats = {
-        network: graph_summary(pairs)
-        for network, pairs in edges_by_network(batch.edges).items()
+        network: graph_summary(pairs) for network, pairs in edges_by_network(edges).items()
     }
-    snapshot = score_population(
-        tree, store, models, stats, as_of=batch.window.reference_date()
-    )
+    as_of = TimeWindow(cfg.reference_time, MAX_WINDOW_DAYS).reference_date()
+    snapshot = score_population(tree, store, models, stats, as_of=as_of)
     save_snapshot(snapshot, out / "snapshot.txt")
     return {"scored_users": len(snapshot.entries)}
 

@@ -57,6 +57,7 @@ class ModelReport:
     skipped_pairs: int
     solver_iterations: int
     residual_norm: float
+    converged: bool
 
     def summary_line(self) -> str:
         return (
@@ -64,7 +65,7 @@ class ModelReport:
             f"\taccuracy={self.pairwise_accuracy:.6f}\tf1={self.f1:.6f}"
             f"\ttrain_pairs={self.train_pairs}\teval_pairs={self.eval_pairs}"
             f"\tskipped={self.skipped_pairs}\titerations={self.solver_iterations}"
-            f"\tresidual={self.residual_norm:.6g}"
+            f"\tresidual={self.residual_norm:.6g}\tconverged={int(self.converged)}"
         )
 
 
@@ -186,6 +187,7 @@ def evaluate_model(
         skipped_pairs=skipped,
         solver_iterations=w.iterations,
         residual_norm=w.residual_norm,
+        converged=w.converged,
     )
 
 

@@ -1,7 +1,8 @@
 from datetime import date
+from urllib.parse import quote
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from influence_engine import lineio
@@ -34,13 +35,6 @@ class TestUserId:
     def test_empty_profile_id_rejected(self):
         with pytest.raises(ValueError):
             UserId("")
-
-    def test_duplicate_network_rejected(self):
-        with pytest.raises(ValueError):
-            UserId("p", network_ids=(("tw", "x"), ("tw", "y")))
-
-    def test_identity_is_profile_id(self):
-        assert UserId("p", network_ids=(("tw", "x"),)) == UserId("p")
 
 
 class TestValidateEvent:
@@ -176,3 +170,68 @@ class TestLineCodecs:
     def test_malformed_line_raises(self):
         with pytest.raises((ValueError, KeyError)):
             lineio.decode_event("actor=a\tgarbage")
+
+
+# Any non-empty string a UTF-8 file can hold, with the characters the codec
+# treats specially drawn often: the percent escape, the key separator, tab
+# and newline, and the punctuation that quote() leaves alone.
+SPECIAL = "%=~-_.\t\n"
+unicode_values = st.text(
+    alphabet=st.one_of(st.sampled_from(SPECIAL), st.characters(codec="utf-8")),
+    min_size=1,
+    max_size=12,
+)
+ascii_values = st.text(alphabet="AZaz09" + SPECIAL, min_size=1, max_size=12)
+codec_values = st.one_of(unicode_values, ascii_values)
+
+
+class TestCodecFastPaths:
+    @given(st.one_of(st.text(), ascii_values))
+    def test_enc_matches_quote(self, value):
+        assert lineio._enc(value) == quote(value, safe="")
+
+    @given(
+        actor=codec_values,
+        author=codec_values,
+        network=codec_values,
+        content=codec_values,
+        action=codec_values,
+        ts=st.integers(),
+    )
+    def test_event_round_trip(self, actor, author, network, content, action, ts):
+        event = InteractionEvent(UserId(actor), UserId(author), network, content, action, ts)
+        assert lineio.decode_event(lineio.encode_event(event)) == event
+
+    @given(src=codec_values, dst=codec_values, network=codec_values)
+    def test_edge_round_trip(self, src, dst, network):
+        assume(src != dst)
+        edge = GraphEdge(UserId(src), UserId(dst), network)
+        assert lineio.decode_edge(lineio.encode_edge(edge)) == edge
+
+    @given(
+        network=codec_values,
+        a=codec_values,
+        b=codec_values,
+        votes=st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+    )
+    def test_label_round_trip(self, network, a, b, votes):
+        assume(a != b)
+        label = PairwiseLabel(network, UserId(a), UserId(b), *votes)
+        assert lineio.decode_label(lineio.encode_label(label)) == label
+
+    @given(
+        user=codec_values,
+        network=codec_values,
+        as_of=st.dates(),
+        numeric=st.lists(st.tuples(codec_values, st.floats(min_value=0, allow_nan=False))),
+        categorical=st.lists(st.tuples(codec_values, codec_values)),
+    )
+    def test_profile_round_trip(self, user, network, as_of, numeric, categorical):
+        profile = ProfileSnapshot(
+            user=UserId(user),
+            network=network,
+            as_of=as_of,
+            numeric_attrs=tuple(numeric),
+            categorical_attrs=tuple(categorical),
+        )
+        assert lineio.decode_profile(lineio.encode_profile(profile)) == profile

@@ -150,3 +150,48 @@ class TestPartition:
         for part in parts:
             merged.update(part.events_by_author)
         assert merged == batch.events_by_author
+
+
+# One events.txt line as written to disk: a valid record with an LF or CRLF
+# ending, a record cut short, or junk without line breaks.
+valid_lines = st.builds(
+    ev,
+    author=st.sampled_from("abc"),
+    actor=st.sampled_from("abz"),
+    ts=st.integers(min_value=REF - 100 * SECONDS_PER_DAY, max_value=REF + 10),
+    network=st.sampled_from(["tw", "fb", "wk", "nope"]),
+    action=st.sampled_from(["like", "reshare", "superpoke"]),
+).map(lineio.encode_event)
+junk_chars = st.characters(codec="utf-8", exclude_characters="\r\n")
+raw_lines = st.one_of(
+    st.tuples(valid_lines, st.sampled_from(["\n", "\r\n"])).map("".join),
+    st.tuples(valid_lines, st.floats(min_value=0.05, max_value=0.95)).map(
+        lambda lf: lf[0][: int(len(lf[0]) * lf[1])] + "\n"
+    ),
+    st.text(alphabet=junk_chars, min_size=1).map(lambda junk: junk + "\n"),
+)
+
+
+@given(lines=st.lists(raw_lines, max_size=20))
+def test_dirty_event_lines_are_counted_never_raised(tmp_path_factory, lines):
+    from conftest import make_small_registry
+
+    registry = make_small_registry()
+    dirty = write_inputs(tmp_path_factory.mktemp("dirty"))
+    with open(dirty.events, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
+    batch, report = load_batch(dirty, REF, registry)
+    accounted = (
+        report.accepted_events
+        + report.expired_events
+        + report.duplicate_events
+        + report.malformed_lines
+        + sum(report.rejected.values())
+    )
+    assert accounted == len(lines)
+
+    # a CRLF ending reads exactly like an LF one
+    clean = write_inputs(tmp_path_factory.mktemp("clean"))
+    with open(clean.events, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line.replace("\r\n", "\n") for line in lines))
+    assert load_batch(clean, REF, registry) == (batch, report)

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from influence_engine import pipeline
 from influence_engine.cli import main
 from influence_engine.hierarchy import ScoreEntry, ScoreSnapshot, load_snapshot
+from influence_engine.ingest import load_batch
 from influence_engine.pipeline import RunConfig, StageError, rank_cohort, run_pipeline, stages_for_mode
 from influence_engine.population import PopulationParams, generate_population, write_dataset
 
@@ -29,6 +31,10 @@ def make_config(dataset: Path, path: Path, **overrides) -> Path:
     cfg.update(overrides)
     path.write_text(json.dumps(cfg, indent=2))
     return path
+
+
+def model_bytes(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted((out / "models").glob("*.model"))}
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +117,44 @@ class TestDeterminismAndIsolation:
         before = (copy / "features" / "normalized_features.txt").read_bytes()
         run_pipeline(cfg, copy, mode="features")
         assert (copy / "features" / "normalized_features.txt").read_bytes() == before
+        run_pipeline(cfg, copy, mode="train")
+        assert model_bytes(copy) == model_bytes(out)
         run_pipeline(cfg, copy, mode="score")
         assert (copy / "snapshot.txt").read_bytes() == (out / "snapshot.txt").read_bytes()
+
+    def test_event_log_is_parsed_by_ingest_and_features_only(
+        self, dataset, monkeypatch, tmp_path
+    ):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return load_batch(*args, **kwargs)
+
+        cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "load_batch", counted)
+            run_pipeline(cfg, out, mode="all")
+        assert len(calls) == 2
+
+        # train and score still reproduce their outputs without the event log
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        (copy / "ingest" / "events.txt").unlink()
+        run_pipeline(cfg, copy, mode="train")
+        run_pipeline(cfg, copy, mode="score")
+        assert model_bytes(copy) == model_bytes(out)
+        assert (copy / "snapshot.txt").read_bytes() == (out / "snapshot.txt").read_bytes()
+
+    def test_manifest_does_not_depend_on_dataset_location(self, dataset, full_run, tmp_path):
+        _, first = full_run
+        moved = tmp_path / "moved"
+        shutil.copytree(dataset, moved)
+        config = make_config(moved, tmp_path / "config.json")
+        second = tmp_path / "out"
+        run_pipeline(RunConfig.from_file(config), second, mode="all")
+        assert (first / "manifest.txt").read_bytes() == (second / "manifest.txt").read_bytes()
 
     def test_shard_count_does_not_change_features(self, dataset, full_run, tmp_path):
         _, first = full_run

@@ -117,6 +117,17 @@ class TestEvaluateModel:
         assert report.pairwise_accuracy == 0.5
         assert report.f1 == 0.0
 
+    def test_solver_convergence_reaches_report_line(self):
+        registry = tiny_registry(3)
+        store = store_with({"a": [1.0, 0.0, 0.0], "b": [0.0, 0.0, 0.0]}, registry)
+        pair = [CleanPair("tw", "a", "b", 2)]
+        X, y = np.eye(3), np.ones(3)  # one active-set step per coordinate
+        for max_iter, token in ((1, "converged=0"), (None, "converged=1")):
+            w = nnls_solve(X, y, "tw", registry.registry_hash("tw"), max_iter=max_iter)
+            report = evaluate_model(w, pair, store)
+            assert report.converged == w.converged
+            assert token in report.summary_line().split("\t")
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             WeightVector(network="tw", weights=np.array([-0.1]), registry_hash="x")
