@@ -12,12 +12,12 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from . import lineio
-from .events import SECONDS_PER_DAY, InteractionEvent, MAX_WINDOW_DAYS
+from .events import SECONDS_PER_DAY, InteractionEvent
 from .graph import (
     degree_stats,
     edges_by_network,
@@ -113,7 +113,9 @@ def _aggregate_shard(
             if not registry.networks[event.network].dynamic:
                 continue
             for cohort, day in conditional_emit(event, cohorts, batch.reference_time):
-                day_buckets[(author, event.network, event.content_type, event.action, cohort)][day] += 1
+                # a cohort the registry leaves out has no place in the key space
+                if cohort in registry.cohorts:
+                    day_buckets[(author, event.network, event.content_type, event.action, cohort)][day] += 1
 
     table = RawFeatureTable()
     for (author, network, content, action, cohort), days in day_buckets.items():
@@ -137,12 +139,16 @@ def aggregate_dynamic(
     return table
 
 
-def aggregate_longlasting(batch: IngestBatch, registry: FeatureRegistry) -> tuple[RawFeatureTable, int]:
+def aggregate_longlasting(
+    batch: IngestBatch, registry: FeatureRegistry, unconverged: list[str] | None = None
+) -> tuple[RawFeatureTable, int]:
     """Profile and graph signals; returns (table, skipped attr count).
 
     Categorical attributes are mapped to 1-based ordinal ranks; unknown
     category values map to 0. PageRank and the inlink/outlink ratio are
     derived from the edge set for networks that register those attrs.
+    Networks whose PageRank stopped at its iteration cap are appended to
+    ``unconverged``.
     """
     table = RawFeatureTable()
     skipped = 0
@@ -163,6 +169,8 @@ def aggregate_longlasting(batch: IngestBatch, registry: FeatureRegistry) -> tupl
         registered = registry.networks[network].longlasting_attrs
         if "pagerank" in registered and pairs:
             result = pagerank(pairs)
+            if not result.converged and unconverged is not None:
+                unconverged.append(network)
             key = FeatureKey.longlasting(network, "pagerank")
             for user, score in result.scores.items():
                 table.add(user, key, score)
@@ -217,37 +225,6 @@ class FeatureStore:
         return sorted({u for (u, _) in self.vectors})
 
 
-def build_store(
-    table: RawFeatureTable,
-    maxima: Mapping[FeatureKey, float],
-    registry: FeatureRegistry,
-) -> FeatureStore:
-    """Normalize the raw table into dense per-(user, network) vectors.
-
-    A user gets a vector for a network iff the raw table holds at least one
-    entry for them there (event activity, profile, or graph presence).
-    """
-    key_index: dict[str, dict[FeatureKey, int]] = {}
-    sizes: dict[str, int] = {}
-    for network in registry.networks:
-        keys = registry.keys_for(network)
-        key_index[network] = {k: i for i, k in enumerate(keys)}
-        sizes[network] = len(keys)
-
-    store = FeatureStore(registry=registry)
-    for (user, key), raw in table.values.items():
-        idx = key_index[key.network].get(key)
-        if idx is None:
-            continue
-        cell = (user, key.network)
-        vec = store.vectors.get(cell)
-        if vec is None:
-            vec = np.zeros(sizes[key.network])
-            store.vectors[cell] = vec
-        vec[idx] = normalize(raw, maxima.get(key, 0.0))
-    return store
-
-
 # -- dumps -----------------------------------------------------------------
 
 def dump_table(table: RawFeatureTable, path: str | Path) -> None:
@@ -260,12 +237,26 @@ def dump_table(table: RawFeatureTable, path: str | Path) -> None:
     lineio.write_lines(path, lines)
 
 
-def load_table(path: str | Path) -> RawFeatureTable:
-    table = RawFeatureTable()
+def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
+    """Read a ``dump_table`` file into vectors aligned to ``keys_for``; a
+    (user, network) pair gets a vector iff the file has a line for it."""
+    slots: dict[str, tuple[str, int, int]] = {}
+    for network in registry.networks:
+        keys = registry.keys_for(network)
+        for index, key in enumerate(keys):
+            slots[key.canonical()] = (network, index, len(keys))
+
+    store = FeatureStore(registry=registry)
     for line in lineio.read_lines(path):
         user, key, value = line.split("\t")
-        table.add(user, FeatureKey.parse(key), float(value))
-    return table
+        if key not in slots:
+            raise ValueError(f"feature key {key!r} in {path} is not in the registry")
+        network, index, size = slots[key]
+        vec = store.vectors.get((user, network))
+        if vec is None:
+            vec = store.vectors[(user, network)] = np.zeros(size)
+        vec[index] = float(value)
+    return store
 
 
 def dump_maxima(maxima: Mapping[FeatureKey, float], path: str | Path) -> None:

@@ -81,18 +81,27 @@ class IngestBatch:
         return sum(len(v) for v in self.events_by_author.values())
 
 
+def _decoded(path: Path, decode, report: LoadReport):
+    """Decoded records in file order; a line that is not UTF-8 or does not
+    decode is counted as malformed and skipped."""
+    for line in lineio.read_lines(path, errors="surrogateescape"):
+        try:
+            if not line.isascii():
+                line.encode("utf-8")  # UnicodeEncodeError on an escaped byte
+            record = decode(line)
+        except (ValueError, KeyError):
+            report.malformed_lines += 1
+            continue
+        yield record
+
+
 def read_events(
     path: Path, window: TimeWindow, registry: FeatureRegistry, report: LoadReport
 ) -> dict[str, tuple[InteractionEvent, ...]]:
     """Valid, in-window, first-seen events grouped by author."""
     events_by_author: dict[str, list[InteractionEvent]] = {}
     seen: set[tuple] = set()
-    for line in lineio.read_lines(path):
-        try:
-            raw = lineio.decode_event(line)
-        except (ValueError, KeyError):
-            report.malformed_lines += 1
-            continue
+    for raw in _decoded(path, lineio.decode_event, report):
         checked = validate_event(raw, registry)
         if isinstance(checked, Rejection):
             report.rejected[checked.reason] += 1
@@ -115,12 +124,7 @@ def read_profiles(
 ) -> dict[tuple[str, str], ProfileSnapshot]:
     """The latest snapshot per (profile_id, network) taken by ``ref_date``."""
     profiles: dict[tuple[str, str], ProfileSnapshot] = {}
-    for line in lineio.read_lines(path):
-        try:
-            profile = lineio.decode_profile(line)
-        except (ValueError, KeyError):
-            report.malformed_lines += 1
-            continue
+    for profile in _decoded(path, lineio.decode_profile, report):
         if profile.network not in registry.networks or profile.as_of > ref_date:
             report.stale_profiles += 1
             continue
@@ -135,12 +139,7 @@ def read_profiles(
 def _read_registered(path: Path, decode, registry: FeatureRegistry, report: LoadReport) -> tuple:
     """Decoded records whose network the registry knows, in file order."""
     records = []
-    for line in lineio.read_lines(path):
-        try:
-            record = decode(line)
-        except (ValueError, KeyError):
-            report.malformed_lines += 1
-            continue
+    for record in _decoded(path, decode, report):
         if record.network not in registry.networks:
             report.rejected["unknown-network"] += 1
             continue

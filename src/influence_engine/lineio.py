@@ -151,14 +151,17 @@ def decode_label(line: str) -> PairwiseLabel:
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="\n") as fh:
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
 
 
-def read_lines(path: str | Path) -> Iterator[str]:
-    with Path(path).open("r") as fh:
+def read_lines(path: str | Path, errors: str = "strict") -> Iterator[str]:
+    """Non-empty lines of a UTF-8 file, without their line ending; with
+    ``errors="surrogateescape"`` a byte that is not UTF-8 reads as a lone
+    surrogate instead of raising."""
+    with Path(path).open("r", encoding="utf-8", errors=errors) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if line:

@@ -22,7 +22,7 @@ from .evaluation import (
     rank_correlation,
 )
 from .events import MAX_WINDOW_DAYS, TimeWindow
-from .features import CohortContext, FeatureStore
+from .features import CohortContext, load_store
 from .graph import edges_by_network, graph_summary
 from .hierarchy import (
     ScoreSnapshot,
@@ -39,7 +39,7 @@ from .population import (
     load_latent,
     run_campaign,
 )
-from .registry import FeatureKey, FeatureRegistry
+from .registry import FeatureRegistry
 from .training import load_model, preprocess_labels, save_model, train_network
 
 STAGES = ("ingest", "features", "train", "score", "evaluate", "simulate")
@@ -140,29 +140,6 @@ def _normalized_path(out: Path) -> Path:
     return out / "features" / "normalized_features.txt"
 
 
-def load_store(path: Path, registry: FeatureRegistry) -> FeatureStore:
-    import numpy as np
-
-    key_index: dict[str, dict] = {}
-    sizes: dict[str, int] = {}
-    store = FeatureStore(registry=registry)
-    for line in lineio.read_lines(path):
-        user, key_text, value = line.split("\t")
-        key = FeatureKey.parse(key_text)
-        network = key.network
-        if network not in key_index:
-            keys = registry.keys_for(network)
-            key_index[network] = {k: i for i, k in enumerate(keys)}
-            sizes[network] = len(keys)
-        cell = (user, network)
-        vec = store.vectors.get(cell)
-        if vec is None:
-            vec = np.zeros(sizes[network])
-            store.vectors[cell] = vec
-        vec[key_index[network][key]] = float(value)
-    return store
-
-
 # -- stages ----------------------------------------------------------------
 
 def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
@@ -202,21 +179,27 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     cohorts = CohortContext(prior_scores=prior, peer_band=registry.peer_band)
 
     table = feat.aggregate_dynamic(batch, cohorts, registry, shards=cfg.shards)
-    longlasting, _ = feat.aggregate_longlasting(batch, registry)
+    unconverged: list[str] = []
+    longlasting, unregistered = feat.aggregate_longlasting(batch, registry, unconverged)
     table.merge(longlasting)
     maxima = feat.compute_global_maxima(table)
+    for network in unconverged:
+        print(f"warning\tpagerank-unconverged\tnetwork={network}")
 
     dest = out / "features"
     feat.dump_table(table, dest / "raw_features.txt")
     feat.dump_maxima(maxima, dest / "maxima.txt")
-
-    lines = []
-    for (user, key), raw in sorted(
-        table.values.items(), key=lambda cell: (cell[0][0], cell[0][1].canonical())
-    ):
-        lines.append(f"{user}\t{key.canonical()}\t{repr(feat.normalize(raw, maxima[key]))}")
-    lineio.write_lines(_normalized_path(out), lines)
-    return {"raw_cells": len(table.values), "feature_keys": len(maxima)}
+    # in place, as a normalized copy would hold a second table in memory; a key
+    # that is 0 for every user has no recorded maximum and normalizes to 0
+    for cell, raw in table.values.items():
+        table.values[cell] = feat.normalize(raw, maxima.get(cell[1], 0.0))
+    feat.dump_table(table, _normalized_path(out))
+    return {
+        "raw_cells": len(table.values),
+        "feature_keys": len(maxima),
+        "unregistered_attrs": unregistered,
+        "pagerank_unconverged": len(unconverged),
+    }
 
 
 def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:

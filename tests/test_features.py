@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -10,18 +11,19 @@ from hypothesis import strategies as st
 from influence_engine.events import SECONDS_PER_DAY, WINDOW_DAYS, UserId
 from influence_engine.features import (
     CohortContext,
+    RawFeatureTable,
     aggregate_dynamic,
     aggregate_longlasting,
-    build_store,
     compute_global_maxima,
     conditional_emit,
     dump_table,
-    load_table,
+    load_store,
     multiday_sketch,
     normalize,
 )
 from influence_engine.registry import FeatureKey
 
+from conftest import make_small_registry
 from oracles import brute_window_counts
 from test_ingest import REF, ev, write_inputs
 from influence_engine.ingest import InputPaths, load_batch
@@ -270,13 +272,22 @@ class TestMaximaAndNormalize:
         assert 0.0 <= lo < hi <= 1.0
 
 
+def normalize_in_place(table):
+    """What the features stage does between the raw and normalized dumps."""
+    maxima = compute_global_maxima(table)
+    for cell, raw in table.values.items():
+        table.values[cell] = normalize(raw, maxima.get(cell[1], 0.0))
+    return maxima
+
+
 class TestStoreAndDumps:
     def test_store_alignment_and_range(self, tmp_path, small_registry):
         events = [ev("a", actor=f"r{i}", network="tw", ts=REF - 50 - i) for i in range(5)]
         batch = batch_from(tmp_path, small_registry, events=events)
         table = aggregate_dynamic(batch, CohortContext(), small_registry)
-        maxima = compute_global_maxima(table)
-        store = build_store(table, maxima, small_registry)
+        normalize_in_place(table)
+        dump_table(table, tmp_path / "normalized.txt")
+        store = load_store(tmp_path / "normalized.txt", small_registry)
         vec = store.get("a", "tw")
         assert vec is not None
         assert len(vec) == len(small_registry.keys_for("tw"))
@@ -289,7 +300,54 @@ class TestStoreAndDumps:
         batch = batch_from(tmp_path, small_registry, events=events)
         table = aggregate_dynamic(batch, CohortContext(), small_registry)
         dump_table(table, tmp_path / "dump.txt")
-        assert load_table(tmp_path / "dump.txt").values == table.values
+        store = load_store(tmp_path / "dump.txt", small_registry)
+        loaded = {
+            (user, small_registry.keys_for(network)[i]): vec[i]
+            for (user, network), vec in store.vectors.items()
+            for i in np.flatnonzero(vec)
+        }
+        assert loaded == table.values
+
+    def test_key_outside_registry_is_named(self, tmp_path, small_registry):
+        all_only = replace(small_registry, cohorts=("all",))
+        path = tmp_path / "normalized.txt"
+        path.write_text("a\tdyn/tw/photo/like/all/7d\t1.0\na\tdyn/tw/photo/like/peers/7d\t0.5\n")
+        with pytest.raises(ValueError, match="'dyn/tw/photo/like/peers/7d'"):
+            load_store(path, all_only)
+
+
+_registry = make_small_registry()
+ALL_KEYS = [key for network in _registry.networks for key in _registry.keys_for(network)]
+
+
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c%d", "\u00e9t\u00e9"]),
+            st.sampled_from(ALL_KEYS),
+            st.floats(min_value=0, max_value=1e12),
+        ),
+        max_size=40,
+    )
+)
+def test_normalize_dump_and_load_are_one_path(tmp_path_factory, cells):
+    registry = make_small_registry()
+    table = RawFeatureTable()
+    for user, key, value in cells:
+        table.add(user, key, value)
+    raw = dict(table.values)
+    maxima = normalize_in_place(table)
+    path = tmp_path_factory.mktemp("store") / "normalized.txt"
+    dump_table(table, path)
+    store = load_store(path, registry)
+
+    assert set(store.vectors) == {(user, key.network) for user, key in raw}
+    for (user, network), vec in store.vectors.items():
+        for i, key in enumerate(registry.keys_for(network)):
+            if (user, key) in raw:
+                assert vec[i] == normalize(raw[(user, key)], maxima.get(key, 0.0))
+            else:
+                assert vec[i] == 0.0
 
 
 class TestRegistryKeySpace:

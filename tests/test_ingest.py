@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from influence_engine import lineio
 from influence_engine.events import (
     SECONDS_PER_DAY,
+    GraphEdge,
     InteractionEvent,
+    PairwiseLabel,
     ProfileSnapshot,
     UserId,
 )
@@ -75,6 +77,22 @@ class TestLoadBatch:
         batch, report = load_batch(paths, REF, small_registry)
         assert batch.event_count() == 1
         assert report.malformed_lines == 2
+
+    def test_bytes_not_utf8_make_one_malformed_line_in_every_file(self, tmp_path, small_registry):
+        paths = write_inputs(
+            tmp_path,
+            events=[ev("a"), ev("b")],
+            profiles=[ProfileSnapshot(UserId("a"), "tw", date(2023, 11, 1))] * 2,
+            edges=[GraphEdge(UserId("a"), UserId("b"), "wk")] * 2,
+            labels=[PairwiseLabel("tw", UserId("a"), UserId("b"), 5, 1)] * 2,
+        )
+        for path in (paths.events, paths.profiles, paths.edges, paths.labels):
+            first, second = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(first + second.replace(b"=", b"=\xff\xfe", 1))
+        batch, report = load_batch(paths, REF, small_registry)
+        assert report.malformed_lines == 4
+        assert batch.event_count() == 1
+        assert (report.profiles, report.edges, report.labels) == (1, 1, 1)
 
     def test_rejections_counted_by_reason(self, tmp_path, small_registry):
         events = [ev("a", actor="a"), ev("b", network="nope")]
@@ -153,7 +171,8 @@ class TestPartition:
 
 
 # One events.txt line as written to disk: a valid record with an LF or CRLF
-# ending, a record cut short, or junk without line breaks.
+# ending, a record cut short, junk without line breaks, or a valid record with
+# bytes that are not UTF-8 spliced in (surrogateescape writes them raw).
 valid_lines = st.builds(
     ev,
     author=st.sampled_from("abc"),
@@ -169,6 +188,9 @@ raw_lines = st.one_of(
         lambda lf: lf[0][: int(len(lf[0]) * lf[1])] + "\n"
     ),
     st.text(alphabet=junk_chars, min_size=1).map(lambda junk: junk + "\n"),
+    st.tuples(
+        valid_lines, st.integers(min_value=0, max_value=60), st.sampled_from(["\udcff\udcfe", "\udcc3"])
+    ).map(lambda lib: lib[0][: lib[1]] + lib[2] + lib[0][lib[1]:] + "\n"),
 )
 
 
@@ -178,7 +200,7 @@ def test_dirty_event_lines_are_counted_never_raised(tmp_path_factory, lines):
 
     registry = make_small_registry()
     dirty = write_inputs(tmp_path_factory.mktemp("dirty"))
-    with open(dirty.events, "w", encoding="utf-8", newline="") as fh:
+    with open(dirty.events, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write("".join(lines))
     batch, report = load_batch(dirty, REF, registry)
     accounted = (
@@ -192,6 +214,6 @@ def test_dirty_event_lines_are_counted_never_raised(tmp_path_factory, lines):
 
     # a CRLF ending reads exactly like an LF one
     clean = write_inputs(tmp_path_factory.mktemp("clean"))
-    with open(clean.events, "w", encoding="utf-8", newline="") as fh:
+    with open(clean.events, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write("".join(line.replace("\r\n", "\n") for line in lines))
     assert load_batch(clean, REF, registry) == (batch, report)

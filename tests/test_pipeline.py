@@ -1,10 +1,12 @@
+import functools
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
-from influence_engine import pipeline
+from influence_engine import features, graph, pipeline
 from influence_engine.cli import main
 from influence_engine.hierarchy import ScoreEntry, ScoreSnapshot, load_snapshot
 from influence_engine.ingest import load_batch
@@ -175,6 +177,75 @@ class TestDeterminismAndIsolation:
             (first / "features" / "raw_features.txt").read_bytes()
             == (other / "features" / "raw_features.txt").read_bytes()
         )
+
+
+def edited_registry(dataset: Path, path: Path, edit) -> Path:
+    data = json.loads((dataset / "registry.json").read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestFeatureStage:
+    def test_cohorts_outside_the_registry_are_not_aggregated(self, dataset, full_run, tmp_path):
+        _, first = full_run
+        registry = edited_registry(
+            dataset, tmp_path / "registry.json", lambda data: data.update(cohorts=["all"])
+        )
+        config = make_config(
+            dataset,
+            tmp_path / "config.json",
+            registry=str(registry),
+            prior_snapshot=str(first / "snapshot.txt"),
+        )
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+        raw = (out / "features" / "raw_features.txt").read_text()
+        assert "/all/" in raw
+        assert "/higher/" not in raw and "/peers/" not in raw
+
+    def test_unconverged_pagerank_is_counted_and_warned(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        registry = edited_registry(
+            dataset,
+            tmp_path / "registry.json",
+            lambda data: data["networks"]["tw"]["longlasting_attrs"].append("pagerank"),
+        )
+        cfg = RunConfig.from_file(
+            make_config(dataset, tmp_path / "config.json", registry=str(registry))
+        )
+        out = tmp_path / "out"
+        run_pipeline(cfg, out, mode="ingest")
+        run_pipeline(cfg, out, mode="features")
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "stage.features.pagerank_unconverged=0" in manifest
+        assert any(line.startswith("stage.features.unregistered_attrs=") for line in manifest)
+
+        capsys.readouterr()
+        monkeypatch.setattr(features, "pagerank", functools.partial(graph.pagerank, max_iter=1))
+        run_pipeline(cfg, out, mode="features")
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "stage.features.pagerank_unconverged=1" in manifest
+        assert "warning\tpagerank-unconverged\tnetwork=tw" in capsys.readouterr().out.splitlines()
+
+    def test_attribute_zero_for_everyone_normalizes_to_zero(self, dataset, tmp_path):
+        # such an attribute has no recorded maximum
+        inputs = tmp_path / "inputs"
+        shutil.copytree(dataset, inputs)
+        profiles = inputs / "profiles.txt"
+        profiles.write_text(re.sub(r"n:followers=[^\t\n]*", "n:followers=0.0", profiles.read_text()))
+        cfg = RunConfig.from_file(make_config(inputs, tmp_path / "config.json"))
+        out = tmp_path / "out"
+        run_pipeline(cfg, out, mode="ingest")
+        run_pipeline(cfg, out, mode="features")
+        followers = [
+            line.split("\t")[2]
+            for line in (out / "features" / "normalized_features.txt").read_text().splitlines()
+            if "/followers" in line
+        ]
+        assert followers and set(followers) == {"0.0"}
+        assert "/followers" not in (out / "features" / "maxima.txt").read_text()
 
 
 class TestStageGating:
