@@ -25,7 +25,7 @@ from .graph import (
     pagerank,
 )
 from .ingest import IngestBatch, partition_by_author
-from .registry import FeatureKey, FeatureRegistry
+from .registry import FeatureRegistry, dynamic_key, longlasting_key
 
 COHORT_ALL = "all"
 COHORT_HIGHER = "higher"
@@ -88,9 +88,9 @@ def multiday_sketch(
 class RawFeatureTable:
     """Sparse (user, feature key) -> non-negative raw value."""
 
-    values: dict[tuple[str, FeatureKey], float] = field(default_factory=dict)
+    values: dict[tuple[str, str], float] = field(default_factory=dict)
 
-    def add(self, user: str, key: FeatureKey, value: float) -> None:
+    def add(self, user: str, key: str, value: float) -> None:
         if value < 0:
             raise ValueError("feature values must be >= 0")
         cell = (user, key)
@@ -100,7 +100,7 @@ class RawFeatureTable:
         for cell, value in other.values.items():
             self.values[cell] = self.values.get(cell, 0.0) + value
 
-    def get(self, user: str, key: FeatureKey) -> float:
+    def get(self, user: str, key: str) -> float:
         return self.values.get((user, key), 0.0)
 
 
@@ -121,8 +121,7 @@ def _aggregate_shard(
     for (author, network, content, action, cohort), days in day_buckets.items():
         for window, count in multiday_sketch(days, registry.windows).items():
             if count > 0:
-                key = FeatureKey.dynamic(network, content, action, cohort, window)
-                table.add(author, key, float(count))
+                table.add(author, dynamic_key(network, content, action, cohort, window), float(count))
     return table
 
 
@@ -156,12 +155,12 @@ def aggregate_longlasting(
         registered = registry.networks[network].longlasting_attrs
         for name, value in profile.numeric_attrs:
             if name in registered:
-                table.add(user, FeatureKey.longlasting(network, name), value)
+                table.add(user, longlasting_key(network, name), value)
             else:
                 skipped += 1
         for name, category in profile.categorical_attrs:
             if name in registered:
-                table.add(user, FeatureKey.longlasting(network, name), registry.ordinal_value(name, category))
+                table.add(user, longlasting_key(network, name), registry.ordinal_value(name, category))
             else:
                 skipped += 1
 
@@ -171,24 +170,24 @@ def aggregate_longlasting(
             result = pagerank(pairs)
             if not result.converged and unconverged is not None:
                 unconverged.append(network)
-            key = FeatureKey.longlasting(network, "pagerank")
+            key = longlasting_key(network, "pagerank")
             for user, score in result.scores.items():
                 table.add(user, key, score)
         if "inlink_outlink_ratio" in registered and pairs:
             indeg, outdeg = degree_stats(pairs)
-            key = FeatureKey.longlasting(network, "inlink_outlink_ratio")
+            key = longlasting_key(network, "inlink_outlink_ratio")
             for user, ratio in inlink_outlink_ratio(indeg, outdeg).items():
                 table.add(user, key, ratio)
         if "inlinks" in registered and pairs:
             indeg, _ = degree_stats(pairs)
-            key = FeatureKey.longlasting(network, "inlinks")
+            key = longlasting_key(network, "inlinks")
             for user, deg in indeg.items():
                 table.add(user, key, float(deg))
     return table, skipped
 
 
-def compute_global_maxima(table: RawFeatureTable) -> dict[FeatureKey, float]:
-    maxima: dict[FeatureKey, float] = {}
+def compute_global_maxima(table: RawFeatureTable) -> dict[str, float]:
+    maxima: dict[str, float] = {}
     for (_, key), value in table.values.items():
         if value > maxima.get(key, 0.0):
             maxima[key] = value
@@ -229,10 +228,8 @@ class FeatureStore:
 
 def dump_table(table: RawFeatureTable, path: str | Path) -> None:
     lines = [
-        f"{user}\t{key.canonical()}\t{repr(value)}"
-        for (user, key), value in sorted(
-            table.values.items(), key=lambda cell: (cell[0][0], cell[0][1].canonical())
-        )
+        f"{lineio.encode_value(user)}\t{key}\t{value!r}"
+        for (user, key), value in sorted(table.values.items())
     ]
     lineio.write_lines(path, lines)
 
@@ -244,7 +241,7 @@ def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
     for network in registry.networks:
         keys = registry.keys_for(network)
         for index, key in enumerate(keys):
-            slots[key.canonical()] = (network, index, len(keys))
+            slots[key] = (network, index, len(keys))
 
     store = FeatureStore(registry=registry)
     for line in lineio.read_lines(path):
@@ -252,6 +249,7 @@ def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
         if key not in slots:
             raise ValueError(f"feature key {key!r} in {path} is not in the registry")
         network, index, size = slots[key]
+        user = lineio.decode_value(user)
         vec = store.vectors.get((user, network))
         if vec is None:
             vec = store.vectors[(user, network)] = np.zeros(size)
@@ -259,9 +257,5 @@ def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
     return store
 
 
-def dump_maxima(maxima: Mapping[FeatureKey, float], path: str | Path) -> None:
-    lines = [
-        f"{key.canonical()}\t{repr(value)}"
-        for key, value in sorted(maxima.items(), key=lambda kv: kv[0].canonical())
-    ]
-    lineio.write_lines(path, lines)
+def dump_maxima(maxima: Mapping[str, float], path: str | Path) -> None:
+    lineio.write_lines(path, [f"{key}\t{value!r}" for key, value in sorted(maxima.items())])

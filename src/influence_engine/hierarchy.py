@@ -252,7 +252,7 @@ def save_snapshot(snapshot: ScoreSnapshot, path: str | Path) -> None:
     for user in sorted(snapshot.entries):
         entry = snapshot.entries[user]
         nodes = " ".join(f"{nid}={repr(s)}" for nid, s in entry.node_scores)
-        lines.append(f"{user}\t{repr(entry.overall)}\t{repr(entry.raw_root)}\t{nodes}")
+        lines.append(f"{lineio.encode_value(user)}\t{entry.overall!r}\t{entry.raw_root!r}\t{nodes}")
     lineio.write_lines(path, lines)
 
 
@@ -268,7 +268,7 @@ def load_snapshot(path: str | Path) -> ScoreSnapshot:
             for token in nodes.split(" ")
             if token
         )
-        snapshot.entries[user] = ScoreEntry(
+        snapshot.entries[lineio.decode_value(user)] = ScoreEntry(
             overall=float(overall), raw_root=float(raw), node_scores=node_scores
         )
     return snapshot

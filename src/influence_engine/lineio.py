@@ -19,11 +19,11 @@ from .events import GraphEdge, InteractionEvent, PairwiseLabel, ProfileSnapshot,
 _UNQUOTED = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~")
 
 
-def _enc(value: str) -> str:
+def encode_value(value: str) -> str:
     return value if _UNQUOTED.issuperset(value) else quote(value, safe="")
 
 
-def _dec(value: str) -> str:
+def decode_value(value: str) -> str:
     return unquote(value) if "%" in value else value
 
 
@@ -33,7 +33,7 @@ def _fields(line: str) -> dict[str, str]:
         key, sep, value = token.partition("=")
         if not sep or not key:
             raise ValueError(f"malformed token {token!r}")
-        out[key] = _dec(value)
+        out[key] = decode_value(value)
     return out
 
 
@@ -46,11 +46,11 @@ def _num(value: float) -> str:
 def encode_event(event: InteractionEvent) -> str:
     return "\t".join(
         [
-            f"actor={_enc(event.actor.profile_id)}",
-            f"author={_enc(event.author.profile_id)}",
-            f"network={_enc(event.network)}",
-            f"content_type={_enc(event.content_type)}",
-            f"action={_enc(event.action)}",
+            f"actor={encode_value(event.actor.profile_id)}",
+            f"author={encode_value(event.author.profile_id)}",
+            f"network={encode_value(event.network)}",
+            f"content_type={encode_value(event.content_type)}",
+            f"action={encode_value(event.action)}",
             f"timestamp={event.timestamp}",
         ]
     )
@@ -72,12 +72,12 @@ def decode_event(line: str) -> InteractionEvent:
 
 def encode_profile(profile: ProfileSnapshot) -> str:
     tokens = [
-        f"user={_enc(profile.user.profile_id)}",
-        f"network={_enc(profile.network)}",
+        f"user={encode_value(profile.user.profile_id)}",
+        f"network={encode_value(profile.network)}",
         f"as_of={profile.as_of.isoformat()}",
     ]
-    tokens += [f"n:{_enc(k)}={_num(v)}" for k, v in profile.numeric_attrs]
-    tokens += [f"c:{_enc(k)}={_enc(v)}" for k, v in profile.categorical_attrs]
+    tokens += [f"n:{encode_value(k)}={_num(v)}" for k, v in profile.numeric_attrs]
+    tokens += [f"c:{encode_value(k)}={encode_value(v)}" for k, v in profile.categorical_attrs]
     return "\t".join(tokens)
 
 
@@ -90,11 +90,11 @@ def decode_profile(line: str) -> ProfileSnapshot:
         if not sep or not key:
             raise ValueError(f"malformed token {token!r}")
         if key.startswith("n:"):
-            numeric.append((_dec(key[2:]), float(value)))
+            numeric.append((decode_value(key[2:]), float(value)))
         elif key.startswith("c:"):
-            categorical.append((_dec(key[2:]), _dec(value)))
+            categorical.append((decode_value(key[2:]), decode_value(value)))
         else:
-            plain[key] = _dec(value)
+            plain[key] = decode_value(value)
     return ProfileSnapshot(
         user=UserId(plain["user"]),
         network=plain["network"],
@@ -109,9 +109,9 @@ def decode_profile(line: str) -> ProfileSnapshot:
 def encode_edge(edge: GraphEdge) -> str:
     return "\t".join(
         [
-            f"from={_enc(edge.src.profile_id)}",
-            f"to={_enc(edge.dst.profile_id)}",
-            f"network={_enc(edge.network)}",
+            f"from={encode_value(edge.src.profile_id)}",
+            f"to={encode_value(edge.dst.profile_id)}",
+            f"network={encode_value(edge.network)}",
         ]
     )
 
@@ -126,9 +126,9 @@ def decode_edge(line: str) -> GraphEdge:
 def encode_label(label: PairwiseLabel) -> str:
     return "\t".join(
         [
-            f"network={_enc(label.network)}",
-            f"user_a={_enc(label.user_a.profile_id)}",
-            f"user_b={_enc(label.user_b.profile_id)}",
+            f"network={encode_value(label.network)}",
+            f"user_a={encode_value(label.user_a.profile_id)}",
+            f"user_b={encode_value(label.user_b.profile_id)}",
             f"votes_a={label.votes_a}",
             f"votes_b={label.votes_b}",
         ]

@@ -210,7 +210,7 @@ def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
 
     models_dir = out / "models"
     report_lines = []
-    trained = 0
+    trained = unconverged = 0
     for network in registry.scorable_networks():
         net_pairs = [p for p in pairs if p.network == network]
         if not net_pairs:
@@ -228,10 +228,13 @@ def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
         save_model(w, registry, models_dir / f"{network}.model")
         report_lines.append(report.summary_line())
         trained += 1
+        if not w.converged:
+            unconverged += 1
+            print(f"warning\tnnls-unconverged\tnetwork={network}")
     lineio.write_lines(out / "model_report.txt", report_lines)
     for line in report_lines:
         print(line)
-    return {"clean_pairs": len(pairs), "models": trained}
+    return {"clean_pairs": len(pairs), "models": trained, "nnls_unconverged": unconverged}
 
 
 def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:

@@ -2,7 +2,11 @@
 
 The registry is the single source of truth for which feature keys exist for
 each network; every feature vector, weight vector, and model file is aligned
-to the key ordering frozen here.
+to the key ordering frozen here. A feature key is its canonical string, and
+this module is the only one that builds it:
+
+  dyn/<network>/<content>/<action>/<cohort>/<window>d
+  ll/<network>/<attr>
 """
 
 from __future__ import annotations
@@ -14,61 +18,20 @@ from pathlib import Path
 
 from .events import WINDOW_DAYS
 
-KIND_DYNAMIC = "dyn"
-KIND_LONGLASTING = "ll"
-
 DEFAULT_COHORTS = ("all", "higher", "peers")
 DEFAULT_PEER_BAND = 5.0
 
+# a key is its canonical string: a name holding one of these could make two
+# keys alike or break a tab-separated line
+_KEY_BREAKERS = "/\t\n"
 
-@dataclass(frozen=True, order=True)
-class FeatureKey:
-    """Canonical identity of one aggregated feature.
 
-    Canonical string forms:
-      dyn/<network>/<content>/<action>/<cohort>/<window>d
-      ll/<network>/<attr>
-    """
+def dynamic_key(network: str, content: str, action: str, cohort: str, window: int) -> str:
+    return f"dyn/{network}/{content}/{action}/{cohort}/{window}d"
 
-    kind: str
-    network: str
-    content_type: str = ""
-    action: str = ""
-    cohort: str = ""
-    window_days: int = 0
-    attr_name: str = ""
 
-    def canonical(self) -> str:
-        if self.kind == KIND_DYNAMIC:
-            return (
-                f"dyn/{self.network}/{self.content_type}/{self.action}"
-                f"/{self.cohort}/{self.window_days}d"
-            )
-        return f"ll/{self.network}/{self.attr_name}"
-
-    @classmethod
-    def dynamic(cls, network, content_type, action, cohort, window_days) -> "FeatureKey":
-        return cls(
-            kind=KIND_DYNAMIC,
-            network=network,
-            content_type=content_type,
-            action=action,
-            cohort=cohort,
-            window_days=window_days,
-        )
-
-    @classmethod
-    def longlasting(cls, network, attr_name) -> "FeatureKey":
-        return cls(kind=KIND_LONGLASTING, network=network, attr_name=attr_name)
-
-    @classmethod
-    def parse(cls, text: str) -> "FeatureKey":
-        parts = text.split("/")
-        if parts[0] == KIND_DYNAMIC and len(parts) == 6 and parts[5].endswith("d"):
-            return cls.dynamic(parts[1], parts[2], parts[3], parts[4], int(parts[5][:-1]))
-        if parts[0] == KIND_LONGLASTING and len(parts) == 3:
-            return cls.longlasting(parts[1], parts[2])
-        raise ValueError(f"unparseable feature key: {text!r}")
+def longlasting_key(network: str, attr: str) -> str:
+    return f"ll/{network}/{attr}"
 
 
 @dataclass(frozen=True)
@@ -89,51 +52,46 @@ class FeatureRegistry:
     peer_band: float = DEFAULT_PEER_BAND
 
     def __post_init__(self):
+        names = [("cohort", c) for c in self.cohorts]
         for name, spec in self.networks.items():
             if name != name.lower():
                 raise ValueError(f"network names are lowercase: {name!r}")
             if name != spec.name:
                 raise ValueError(f"network key {name!r} != spec name {spec.name!r}")
+            names.append(("network", name))
+            names += [("content type", c) for c in spec.content_types]
+            names += [("action", a) for a in spec.actions]
+            names += [("long-lasting attribute", a) for a in spec.longlasting_attrs]
+        for what, value in names:
+            if any(ch in value for ch in _KEY_BREAKERS):
+                raise ValueError(f"{what} name {value!r} holds '/', a tab or a newline")
         for w in self.windows:
             if w not in WINDOW_DAYS:
                 raise ValueError(f"window {w} not in supported set {WINDOW_DAYS}")
 
     # -- feature space -----------------------------------------------------
 
-    def dynamic_keys(self, network: str) -> list[FeatureKey]:
+    def dynamic_keys(self, network: str) -> list[str]:
         spec = self.networks[network]
         if not spec.dynamic:
             return []
-        return [
-            FeatureKey.dynamic(network, c, a, coh, w)
+        return sorted(
+            dynamic_key(network, c, a, coh, w)
             for c in spec.content_types
             for a in spec.actions
             for coh in self.cohorts
             for w in self.windows
-        ]
-
-    def longlasting_keys(self, network: str) -> list[FeatureKey]:
-        spec = self.networks[network]
-        return [FeatureKey.longlasting(network, attr) for attr in spec.longlasting_attrs]
-
-    def keys_for(self, network: str) -> tuple[FeatureKey, ...]:
-        """Frozen total ordering of the network's feature space."""
-        keys = self.dynamic_keys(network) + self.longlasting_keys(network)
-        return tuple(sorted(keys, key=FeatureKey.canonical))
-
-    def dynamic_key_count(self, network: str) -> int:
-        spec = self.networks[network]
-        if not spec.dynamic:
-            return 0
-        return (
-            len(spec.content_types)
-            * len(spec.actions)
-            * len(self.cohorts)
-            * len(self.windows)
         )
 
+    def longlasting_keys(self, network: str) -> list[str]:
+        return sorted(longlasting_key(network, a) for a in self.networks[network].longlasting_attrs)
+
+    def keys_for(self, network: str) -> tuple[str, ...]:
+        """Frozen total ordering of the network's feature space."""
+        return tuple(sorted(self.dynamic_keys(network) + self.longlasting_keys(network)))
+
     def registry_hash(self, network: str) -> str:
-        payload = "\n".join(k.canonical() for k in self.keys_for(network))
+        payload = "\n".join(self.keys_for(network))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def scorable_networks(self) -> list[str]:

@@ -14,7 +14,7 @@ from . import lineio
 from .events import PairwiseLabel
 from .features import FeatureStore
 from .nnls import NNLSResult, nnls
-from .registry import FeatureKey, FeatureRegistry
+from .registry import FeatureRegistry
 
 MIN_VOTE_MARGIN = 2
 
@@ -231,17 +231,17 @@ def save_model(w: WeightVector, registry: FeatureRegistry, path: str | Path) -> 
         f"iterations={w.iterations}",
         f"residual_norm={repr(w.residual_norm)}",
     ]
-    lines += [f"w\t{key.canonical()}\t{repr(float(v))}" for key, v in zip(keys, w.weights)]
+    lines += [f"w\t{key}\t{float(v)!r}" for key, v in zip(keys, w.weights)]
     lineio.write_lines(path, lines)
 
 
 def load_model(path: str | Path, registry: FeatureRegistry) -> WeightVector:
     header: dict[str, str] = {}
-    weights: dict[FeatureKey, float] = {}
+    weights: dict[str, float] = {}
     for line in lineio.read_lines(path):
         if line.startswith("w\t"):
             _, key, value = line.split("\t")
-            weights[FeatureKey.parse(key)] = float(value)
+            weights[key] = float(value)
         else:
             k, _, v = line.partition("=")
             header[k] = v

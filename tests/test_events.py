@@ -188,7 +188,7 @@ codec_values = st.one_of(unicode_values, ascii_values)
 class TestCodecFastPaths:
     @given(st.one_of(st.text(), ascii_values))
     def test_enc_matches_quote(self, value):
-        assert lineio._enc(value) == quote(value, safe="")
+        assert lineio.encode_value(value) == quote(value, safe="")
 
     @given(
         actor=codec_values,

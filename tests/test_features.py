@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from datetime import date
 
@@ -21,7 +22,7 @@ from influence_engine.features import (
     multiday_sketch,
     normalize,
 )
-from influence_engine.registry import FeatureKey
+from influence_engine.registry import FeatureRegistry, NetworkSpec, dynamic_key, longlasting_key
 
 from conftest import make_small_registry
 from oracles import brute_window_counts
@@ -112,7 +113,7 @@ class TestAggregateDynamic:
         batch = batch_from(tmp_path, small_registry, events=events)
         scores = {"p": 50.0, "q0": 51.0, "q1": 49.0, "q2": 52.0, "q3": 48.0}
         table = aggregate_dynamic(batch, CohortContext(prior_scores=scores), small_registry)
-        key = FeatureKey.dynamic("fb", "photo", "comment", "peers", 7)
+        key = dynamic_key("fb", "photo", "comment", "peers", 7)
         assert table.get("p", key) == 4.0
 
     def test_empty_batch(self, tmp_path, small_registry):
@@ -165,7 +166,7 @@ class TestAggregateDynamic:
         batch = batch_from(tmp_path, small_registry, events=events)
         table = aggregate_dynamic(batch, CohortContext(), small_registry)
         counts = [
-            table.get("a", FeatureKey.dynamic("tw", "photo", "comment", "all", w))
+            table.get("a", dynamic_key("tw", "photo", "comment", "all", w))
             for w in WINDOW_DAYS
         ]
         assert counts == sorted(counts)
@@ -201,9 +202,9 @@ class TestLonglasting:
     def test_numeric_pass_through_and_ordinal_mapping(self, tmp_path, small_registry):
         batch = batch_from(tmp_path, small_registry, profiles=self.profiles())
         table, skipped = aggregate_longlasting(batch, small_registry)
-        assert table.get("a", FeatureKey.longlasting("tw", "followers")) == 1500.0
-        assert table.get("a", FeatureKey.longlasting("fb", "education_level")) == 4.0
-        assert table.get("b", FeatureKey.longlasting("fb", "education_level")) == 0.0
+        assert table.get("a", longlasting_key("tw", "followers")) == 1500.0
+        assert table.get("a", longlasting_key("fb", "education_level")) == 4.0
+        assert table.get("b", longlasting_key("fb", "education_level")) == 0.0
         assert skipped == 1
 
     def test_graph_features(self, tmp_path, small_registry):
@@ -214,10 +215,10 @@ class TestLonglasting:
         ]
         batch = batch_from(tmp_path, small_registry, edges=edges)
         table, _ = aggregate_longlasting(batch, small_registry)
-        assert table.get("hub", FeatureKey.longlasting("wk", "inlinks")) == 2.0
-        assert table.get("hub", FeatureKey.longlasting("wk", "inlink_outlink_ratio")) == 2.0
+        assert table.get("hub", longlasting_key("wk", "inlinks")) == 2.0
+        assert table.get("hub", longlasting_key("wk", "inlink_outlink_ratio")) == 2.0
         pr = {
-            u: table.get(u, FeatureKey.longlasting("wk", "pagerank"))
+            u: table.get(u, longlasting_key("wk", "pagerank"))
             for u in ("x", "y", "hub")
         }
         assert pr["hub"] > pr["x"] > 0
@@ -228,7 +229,7 @@ class TestMaximaAndNormalize:
     def test_maxima_simple(self):
         from influence_engine.features import RawFeatureTable
 
-        key = FeatureKey.longlasting("tw", "followers")
+        key = longlasting_key("tw", "followers")
         table = RawFeatureTable()
         for user, value in [("a", 3.0), ("b", 7.0), ("c", 2.0)]:
             table.add(user, key, value)
@@ -237,7 +238,7 @@ class TestMaximaAndNormalize:
     def test_maxima_of_shard_maxima(self):
         from influence_engine.features import RawFeatureTable
 
-        key = FeatureKey.longlasting("tw", "followers")
+        key = longlasting_key("tw", "followers")
         values = {f"u{i}": float(i * 3 % 17) for i in range(20)}
         whole = RawFeatureTable()
         left, right = RawFeatureTable(), RawFeatureTable()
@@ -317,14 +318,16 @@ class TestStoreAndDumps:
 
 
 _registry = make_small_registry()
-ALL_KEYS = [key for network in _registry.networks for key in _registry.keys_for(network)]
+NETWORK_OF = {
+    key: network for network in _registry.networks for key in _registry.keys_for(network)
+}
 
 
 @given(
     cells=st.lists(
         st.tuples(
-            st.sampled_from(["a", "b", "c%d", "\u00e9t\u00e9"]),
-            st.sampled_from(ALL_KEYS),
+            st.sampled_from(["a", "b", "c%d", "\u00e9t\u00e9", "a\tb"]),
+            st.sampled_from(sorted(NETWORK_OF)),
             st.floats(min_value=0, max_value=1e12),
         ),
         max_size=40,
@@ -341,7 +344,7 @@ def test_normalize_dump_and_load_are_one_path(tmp_path_factory, cells):
     dump_table(table, path)
     store = load_store(path, registry)
 
-    assert set(store.vectors) == {(user, key.network) for user, key in raw}
+    assert set(store.vectors) == {(user, NETWORK_OF[key]) for user, key in raw}
     for (user, network), vec in store.vectors.items():
         for i, key in enumerate(registry.keys_for(network)):
             if (user, key) in raw:
@@ -361,7 +364,6 @@ class TestRegistryKeySpace:
                 * len(small_registry.windows)
             )
             assert len(small_registry.dynamic_keys(network)) == expected
-            assert small_registry.dynamic_key_count(network) == expected
 
     def test_no_dynamic_keys_for_graph_only_network(self, small_registry):
         assert small_registry.dynamic_keys("wk") == []
@@ -371,13 +373,33 @@ class TestRegistryKeySpace:
 
         reg = default_registry()
         # 3 cohorts x 7 windows x 3 content types x 6 actions per dynamic network
-        assert all(reg.dynamic_key_count(n) == 378 for n in reg.scorable_networks())
+        assert all(len(reg.dynamic_keys(n)) == 378 for n in reg.scorable_networks())
         assert len(reg.scorable_networks()) == 8
 
     def test_key_ordering_is_total_and_stable(self, small_registry):
-        keys = small_registry.keys_for("tw")
-        canon = [k.canonical() for k in keys]
-        assert canon == sorted(canon)
-        assert len(set(canon)) == len(canon)
-        for key in keys:
-            assert FeatureKey.parse(key.canonical()) == key
+        keys = list(small_registry.keys_for("tw"))
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("name", ["a/x", "a\tx", "a\nx"])
+    @pytest.mark.parametrize(
+        "what", ["network", "content type", "action", "cohort", "long-lasting attribute"]
+    )
+    def test_names_that_break_a_key_are_rejected(self, what, name):
+        spec = {"content_types": ("photo",), "actions": ("like",), "longlasting_attrs": ()}
+        network, cohorts = "tw", ("all",)
+        if what == "network":
+            network = name
+        elif what == "cohort":
+            cohorts = ("all", name)
+        else:
+            field = {"content type": "content_types", "action": "actions"}.get(what, "longlasting_attrs")
+            spec[field] += (name,)
+        with pytest.raises(ValueError, match=re.escape(f"{what} name {name!r}")):
+            FeatureRegistry(networks={network: NetworkSpec(name=network, **spec)}, cohorts=cohorts)
+
+    def test_slashed_names_cannot_make_two_keys_alike(self):
+        # dyn/tw/a/x/y/all/3d would be both ("a", "x/y") and ("a/x", "y")
+        spec = NetworkSpec(name="tw", content_types=("a", "a/x"), actions=("x/y", "y"))
+        with pytest.raises(ValueError, match="'a/x'"):
+            FeatureRegistry(networks={"tw": spec})

@@ -6,7 +6,9 @@ import pytest
 
 from influence_engine.features import FeatureStore
 from influence_engine.hierarchy import (
+    ScoreEntry,
     ScoreNode,
+    ScoreSnapshot,
     child_vector,
     heuristic_weights,
     l2_combine,
@@ -339,6 +341,18 @@ class TestSnapshotIO:
         assert loaded.as_of == snapshot.as_of
         assert loaded.entries == snapshot.entries
         assert loaded.prior_scores() == {u: e.overall for u, e in snapshot.entries.items()}
+
+    def test_ids_with_tab_newline_and_percent_round_trip(self, tmp_path):
+        snapshot = ScoreSnapshot(as_of=date(2023, 11, 14))
+        for i, user in enumerate(["a\tb", "c\nd", "e%25f", "u00286"]):
+            snapshot.entries[user] = ScoreEntry(
+                overall=10.0 * i, raw_root=0.1 * i, node_scores=(("root", 0.1 * i),)
+            )
+        path = tmp_path / "snapshot.txt"
+        save_snapshot(snapshot, path)
+        assert len(path.read_text().splitlines()) == 5
+        assert "u00286\t" in path.read_text()  # plain ids are written as they are
+        assert load_snapshot(path).entries == snapshot.entries
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from influence_engine import features, graph, pipeline
+from influence_engine import features, graph, nnls, pipeline, training
 from influence_engine.cli import main
 from influence_engine.hierarchy import ScoreEntry, ScoreSnapshot, load_snapshot
 from influence_engine.ingest import load_batch
 from influence_engine.pipeline import RunConfig, StageError, rank_cohort, run_pipeline, stages_for_mode
 from influence_engine.population import PopulationParams, generate_population, write_dataset
+from influence_engine.registry import FeatureRegistry
 
 from datetime import date
 
@@ -246,6 +247,46 @@ class TestFeatureStage:
         ]
         assert followers and set(followers) == {"0.0"}
         assert "/followers" not in (out / "features" / "maxima.txt").read_text()
+
+
+class TestTrainStage:
+    def test_unconverged_nnls_is_counted_and_warned(self, full_run, tmp_path, monkeypatch, capsys):
+        cfg, first = full_run
+        assert "stage.train.nnls_unconverged=0" in (first / "manifest.txt").read_text().splitlines()
+
+        out = tmp_path / "out"
+        shutil.copytree(first, out)
+        monkeypatch.setattr(
+            training, "nnls", lambda X, y, tol, max_iter: nnls.nnls(X, y, tol=tol, max_iter=1)
+        )
+        run_pipeline(cfg, out, mode="train")
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        scorable = FeatureRegistry.load(cfg.registry_path).scorable_networks()
+        assert f"stage.train.nnls_unconverged={len(scorable)}" in manifest
+        warnings = [l for l in capsys.readouterr().out.splitlines() if l.startswith("warning")]
+        assert warnings == [f"warning\tnnls-unconverged\tnetwork={n}" for n in scorable]
+
+
+class TestIdsThatNeedEscaping:
+    def test_author_ids_with_tab_and_newline_are_scored(self, dataset, tmp_path):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(dataset, inputs)
+        odd = {"u00003": "u00003%09x", "u00004": "u00004%0Ax"}
+        for name in ("events.txt", "profiles.txt", "edges.txt", "labels.txt"):
+            path = inputs / name
+            text = path.read_text()
+            for plain, escaped in odd.items():
+                text = re.sub(rf"=({plain})(?=[\t\n])", f"={escaped}", text)
+            path.write_text(text)
+        assert "author=u00003%09x" in (inputs / "events.txt").read_text()
+        config = make_config(
+            inputs, tmp_path / "config.json", latent=None, population=None, reference_rankings=[]
+        )
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+        scored = load_snapshot(out / "snapshot.txt").entries
+        assert {"u00003\tx", "u00004\nx"} <= set(scored)
+        assert not {"u00003", "u00004"} & set(scored)
 
 
 class TestStageGating:
