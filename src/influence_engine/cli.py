@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import lineio
 from .hierarchy import load_snapshot
 from .pipeline import STAGES, RunConfig, StageError, rank_cohort, run_pipeline
 
@@ -47,9 +48,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "rank":
         snapshot = load_snapshot(args.snapshot)
-        users = [line.strip() for line in args.users.read_text().splitlines() if line.strip()]
+        users = [
+            lineio.decode_value(line.strip())
+            for line in args.users.read_text().splitlines()
+            if line.strip()
+        ]
         for user, score in rank_cohort(snapshot, users):
-            print(f"{user}\t{'unscored' if score is None else repr(score)}")
+            print(f"{lineio.encode_value(user)}\t{'unscored' if score is None else repr(score)}")
         return 0
 
     try:

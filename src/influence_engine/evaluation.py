@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from scipy import stats as scipy_stats
+import numpy as np
 
 from . import lineio
 
@@ -56,25 +56,35 @@ def ndcg(reference: ReferenceRanking, evaluated_order: Sequence[str], p: int) ->
     return dcg(evaluated_rels, p) / ideal
 
 
+def average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, group, size = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(size)
+    return 0.5 * (ends + (ends - size) + 1)[group]
+
+
 def rank_correlation(scores: Mapping[str, float], latent: Mapping[str, float]) -> float:
     """Spearman rank correlation over users present in both maps.
 
     Refuses fewer than 10 users: the statistic is meaningless that small.
+    A constant side, or a nan value, has no rank order: the result is nan.
     """
     common = sorted(set(scores) & set(latent))
     if len(common) < 10:
         raise ValueError(f"need at least 10 shared users, have {len(common)}")
     a = [scores[u] for u in common]
     b = [latent[u] for u in common]
+    if len(set(a)) == 1 or len(set(b)) == 1 or np.isnan(a + b).any():
+        return math.nan
+    ra, rb = average_ranks(a), average_ranks(b)
     if len(set(a)) == len(a) and len(set(b)) == len(b):
         # tie-free case: the rank-difference formula is exact, so perfect
         # agreement and perfect reversal come out as exactly +/-1.0
-        ra = scipy_stats.rankdata(a)
-        rb = scipy_stats.rankdata(b)
         n = len(common)
         d_sq = float(sum((x - y) ** 2 for x, y in zip(ra, rb)))
         return 1.0 - 6.0 * d_sq / (n * (n * n - 1))
-    return float(scipy_stats.spearmanr(a, b).statistic)
+    # with ties, Spearman's rho is the Pearson correlation of the ranks
+    return float(np.corrcoef(ra, rb)[1, 0])
 
 
 # -- fixture files ---------------------------------------------------------

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import lineio
 from .events import (
@@ -354,14 +353,19 @@ def run_campaign(
     else:
         monotone_fraction = 1.0
 
-    loggable = [b for b in present if b.log_mean is not None]
-    if len(loggable) >= 3:
-        xs = [(b.lo + b.hi) / 2 for b in loggable]
-        ys = [b.log_mean for b in loggable]
-        fit = scipy_stats.linregress(xs, ys)
-        slope = float(fit.slope)
-        p_one_sided = float(fit.pvalue / 2 if slope > 0 else 1 - fit.pvalue / 2)
+    xs = [(b.lo + b.hi) / 2 for b in present if b.log_mean is not None]
+    ys = [b.log_mean for b in present if b.log_mean is not None]
+    if len(xs) >= 3 and len(set(ys)) > 1:
+        # least squares on the bin midpoints, t-tested against a zero slope
+        ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
+        slope = float(ssxym / ssxm)
+        r = min(max(ssxym / math.sqrt(ssxm * ssym), -1.0), 1.0)
+        df = len(xs) - 2
+        t = abs(r) * math.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
+        tail = student_t_tail(t, df)
+        p_one_sided = tail if slope > 0 else 1.0 - tail
     else:
+        # too few bins, or all at one level: no evidence of an upward trend
         slope, p_one_sided = 0.0, 1.0
 
     return CampaignResult(
@@ -371,3 +375,33 @@ def run_campaign(
         slope=slope,
         p_one_sided=p_one_sided,
     )
+
+
+def student_t_tail(t: float, df: int) -> float:
+    """P(T > t) = 0.5 * I_x(df/2, 1/2) at x = df / (df + t^2), for t >= 0;
+    1 - x is formed directly so that small t keeps its precision."""
+    x, y = df / (df + t * t), t * t / (df + t * t)
+    if y == 0.0:
+        return 0.5
+    if x < (df + 2.0) / (df + 5.0):  # x < (a + 1) / (a + b + 2) for a = df/2, b = 1/2
+        return 0.5 * _incomplete_beta(df / 2.0, 0.5, x, y)
+    return 0.5 - 0.5 * _incomplete_beta(0.5, df / 2.0, y, x)
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """Regularized I_x(a, b) for y = 1 - x and x < (a + 1) / (a + b + 2),
+    where its continued fraction converges fast (modified Lentz)."""
+    log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    f, c, d = 2.0, 2.0, 1.0  # after the fraction's first term, whose numerator is 1
+    for i in range(1, 300):
+        m = i // 2
+        if i % 2:
+            num = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            num = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / (1.0 + num * d)
+        c = 1.0 + num / c
+        f *= c * d
+        if abs(1.0 - c * d) < 1e-16:
+            break
+    return math.exp(log_front) / a * (f - 1.0)

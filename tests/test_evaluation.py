@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from influence_engine.evaluation import (
     ReferenceRanking,
+    average_ranks,
     dcg,
     load_reference,
     ndcg,
@@ -154,3 +157,42 @@ class TestRankCorrelation:
         small = {f"u{i}": float(i) for i in range(9)}
         with pytest.raises(ValueError, match="at least 10"):
             rank_correlation(small, small)
+
+    def test_constant_side_or_nan_value_is_nan(self):
+        scores = {f"u{i}": 50.0 for i in range(12)}
+        latent = {f"u{i}": float(i) for i in range(12)}
+        assert math.isnan(rank_correlation(scores, latent))
+        assert math.isnan(rank_correlation(latent, scores))
+        assert math.isnan(rank_correlation(latent, {**latent, "u3": math.nan}))
+        assert math.isnan(rank_correlation({**latent, "u3": 3.0, "u4": 3.0, "u5": math.nan}, latent))
+
+
+# scipy is the reference for the rank statistics, in the test extra only
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+distinct_values = st.lists(finite, min_size=1, max_size=60, unique=True)
+tied_values = st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1e-300, 3.0, 7.25]), min_size=1, max_size=60)
+paired_with_ties = st.integers(min_value=10, max_value=60).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n),
+        st.lists(finite, min_size=n, max_size=n),
+    )
+)
+
+
+class TestScipyParity:
+    @given(values=st.one_of(distinct_values, tied_values))
+    def test_average_ranks_equal_rankdata_bit_for_bit(self, values):
+        stats = pytest.importorskip("scipy.stats")
+        expected = stats.rankdata(values)
+        got = average_ranks(values)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @given(pair=paired_with_ties)
+    def test_ties_branch_matches_spearmanr(self, pair):
+        stats = pytest.importorskip("scipy.stats")
+        a, b = pair
+        assume(len(set(a)) > 1 and len(set(b)) > 1)  # constant sides are pinned above
+        users = [f"u{i}" for i in range(len(a))]
+        rho = rank_correlation(dict(zip(users, a)), dict(zip(users, b)))
+        assert rho == pytest.approx(stats.spearmanr(a, b).statistic, rel=0, abs=1e-14)

@@ -1,14 +1,18 @@
 import functools
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import influence_engine
 from influence_engine import features, graph, nnls, pipeline, training
 from influence_engine.cli import main
-from influence_engine.hierarchy import ScoreEntry, ScoreSnapshot, load_snapshot
+from influence_engine.hierarchy import ScoreEntry, ScoreSnapshot, load_snapshot, save_snapshot
 from influence_engine.ingest import load_batch
 from influence_engine.pipeline import RunConfig, StageError, rank_cohort, run_pipeline, stages_for_mode
 from influence_engine.population import PopulationParams, generate_population, write_dataset
@@ -348,6 +352,41 @@ class TestCLI:
         assert lines[-1] == "nobody\tunscored"
         scores = [float(l.split("\t")[1]) for l in lines[:-1]]
         assert scores == sorted(scores, reverse=True)
+
+    def test_rank_decodes_and_encodes_ids(self, tmp_path, capsys):
+        entries = {
+            u: ScoreEntry(overall=s, raw_root=s / 100.0, node_scores=())
+            for u, s in {"a\tb": 70.0, "plain": 40.0}.items()
+        }
+        save_snapshot(ScoreSnapshot(as_of=date(2023, 11, 14), entries=entries), tmp_path / "snap.txt")
+        users_file = tmp_path / "users.txt"
+        users_file.write_text("plain\na%09b\nnobody\n")
+        code = main(["rank", "--snapshot", str(tmp_path / "snap.txt"), "--users", str(users_file)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "a%09b\t70.0", "plain\t40.0", "nobody\tunscored",
+        ]
+
+    def test_full_run_never_imports_scipy(self, dataset, tmp_path):
+        # start-up cost is paid by every daily run; scipy.stats alone cost
+        # more than a second of it, so the engine must not load scipy
+        config = make_config(dataset, tmp_path / "config.json")
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "from influence_engine.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('loaded:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(code)\n"
+        )
+        src = Path(influence_engine.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script, "all", "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert (out / "eval_report.txt").is_file() and (out / "campaign_report.txt").is_file()
+        assert done.stdout.splitlines()[-1] == "loaded: []"
 
 
 class TestRankCohort:

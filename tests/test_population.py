@@ -6,6 +6,7 @@ import pytest
 from influence_engine.population import (
     CampaignParams,
     PopulationParams,
+    SyntheticPopulation,
     desk_registry,
     generate_events,
     generate_labels,
@@ -13,6 +14,7 @@ from influence_engine.population import (
     generate_profiles,
     load_latent,
     run_campaign,
+    student_t_tail,
     write_dataset,
 )
 
@@ -157,6 +159,61 @@ class TestCampaign:
         lines = result.report_lines()
         assert lines[0].startswith("campaign\t")
         assert len(lines) == 1 + len(result.bins)
+
+    def test_flat_campaign_reports_no_trend(self):
+        # every user posts, every audience member reacts and every audience
+        # has three members, so each bin's mean is exactly 3 reactions
+        users = tuple(f"u{i:02d}" for i in range(35))
+        pop = SyntheticPopulation(
+            params=PopulationParams(n_users=len(users)),
+            seed=0,
+            users=users,
+            latent={u: 1.0 for u in users},
+            audiences={u: ("x", "y", "z") for u in users},
+            memberships={u: ("tw",) for u in users},
+        )
+        scores = {u: 10.0 + 2.0 * i for i, u in enumerate(users)}
+        params = CampaignParams(post_prob=1.0, logistic_center=-1000.0)
+        result = run_campaign(pop, scores, params, seed=3)
+        assert {b.mean_reactions for b in result.bins} == {3.0}
+        assert result.slope == 0.0
+        assert result.p_one_sided == 1.0
+        assert "nan" not in result.report_lines()[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_fit_matches_scipy_linregress(self, seed):
+        stats = pytest.importorskip("scipy.stats")
+        pop = generate_population(PopulationParams(n_users=600, label_pairs=10), seed=seed)
+        # odd seeds score by latent rank (upward trend), even seeds at random
+        if seed % 2:
+            scores = self.scores_from_latent(pop)
+        else:
+            rng = np.random.default_rng(seed)
+            scores = {u: float(rng.uniform(10, 80)) for u in pop.users}
+        result = run_campaign(pop, scores, CampaignParams(), seed=seed)
+        loggable = [b for b in result.bins if b.log_mean is not None]
+        fit = stats.linregress([(b.lo + b.hi) / 2 for b in loggable], [b.log_mean for b in loggable])
+        assert result.slope == fit.slope
+        expected_p = fit.pvalue / 2 if fit.slope > 0 else 1 - fit.pvalue / 2
+        assert result.p_one_sided == pytest.approx(expected_p, rel=1e-12)
+
+
+class TestStudentTail:
+    @pytest.mark.parametrize("t", [0.0, 1e-12, 1e-8, 1e-4, 0.3, 1.0, 2.5, 40.0, 100.0])
+    def test_closed_forms_for_one_and_two_degrees_of_freedom(self, t):
+        assert student_t_tail(t, 1) == pytest.approx(0.5 - math.atan(t) / math.pi, rel=1e-13)
+        assert student_t_tail(t, 2) == pytest.approx(0.5 - t / (2 * math.sqrt(2 + t * t)), rel=1e-13)
+
+    def test_matches_scipy_stdtr(self):
+        special = pytest.importorskip("scipy.special")
+        # stdtr itself loses precision for t below about 1e-6 (3e-9 relative
+        # at t = 1e-8 against the df = 1 closed form), so small t is left to
+        # the closed-form test above
+        ts = np.linspace(0.0, 100.0, 401)
+        for df in range(1, 61):
+            expected = special.stdtr(df, -ts)
+            got = np.array([student_t_tail(float(t), df) for t in ts])
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 class TestRegistryShape:
