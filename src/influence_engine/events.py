@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from typing import NamedTuple
 
 SECONDS_PER_DAY = 86400
 
@@ -13,79 +14,44 @@ WINDOW_DAYS = (3, 7, 14, 21, 30, 60, 90)
 MAX_WINDOW_DAYS = WINDOW_DAYS[-1]
 
 
-@dataclass(frozen=True)
-class UserId:
-    """Canonical cross-network identity."""
+class InteractionEvent(NamedTuple):
+    """One reaction: ``actor`` reacted to content authored by ``author``.
 
-    profile_id: str
+    Records are plain tuples of strings and numbers, so an event is its own
+    dedup key. The ``lineio`` decoders reject a record the data model
+    forbids, such as an empty id or a self-loop edge.
+    """
 
-    def __post_init__(self):
-        if not self.profile_id:
-            raise ValueError("profile_id must be non-empty")
-
-
-@dataclass(frozen=True)
-class InteractionEvent:
-    """One reaction: ``actor`` reacted to content authored by ``author``."""
-
-    actor: UserId
-    author: UserId
+    actor: str
+    author: str
     network: str
     content_type: str
     action: str
     timestamp: int  # seconds since epoch, UTC
 
-    def dedup_key(self) -> tuple:
-        return (
-            self.actor.profile_id,
-            self.author.profile_id,
-            self.network,
-            self.content_type,
-            self.action,
-            self.timestamp,
-        )
 
-
-@dataclass(frozen=True)
-class ProfileSnapshot:
-    user: UserId
+class ProfileSnapshot(NamedTuple):
+    user: str
     network: str
     as_of: date
     numeric_attrs: tuple[tuple[str, float], ...] = ()
     categorical_attrs: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self):
-        for name, value in self.numeric_attrs:
-            if value < 0:
-                raise ValueError(f"numeric attr {name!r} must be >= 0")
 
-
-@dataclass(frozen=True)
-class GraphEdge:
-    src: UserId
-    dst: UserId
+class GraphEdge(NamedTuple):
+    src: str
+    dst: str
     network: str
 
-    def __post_init__(self):
-        if self.src.profile_id == self.dst.profile_id:
-            raise ValueError("self-loops are not allowed")
 
-
-@dataclass(frozen=True)
-class PairwiseLabel:
+class PairwiseLabel(NamedTuple):
     """One human judgment comparing two users on one network."""
 
     network: str
-    user_a: UserId
-    user_b: UserId
+    user_a: str
+    user_b: str
     votes_a: int
     votes_b: int
-
-    def __post_init__(self):
-        if self.user_a.profile_id == self.user_b.profile_id:
-            raise ValueError("label must compare two distinct users")
-        if self.votes_a < 0 or self.votes_b < 0:
-            raise ValueError("vote counts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -132,8 +98,8 @@ def validate_event(raw: InteractionEvent, registry) -> InteractionEvent | Reject
     Rejections are values, never exceptions: a dirty log line must not be
     able to abort a batch.
     """
-    if raw.actor.profile_id == raw.author.profile_id:
-        return Rejection(REJECT_SELF_REACTION, raw.actor.profile_id)
+    if raw.actor == raw.author:
+        return Rejection(REJECT_SELF_REACTION, raw.actor)
     if raw.timestamp <= 0:
         return Rejection(REJECT_BAD_TIMESTAMP, str(raw.timestamp))
     spec = registry.networks.get(raw.network)

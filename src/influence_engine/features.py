@@ -57,8 +57,8 @@ def conditional_emit(
     """
     day_index = int((reference_time - event.timestamp) // SECONDS_PER_DAY)
     out = [(COHORT_ALL, day_index)]
-    actor_score = cohorts.prior_scores.get(event.actor.profile_id)
-    author_score = cohorts.prior_scores.get(event.author.profile_id)
+    actor_score = cohorts.prior_scores.get(event.actor)
+    author_score = cohorts.prior_scores.get(event.author)
     if actor_score is None or author_score is None:
         return out
     # higher and peers are disjoint: within the band is a peer, above it is higher

@@ -65,7 +65,7 @@ def pagerank(
 def edges_by_network(edges: Iterable[GraphEdge]) -> dict[str, list[tuple[str, str]]]:
     grouped: dict[str, list[tuple[str, str]]] = defaultdict(list)
     for e in edges:
-        grouped[e.network].append((e.src.profile_id, e.dst.profile_id))
+        grouped[e.network].append((e.src, e.dst))
     return grouped
 
 

@@ -72,7 +72,7 @@ class IngestBatch:
     """Validated, deduplicated, window-filtered inputs for one scoring run."""
 
     events_by_author: dict[str, tuple[InteractionEvent, ...]]
-    profiles: dict[tuple[str, str], ProfileSnapshot]  # (profile_id, network)
+    profiles: dict[tuple[str, str], ProfileSnapshot]  # (user, network)
     edges: tuple[GraphEdge, ...]
     labels: tuple[PairwiseLabel, ...]
     reference_time: int
@@ -100,7 +100,7 @@ def read_events(
 ) -> dict[str, tuple[InteractionEvent, ...]]:
     """Valid, in-window, first-seen events grouped by author."""
     events_by_author: dict[str, list[InteractionEvent]] = {}
-    seen: set[tuple] = set()
+    seen: set[InteractionEvent] = set()
     for raw in _decoded(path, lineio.decode_event, report):
         checked = validate_event(raw, registry)
         if isinstance(checked, Rejection):
@@ -109,12 +109,11 @@ def read_events(
         if not window.contains(checked.timestamp):
             report.expired_events += 1
             continue
-        key = checked.dedup_key()
-        if key in seen:
+        if checked in seen:  # an event is its own dedup key
             report.duplicate_events += 1
             continue
-        seen.add(key)
-        events_by_author.setdefault(checked.author.profile_id, []).append(checked)
+        seen.add(checked)
+        events_by_author.setdefault(checked.author, []).append(checked)
         report.accepted_events += 1
     return {a: tuple(evs) for a, evs in events_by_author.items()}
 
@@ -122,13 +121,13 @@ def read_events(
 def read_profiles(
     path: Path, ref_date: date, registry: FeatureRegistry, report: LoadReport
 ) -> dict[tuple[str, str], ProfileSnapshot]:
-    """The latest snapshot per (profile_id, network) taken by ``ref_date``."""
+    """The latest snapshot per (user, network) taken by ``ref_date``."""
     profiles: dict[tuple[str, str], ProfileSnapshot] = {}
     for profile in _decoded(path, lineio.decode_profile, report):
         if profile.network not in registry.networks or profile.as_of > ref_date:
             report.stale_profiles += 1
             continue
-        key = (profile.user.profile_id, profile.network)
+        key = (profile.user, profile.network)
         current = profiles.get(key)
         if current is None or profile.as_of > current.as_of:
             profiles[key] = profile
@@ -181,6 +180,27 @@ def load_batch(
         reference_time=reference_time,
     )
     return batch, report
+
+
+def read_ingested(directory: str | Path, reference_time: int) -> IngestBatch:
+    """The batch that the ingest stage wrote to ``directory``.
+
+    Those files hold only valid, in-window, unique records, so nothing is
+    checked again. A line that does not decode raises: the engine wrote it,
+    so it is damage to report, not dirty input to count.
+    """
+    paths = InputPaths.in_dir(directory)
+    events_by_author: dict[str, list[InteractionEvent]] = {}
+    for event in map(lineio.decode_event, lineio.read_lines(paths.events)):
+        events_by_author.setdefault(event.author, []).append(event)
+    profiles = map(lineio.decode_profile, lineio.read_lines(paths.profiles))
+    return IngestBatch(
+        events_by_author={a: tuple(evs) for a, evs in events_by_author.items()},
+        profiles={(p.user, p.network): p for p in profiles},
+        edges=tuple(map(lineio.decode_edge, lineio.read_lines(paths.edges))),
+        labels=tuple(map(lineio.decode_label, lineio.read_lines(paths.labels))),
+        reference_time=reference_time,
+    )
 
 
 def shard_of(profile_id: str, shards: int) -> int:

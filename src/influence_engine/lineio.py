@@ -3,16 +3,22 @@
 One record per line, tab-separated ``key=value`` tokens, values
 percent-encoded so that arbitrary strings round-trip bit-exactly.
 Numeric attribute values use ``repr(float)`` which round-trips exactly.
+A decoder raises ``ValueError`` or ``KeyError`` on a line that breaks the
+data model: an empty user id, a self-loop edge, a label comparing one user
+with itself, a negative vote count, or a numeric attribute that is negative
+or not finite.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
-from .events import GraphEdge, InteractionEvent, PairwiseLabel, ProfileSnapshot, UserId
+from .events import GraphEdge, InteractionEvent, PairwiseLabel, ProfileSnapshot
 
 
 # the characters quote(..., safe="") leaves as they are
@@ -37,46 +43,53 @@ def _fields(line: str) -> dict[str, str]:
     return out
 
 
-def _num(value: float) -> str:
-    return repr(float(value))
+def _layout(*keys: str) -> re.Pattern:
+    """The pattern of a line whose tokens are ``keys`` in that order and no
+    others, as the encoders write it, with one group named after each key."""
+    return re.compile("\t".join(f"{key}=(?P<{key}>[^\t\n]*)" for key in keys))
+
+
+def _values(pattern: re.Pattern, line: str):
+    """The line's values for the pattern's keys, in that order: one regex
+    match for a line as the encoders write it, ``_fields`` for any other."""
+    match = pattern.fullmatch(line)
+    if match is None:
+        f = _fields(line)
+        return [f[key] for key in pattern.groupindex]
+    return [decode_value(v) for v in match.groups()] if "%" in line else match.groups()
+
+
+_EVENT = _layout("actor", "author", "network", "content_type", "action", "timestamp")
+_EDGE = _layout("from", "to", "network")
+_LABEL = _layout("network", "user_a", "user_b", "votes_a", "votes_b")
 
 
 # -- events ----------------------------------------------------------------
 
-def encode_event(event: InteractionEvent) -> str:
-    return "\t".join(
-        [
-            f"actor={encode_value(event.actor.profile_id)}",
-            f"author={encode_value(event.author.profile_id)}",
-            f"network={encode_value(event.network)}",
-            f"content_type={encode_value(event.content_type)}",
-            f"action={encode_value(event.action)}",
-            f"timestamp={event.timestamp}",
-        ]
+def encode_event(e: InteractionEvent) -> str:
+    return (
+        f"actor={encode_value(e.actor)}\tauthor={encode_value(e.author)}"
+        f"\tnetwork={encode_value(e.network)}\tcontent_type={encode_value(e.content_type)}"
+        f"\taction={encode_value(e.action)}\ttimestamp={e.timestamp}"
     )
 
 
 def decode_event(line: str) -> InteractionEvent:
-    f = _fields(line)
-    return InteractionEvent(
-        actor=UserId(f["actor"]),
-        author=UserId(f["author"]),
-        network=f["network"],
-        content_type=f["content_type"],
-        action=f["action"],
-        timestamp=int(f["timestamp"]),
-    )
+    actor, author, network, content_type, action, timestamp = _values(_EVENT, line)
+    if not (actor and author):
+        raise ValueError("empty user id")
+    return InteractionEvent(actor, author, network, content_type, action, int(timestamp))
 
 
 # -- profiles --------------------------------------------------------------
 
 def encode_profile(profile: ProfileSnapshot) -> str:
     tokens = [
-        f"user={encode_value(profile.user.profile_id)}",
+        f"user={encode_value(profile.user)}",
         f"network={encode_value(profile.network)}",
         f"as_of={profile.as_of.isoformat()}",
     ]
-    tokens += [f"n:{encode_value(k)}={_num(v)}" for k, v in profile.numeric_attrs]
+    tokens += [f"n:{encode_value(k)}={float(v)!r}" for k, v in profile.numeric_attrs]
     tokens += [f"c:{encode_value(k)}={encode_value(v)}" for k, v in profile.categorical_attrs]
     return "\t".join(tokens)
 
@@ -90,13 +103,18 @@ def decode_profile(line: str) -> ProfileSnapshot:
         if not sep or not key:
             raise ValueError(f"malformed token {token!r}")
         if key.startswith("n:"):
-            numeric.append((decode_value(key[2:]), float(value)))
+            number = float(value)
+            if not 0 <= number < math.inf:  # nan fails both comparisons
+                raise ValueError(f"numeric attr {key!r} must be finite and >= 0")
+            numeric.append((decode_value(key[2:]), number))
         elif key.startswith("c:"):
             categorical.append((decode_value(key[2:]), decode_value(value)))
         else:
             plain[key] = decode_value(value)
+    if not plain["user"]:
+        raise ValueError("empty user id")
     return ProfileSnapshot(
-        user=UserId(plain["user"]),
+        user=plain["user"],
         network=plain["network"],
         as_of=date.fromisoformat(plain["as_of"]),
         numeric_attrs=tuple(numeric),
@@ -104,46 +122,34 @@ def decode_profile(line: str) -> ProfileSnapshot:
     )
 
 
-# -- graph edges -----------------------------------------------------------
+# -- graph edges and pairwise labels ---------------------------------------
 
 def encode_edge(edge: GraphEdge) -> str:
-    return "\t".join(
-        [
-            f"from={encode_value(edge.src.profile_id)}",
-            f"to={encode_value(edge.dst.profile_id)}",
-            f"network={encode_value(edge.network)}",
-        ]
-    )
+    return f"from={encode_value(edge.src)}\tto={encode_value(edge.dst)}\tnetwork={encode_value(edge.network)}"
 
 
 def decode_edge(line: str) -> GraphEdge:
-    f = _fields(line)
-    return GraphEdge(src=UserId(f["from"]), dst=UserId(f["to"]), network=f["network"])
+    src, dst, network = _values(_EDGE, line)
+    if not (src and dst) or src == dst:
+        raise ValueError("an edge joins two distinct, non-empty user ids")
+    return GraphEdge(src, dst, network)
 
-
-# -- pairwise labels -------------------------------------------------------
 
 def encode_label(label: PairwiseLabel) -> str:
-    return "\t".join(
-        [
-            f"network={encode_value(label.network)}",
-            f"user_a={encode_value(label.user_a.profile_id)}",
-            f"user_b={encode_value(label.user_b.profile_id)}",
-            f"votes_a={label.votes_a}",
-            f"votes_b={label.votes_b}",
-        ]
+    return (
+        f"network={encode_value(label.network)}\tuser_a={encode_value(label.user_a)}"
+        f"\tuser_b={encode_value(label.user_b)}\tvotes_a={label.votes_a}\tvotes_b={label.votes_b}"
     )
 
 
 def decode_label(line: str) -> PairwiseLabel:
-    f = _fields(line)
-    return PairwiseLabel(
-        network=f["network"],
-        user_a=UserId(f["user_a"]),
-        user_b=UserId(f["user_b"]),
-        votes_a=int(f["votes_a"]),
-        votes_b=int(f["votes_b"]),
-    )
+    network, user_a, user_b, votes_a, votes_b = _values(_LABEL, line)
+    votes_a, votes_b = int(votes_a), int(votes_b)
+    if not (user_a and user_b) or user_a == user_b:
+        raise ValueError("a label compares two distinct, non-empty user ids")
+    if votes_a < 0 or votes_b < 0:
+        raise ValueError("vote counts must be >= 0")
+    return PairwiseLabel(network, user_a, user_b, votes_a, votes_b)
 
 
 # -- files -----------------------------------------------------------------

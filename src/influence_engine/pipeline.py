@@ -31,7 +31,7 @@ from .hierarchy import (
     save_snapshot,
     score_population,
 )
-from .ingest import InputPaths, LoadReport, load_batch, read_edges, read_labels
+from .ingest import InputPaths, LoadReport, load_batch, read_ingested, read_labels
 from .population import (
     CampaignParams,
     PopulationParams,
@@ -140,6 +140,12 @@ def _normalized_path(out: Path) -> Path:
     return out / "features" / "normalized_features.txt"
 
 
+def _graph_stats_path(out: Path) -> Path:
+    # one line per network with edges: its name, then graph_summary's values as
+    # key=repr tokens; ingest writes it so that score need not read the edges
+    return out / "ingest" / "graph_stats.txt"
+
+
 # -- stages ----------------------------------------------------------------
 
 def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
@@ -160,6 +166,11 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
     )
     lineio.write_lines(dest / "edges.txt", sorted(lineio.encode_edge(e) for e in batch.edges))
     lineio.write_lines(dest / "labels.txt", sorted(lineio.encode_label(l) for l in batch.labels))
+    stats_lines = []
+    for network, pairs in sorted(edges_by_network(batch.edges).items()):
+        stats = sorted(graph_summary(pairs).items())
+        stats_lines.append("\t".join([network] + [f"{key}={value!r}" for key, value in stats]))
+    lineio.write_lines(_graph_stats_path(out), stats_lines)
     lineio.write_lines(dest / "load_report.txt", [report.summary_line()])
     print(report.summary_line())
     return {
@@ -172,7 +183,7 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     registry = _load_registry(cfg)
-    batch, _ = load_batch(InputPaths.in_dir(out / "ingest"), cfg.reference_time, registry)
+    batch = read_ingested(out / "ingest", cfg.reference_time)
     prior = {}
     if cfg.prior_snapshot is not None:
         prior = load_snapshot(cfg.prior_snapshot).prior_scores()
@@ -239,7 +250,6 @@ def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
     registry = _load_registry(cfg)
-    edges = read_edges(InputPaths.in_dir(out / "ingest").edges, registry, LoadReport())
     store = load_store(_normalized_path(out), registry)
     tree = load_tree(cfg.tree_path)
 
@@ -251,9 +261,10 @@ def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
                 raise StageError("score", f"missing model file {model_path}")
             models[node.network] = load_model(model_path, registry)
 
-    stats = {
-        network: graph_summary(pairs) for network, pairs in edges_by_network(edges).items()
-    }
+    stats = {}
+    for line in lineio.read_lines(_graph_stats_path(out)):
+        network, *tokens = line.split("\t")
+        stats[network] = {key: float(value) for key, value in (t.split("=") for t in tokens)}
     as_of = TimeWindow(cfg.reference_time, MAX_WINDOW_DAYS).reference_date()
     snapshot = score_population(tree, store, models, stats, as_of=as_of)
     save_snapshot(snapshot, out / "snapshot.txt")

@@ -25,7 +25,6 @@ from .events import (
     PairwiseLabel,
     ProfileSnapshot,
     TimeWindow,
-    UserId,
 )
 from .hierarchy import ScoreSnapshot, save_tree, parse_tree
 from .registry import FeatureRegistry, NetworkSpec
@@ -143,8 +142,8 @@ def generate_events(pop: SyntheticPopulation) -> list[InteractionEvent]:
             spec = registry.networks[network]
             events.append(
                 InteractionEvent(
-                    actor=UserId(audience[int(rng.integers(len(audience)))]),
-                    author=UserId(u),
+                    actor=audience[int(rng.integers(len(audience)))],
+                    author=u,
                     network=network,
                     content_type=spec.content_types[int(rng.integers(len(spec.content_types)))],
                     action=spec.actions[int(rng.integers(len(spec.actions)))],
@@ -163,7 +162,7 @@ def generate_profiles(pop: SyntheticPopulation) -> list[ProfileSnapshot]:
         for network in pop.memberships[u]:
             profiles.append(
                 ProfileSnapshot(
-                    user=UserId(u),
+                    user=u,
                     network=network,
                     as_of=as_of,
                     numeric_attrs=(
@@ -186,7 +185,7 @@ def generate_edges(pop: SyntheticPopulation) -> list[GraphEdge]:
                 if emitted >= pop.params.edges_per_user:
                     break
                 if network in member_sets[follower]:
-                    edges.append(GraphEdge(src=UserId(follower), dst=UserId(u), network=network))
+                    edges.append(GraphEdge(src=follower, dst=u, network=network))
                     emitted += 1
     return edges
 
@@ -217,9 +216,7 @@ def generate_labels(pop: SyntheticPopulation) -> list[PairwiseLabel]:
         if rng.random() < params.label_flip_rate:
             winner_is_a = not winner_is_a
         va, vb = (5, 1) if winner_is_a else (1, 5)
-        labels.append(
-            PairwiseLabel(network=network, user_a=UserId(a), user_b=UserId(b), votes_a=va, votes_b=vb)
-        )
+        labels.append(PairwiseLabel(network=network, user_a=a, user_b=b, votes_a=va, votes_b=vb))
     return labels
 
 

@@ -74,7 +74,7 @@ def preprocess_labels(labels: Iterable[PairwiseLabel]) -> list[CleanPair]:
     pairs with a clear winner: vote margin of at least 2."""
     totals: dict[tuple[str, str, str], list[int]] = defaultdict(lambda: [0, 0])
     for label in labels:
-        a, b = label.user_a.profile_id, label.user_b.profile_id
+        a, b = label.user_a, label.user_b
         if a <= b:
             key, va, vb = (label.network, a, b), label.votes_a, label.votes_b
         else:

@@ -13,7 +13,6 @@ from influence_engine.events import (
     ProfileSnapshot,
     Rejection,
     TimeWindow,
-    UserId,
     validate_event,
 )
 
@@ -22,8 +21,8 @@ REF = 1_700_000_000
 
 def ev(actor="a", author="b", network="tw", content="message", action="like", ts=REF - 100):
     return InteractionEvent(
-        actor=UserId(actor),
-        author=UserId(author),
+        actor=actor,
+        author=author,
         network=network,
         content_type=content,
         action=action,
@@ -32,9 +31,21 @@ def ev(actor="a", author="b", network="tw", content="message", action="like", ts
 
 
 class TestUserId:
+    """Ids are plain strings; the decoders reject an empty one."""
+
     def test_empty_profile_id_rejected(self):
-        with pytest.raises(ValueError):
-            UserId("")
+        records = [
+            (lineio.decode_event, lineio.encode_event(ev(actor=""))),
+            (lineio.decode_event, lineio.encode_event(ev(author=""))),
+            (lineio.decode_profile, lineio.encode_profile(ProfileSnapshot("", "tw", date(2023, 11, 1)))),
+            (lineio.decode_edge, lineio.encode_edge(GraphEdge("", "b", "wk"))),
+            (lineio.decode_edge, lineio.encode_edge(GraphEdge("a", "", "wk"))),
+            (lineio.decode_label, lineio.encode_label(PairwiseLabel("tw", "", "b", 3, 1))),
+            (lineio.decode_label, lineio.encode_label(PairwiseLabel("tw", "a", "", 3, 1))),
+        ]
+        for decode, line in records:
+            with pytest.raises(ValueError):
+                decode(line)
 
 
 class TestValidateEvent:
@@ -112,23 +123,41 @@ class TestTimeWindow:
         assert not window.contains(REF)
 
 
+def profile_with(value: float) -> ProfileSnapshot:
+    return ProfileSnapshot(
+        user="a", network="tw", as_of=date(2023, 11, 1), numeric_attrs=(("followers", value),)
+    )
+
+
 class TestInvariantConstructors:
+    """The records are plain tuples; their invariants are the decoders' checks."""
+
     def test_self_loop_edge_rejected(self):
         with pytest.raises(ValueError):
-            GraphEdge(src=UserId("a"), dst=UserId("a"), network="tw")
+            lineio.decode_edge(lineio.encode_edge(GraphEdge(src="a", dst="a", network="tw")))
 
     def test_label_same_user_rejected(self):
         with pytest.raises(ValueError):
-            PairwiseLabel("tw", UserId("a"), UserId("a"), 3, 1)
+            lineio.decode_label(lineio.encode_label(PairwiseLabel("tw", "a", "a", 3, 1)))
+
+    def test_negative_votes_rejected(self):
+        for votes in ((-1, 3), (3, -1)):
+            with pytest.raises(ValueError):
+                lineio.decode_label(lineio.encode_label(PairwiseLabel("tw", "a", "b", *votes)))
 
     def test_negative_numeric_attr_rejected(self):
         with pytest.raises(ValueError):
-            ProfileSnapshot(
-                user=UserId("a"),
-                network="tw",
-                as_of=date(2023, 11, 1),
-                numeric_attrs=(("followers", -1.0),),
-            )
+            lineio.decode_profile(lineio.encode_profile(profile_with(-1.0)))
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_non_finite_numeric_attr_rejected(self, text):
+        line = "user=a\tnetwork=tw\tas_of=2023-11-01\tn:followers=" + text
+        with pytest.raises(ValueError):
+            lineio.decode_profile(line)
+
+    def test_zero_and_large_numeric_attrs_accepted(self):
+        for value in (0.0, -0.0, 1e308):
+            assert lineio.decode_profile(lineio.encode_profile(profile_with(value))) == profile_with(value)
 
 
 text_values = st.text(min_size=1, max_size=12).filter(lambda s: s.strip())
@@ -143,7 +172,7 @@ class TestLineCodecs:
         ts=st.integers(min_value=1, max_value=2**40),
     )
     def test_event_round_trip(self, actor, author, content, action, ts):
-        event = InteractionEvent(UserId(actor), UserId(author), "tw", content, action, ts)
+        event = InteractionEvent(actor, author, "tw", content, action, ts)
         assert lineio.decode_event(lineio.encode_event(event)) == event
 
     @given(
@@ -153,7 +182,7 @@ class TestLineCodecs:
     )
     def test_profile_round_trip(self, name, value, cat):
         profile = ProfileSnapshot(
-            user=UserId("u"),
+            user="u",
             network="fb",
             as_of=date(2023, 10, 5),
             numeric_attrs=((name, value),),
@@ -162,9 +191,9 @@ class TestLineCodecs:
         assert lineio.decode_profile(lineio.encode_profile(profile)) == profile
 
     def test_edge_and_label_round_trip(self):
-        edge = GraphEdge(UserId("a b"), UserId("c\td"), "wk")
+        edge = GraphEdge("a b", "c\td", "wk")
         assert lineio.decode_edge(lineio.encode_edge(edge)) == edge
-        label = PairwiseLabel("tw", UserId("x"), UserId("y"), 5, 3)
+        label = PairwiseLabel("tw", "x", "y", 5, 3)
         assert lineio.decode_label(lineio.encode_label(label)) == label
 
     def test_malformed_line_raises(self):
@@ -199,13 +228,13 @@ class TestCodecFastPaths:
         ts=st.integers(),
     )
     def test_event_round_trip(self, actor, author, network, content, action, ts):
-        event = InteractionEvent(UserId(actor), UserId(author), network, content, action, ts)
+        event = InteractionEvent(actor, author, network, content, action, ts)
         assert lineio.decode_event(lineio.encode_event(event)) == event
 
     @given(src=codec_values, dst=codec_values, network=codec_values)
     def test_edge_round_trip(self, src, dst, network):
         assume(src != dst)
-        edge = GraphEdge(UserId(src), UserId(dst), network)
+        edge = GraphEdge(src, dst, network)
         assert lineio.decode_edge(lineio.encode_edge(edge)) == edge
 
     @given(
@@ -216,22 +245,53 @@ class TestCodecFastPaths:
     )
     def test_label_round_trip(self, network, a, b, votes):
         assume(a != b)
-        label = PairwiseLabel(network, UserId(a), UserId(b), *votes)
+        label = PairwiseLabel(network, a, b, *votes)
         assert lineio.decode_label(lineio.encode_label(label)) == label
 
     @given(
         user=codec_values,
         network=codec_values,
         as_of=st.dates(),
-        numeric=st.lists(st.tuples(codec_values, st.floats(min_value=0, allow_nan=False))),
+        numeric=st.lists(
+            st.tuples(codec_values, st.floats(min_value=0, allow_nan=False, allow_infinity=False))
+        ),
         categorical=st.lists(st.tuples(codec_values, codec_values)),
     )
     def test_profile_round_trip(self, user, network, as_of, numeric, categorical):
         profile = ProfileSnapshot(
-            user=UserId(user),
+            user=user,
             network=network,
             as_of=as_of,
             numeric_attrs=tuple(numeric),
             categorical_attrs=tuple(categorical),
         )
         assert lineio.decode_profile(lineio.encode_profile(profile)) == profile
+
+
+class TestOneMatchPath:
+    """Lines in the encoders' token order take one regex match instead of
+    the token parser; both must read every such line alike."""
+
+    def test_encoders_write_the_matched_layout(self):
+        assert lineio._EVENT.fullmatch(lineio.encode_event(ev()))
+        assert lineio._EDGE.fullmatch(lineio.encode_edge(GraphEdge("a", "b", "wk")))
+        assert lineio._LABEL.fullmatch(lineio.encode_label(PairwiseLabel("tw", "a", "b", 1, 2)))
+
+    @given(
+        values=st.lists(
+            st.text(alphabet=st.characters(codec="utf-8", exclude_characters="\t\n")),
+            min_size=6,
+            max_size=6,
+        )
+    )
+    def test_match_agrees_with_token_parser(self, values):
+        keys = InteractionEvent._fields
+        line = "\t".join(f"{key}={value}" for key, value in zip(keys, values))
+        fields = lineio._fields(line)
+        assert list(lineio._values(lineio._EVENT, line)) == [fields[key] for key in keys]
+
+    def test_tokens_in_any_order_decode_alike(self):
+        line = lineio.encode_event(ev(actor="a%b", author="c=d"))
+        shuffled = "\t".join(reversed(line.split("\t")))
+        assert lineio.decode_event(shuffled) == lineio.decode_event(line) == ev(actor="a%b", author="c=d")
+        assert lineio.decode_event(line + "\textra=1") == lineio.decode_event(line)

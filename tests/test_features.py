@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from influence_engine.events import SECONDS_PER_DAY, WINDOW_DAYS, UserId
+from influence_engine.events import SECONDS_PER_DAY, WINDOW_DAYS
 from influence_engine.features import (
     CohortContext,
     RawFeatureTable,
@@ -191,11 +191,11 @@ class TestAggregateDynamic:
 class TestLonglasting:
     def profiles(self):
         return [
-            ProfileSnapshot(UserId("a"), "tw", date(2023, 11, 1),
+            ProfileSnapshot("a", "tw", date(2023, 11, 1),
                             numeric_attrs=(("followers", 1500.0), ("unregistered", 3.0))),
-            ProfileSnapshot(UserId("a"), "fb", date(2023, 11, 1),
+            ProfileSnapshot("a", "fb", date(2023, 11, 1),
                             categorical_attrs=(("education_level", "PhD"),)),
-            ProfileSnapshot(UserId("b"), "fb", date(2023, 11, 1),
+            ProfileSnapshot("b", "fb", date(2023, 11, 1),
                             categorical_attrs=(("education_level", "wizard"),)),
         ]
 
@@ -209,9 +209,9 @@ class TestLonglasting:
 
     def test_graph_features(self, tmp_path, small_registry):
         edges = [
-            GraphEdge(UserId("x"), UserId("hub"), "wk"),
-            GraphEdge(UserId("y"), UserId("hub"), "wk"),
-            GraphEdge(UserId("hub"), UserId("x"), "wk"),
+            GraphEdge("x", "hub", "wk"),
+            GraphEdge("y", "hub", "wk"),
+            GraphEdge("hub", "x", "wk"),
         ]
         batch = batch_from(tmp_path, small_registry, edges=edges)
         table, _ = aggregate_longlasting(batch, small_registry)

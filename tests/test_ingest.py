@@ -11,15 +11,15 @@ from influence_engine.events import (
     InteractionEvent,
     PairwiseLabel,
     ProfileSnapshot,
-    UserId,
 )
-from influence_engine.ingest import InputPaths, load_batch, partition_by_author
+from influence_engine.ingest import InputPaths, load_batch, partition_by_author, read_ingested
+from influence_engine.pipeline import RunConfig, stage_ingest
 
 REF = 1_700_000_000
 
 
 def ev(author, actor="z", ts=REF - 1000, network="tw", content="message", action="like"):
-    return InteractionEvent(UserId(actor), UserId(author), network, content, action, ts)
+    return InteractionEvent(actor, author, network, content, action, ts)
 
 
 def write_inputs(tmp_path, events=(), profiles=(), edges=(), labels=(), raw_event_lines=None):
@@ -82,9 +82,9 @@ class TestLoadBatch:
         paths = write_inputs(
             tmp_path,
             events=[ev("a"), ev("b")],
-            profiles=[ProfileSnapshot(UserId("a"), "tw", date(2023, 11, 1))] * 2,
-            edges=[GraphEdge(UserId("a"), UserId("b"), "wk")] * 2,
-            labels=[PairwiseLabel("tw", UserId("a"), UserId("b"), 5, 1)] * 2,
+            profiles=[ProfileSnapshot("a", "tw", date(2023, 11, 1))] * 2,
+            edges=[GraphEdge("a", "b", "wk")] * 2,
+            labels=[PairwiseLabel("tw", "a", "b", 5, 1)] * 2,
         )
         for path in (paths.events, paths.profiles, paths.edges, paths.labels):
             first, second = path.read_bytes().splitlines(keepends=True)
@@ -105,7 +105,7 @@ class TestLoadBatch:
     def test_latest_profile_at_or_before_reference_wins(self, tmp_path, small_registry):
         def prof(day, followers):
             return ProfileSnapshot(
-                user=UserId("a"),
+                user="a",
                 network="tw",
                 as_of=date(2023, 11, day),
                 numeric_attrs=(("followers", followers),),
@@ -217,3 +217,68 @@ def test_dirty_event_lines_are_counted_never_raised(tmp_path_factory, lines):
     with open(clean.events, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write("".join(line.replace("\r\n", "\n") for line in lines))
     assert load_batch(clean, REF, registry) == (batch, report)
+
+
+# Raw profiles, edges and labels over a few users and networks, so that stale,
+# superseded, unknown-network, self-loop, negative and non-finite records occur.
+users = st.sampled_from(["a", "b", "c", ""])
+networks = st.sampled_from(["tw", "fb", "wk", "nope"])
+profile_lines = st.builds(
+    ProfileSnapshot,
+    user=users,
+    network=networks,
+    as_of=st.dates(min_value=date(2023, 11, 12), max_value=date(2023, 11, 16)),
+    numeric_attrs=st.lists(
+        st.tuples(st.sampled_from(["followers", "fans", "other"]), st.floats()), max_size=2
+    ).map(tuple),
+    categorical_attrs=st.lists(
+        st.tuples(st.just("education_level"), st.sampled_from(["BS", "PhD", "wizard"])), max_size=2
+    ).map(tuple),
+).map(lineio.encode_profile)
+edge_lines = st.builds(GraphEdge, src=users, dst=users, network=networks).map(lineio.encode_edge)
+label_lines = st.builds(
+    PairwiseLabel,
+    network=networks,
+    user_a=users,
+    user_b=users,
+    votes_a=st.integers(min_value=-1, max_value=5),
+    votes_b=st.integers(min_value=-1, max_value=5),
+).map(lineio.encode_label)
+
+
+def with_repeats(lines: list[str]) -> list[str]:
+    return lines + lines[: len(lines) // 2]
+
+
+@given(
+    events=st.lists(raw_lines, max_size=20).map(with_repeats),
+    profiles=st.lists(profile_lines, max_size=12).map(with_repeats),
+    edges=st.lists(edge_lines, max_size=12).map(with_repeats),
+    labels=st.lists(label_lines, max_size=8).map(with_repeats),
+)
+def test_strict_reader_of_ingest_output_equals_load_batch(
+    tmp_path_factory, events, profiles, edges, labels
+):
+    from conftest import make_small_registry
+
+    registry = make_small_registry()
+    raw = tmp_path_factory.mktemp("raw")
+    paths = write_inputs(raw)
+    with open(paths.events, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        fh.write("".join(events))
+    lineio.write_lines(paths.profiles, profiles)
+    lineio.write_lines(paths.edges, edges)
+    lineio.write_lines(paths.labels, labels)
+    registry.save(raw / "registry.json")
+    cfg = RunConfig(
+        input_dir=raw, registry_path=raw / "registry.json", tree_path=raw / "tree.json", reference_time=REF
+    )
+    out = tmp_path_factory.mktemp("out")
+    stage_ingest(cfg, out)
+
+    checked, report = load_batch(InputPaths.in_dir(out / "ingest"), REF, registry)
+    assert read_ingested(out / "ingest", REF) == checked
+    # what ingest wrote passes every check that the strict reader skips
+    assert report.accepted_events == checked.event_count()
+    assert report.expired_events == report.duplicate_events == report.malformed_lines == 0
+    assert report.stale_profiles == 0 and not report.rejected

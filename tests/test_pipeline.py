@@ -143,16 +143,30 @@ class TestDeterminismAndIsolation:
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "load_batch", counted)
             run_pipeline(cfg, out, mode="all")
-        assert len(calls) == 2
+        assert len(calls) == 1
 
         # train and score still reproduce their outputs without the event log
+        # and the edges: score reads the graph statistics that ingest wrote
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
         (copy / "ingest" / "events.txt").unlink()
+        (copy / "ingest" / "edges.txt").unlink()
         run_pipeline(cfg, copy, mode="train")
         run_pipeline(cfg, copy, mode="score")
         assert model_bytes(copy) == model_bytes(out)
         assert (copy / "snapshot.txt").read_bytes() == (out / "snapshot.txt").read_bytes()
+
+    def test_features_rerun_fails_on_a_corrupted_ingest_file(self, full_run, tmp_path):
+        cfg, out = full_run
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        events = copy / "ingest" / "events.txt"
+        lines = events.read_text().splitlines()
+        lines[len(lines) // 2] = lines[len(lines) // 2].replace("timestamp=", "timestamp=x")
+        events.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StageError) as failed:
+            run_pipeline(cfg, copy, mode="features")
+        assert failed.value.stage == "features"
 
     def test_manifest_does_not_depend_on_dataset_location(self, dataset, full_run, tmp_path):
         _, first = full_run
@@ -251,6 +265,30 @@ class TestFeatureStage:
         ]
         assert followers and set(followers) == {"0.0"}
         assert "/followers" not in (out / "features" / "maxima.txt").read_text()
+
+    def test_non_finite_attributes_are_malformed_lines(self, dataset, tmp_path):
+        # the parent recorded a maximum of inf and scored users nan
+        lines = (dataset / "profiles.txt").read_text().splitlines()
+        followed = [i for i, line in enumerate(lines) if "n:followers=" in line][:2]
+        dirty, clean = tmp_path / "dirty", tmp_path / "clean"
+        for inputs in (dirty, clean):
+            shutil.copytree(dataset, inputs)
+        edited = list(lines)
+        for i, value in zip(followed, ("nan", "inf")):
+            edited[i] = re.sub(r"n:followers=[^\t]*", f"n:followers={value}", lines[i])
+        (dirty / "profiles.txt").write_text("\n".join(edited) + "\n")
+        kept = [line for i, line in enumerate(lines) if i not in followed]
+        (clean / "profiles.txt").write_text("\n".join(kept) + "\n")
+
+        snapshots = []
+        for inputs in (dirty, clean):
+            cfg = RunConfig.from_file(make_config(inputs, tmp_path / f"{inputs.name}.json"))
+            run_pipeline(cfg, tmp_path / f"{inputs.name}-out", mode="all")
+            snapshots.append((tmp_path / f"{inputs.name}-out" / "snapshot.txt").read_bytes())
+        report = (tmp_path / "dirty-out" / "ingest" / "load_report.txt").read_text()
+        assert "\tmalformed=2\t" in report
+        assert snapshots[0] == snapshots[1]
+        assert b"nan" not in snapshots[0]
 
 
 class TestTrainStage:

@@ -54,13 +54,13 @@ class TestGeneration:
         for e in generate_events(pop):
             assert pop.params.reference_time - 90 * 86400 < e.timestamp < pop.params.reference_time
             assert e.actor != e.author
-            assert e.actor.profile_id in pop.audiences[e.author.profile_id]
+            assert e.actor in pop.audiences[e.author]
 
     def test_profiles_report_audience_size(self):
         pop = generate_population(SMALL, seed=3)
         followers = {}
         for p in generate_profiles(pop):
-            followers[p.user.profile_id] = dict(p.numeric_attrs)["followers"]
+            followers[p.user] = dict(p.numeric_attrs)["followers"]
         for u, count in followers.items():
             assert count == len(pop.audiences[u])
 
@@ -69,8 +69,8 @@ class TestGeneration:
         labels = generate_labels(pop)
         assert len(labels) == SMALL.label_pairs
         for lab in labels:
-            la = pop.latent[lab.user_a.profile_id]
-            lb = pop.latent[lab.user_b.profile_id]
+            la = pop.latent[lab.user_a]
+            lb = pop.latent[lab.user_b]
             assert abs(math.log(la) - math.log(lb)) >= SMALL.label_margin_gate
             # flip rate 0: votes always point at the higher latent user
             winner_a = lab.votes_a > lab.votes_b
@@ -84,7 +84,7 @@ class TestGeneration:
             1
             for lab in labels
             if (lab.votes_a > lab.votes_b)
-            != (pop.latent[lab.user_a.profile_id] > pop.latent[lab.user_b.profile_id])
+            != (pop.latent[lab.user_a] > pop.latent[lab.user_b])
         )
         assert abs(wrong / len(labels) - 0.2) < 0.05
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from influence_engine.events import PairwiseLabel, UserId
+from influence_engine.events import PairwiseLabel
 from influence_engine.features import FeatureStore
 from influence_engine.registry import FeatureRegistry, NetworkSpec
 from influence_engine.training import (
@@ -19,7 +19,7 @@ from influence_engine.training import (
 
 
 def label(a, b, va, vb, network="tw"):
-    return PairwiseLabel(network, UserId(a), UserId(b), va, vb)
+    return PairwiseLabel(network, a, b, va, vb)
 
 
 def tiny_registry(n_features=3):
