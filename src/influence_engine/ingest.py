@@ -146,22 +146,6 @@ def _read_registered(path: Path, decode, registry: FeatureRegistry, report: Load
     return tuple(records)
 
 
-def read_edges(
-    path: Path, registry: FeatureRegistry, report: LoadReport
-) -> tuple[GraphEdge, ...]:
-    edges = _read_registered(path, lineio.decode_edge, registry, report)
-    report.edges = len(edges)
-    return edges
-
-
-def read_labels(
-    path: Path, registry: FeatureRegistry, report: LoadReport
-) -> tuple[PairwiseLabel, ...]:
-    labels = _read_registered(path, lineio.decode_label, registry, report)
-    report.labels = len(labels)
-    return labels
-
-
 def load_batch(
     paths: InputPaths, reference_time: int, registry: FeatureRegistry
 ) -> tuple[IngestBatch, LoadReport]:
@@ -175,15 +159,18 @@ def load_batch(
     batch = IngestBatch(
         events_by_author=read_events(paths.events, window, registry, report),
         profiles=read_profiles(paths.profiles, window.reference_date(), registry, report),
-        edges=read_edges(paths.edges, registry, report),
-        labels=read_labels(paths.labels, registry, report),
+        edges=_read_registered(paths.edges, lineio.decode_edge, registry, report),
+        labels=_read_registered(paths.labels, lineio.decode_label, registry, report),
         reference_time=reference_time,
     )
+    report.edges, report.labels = len(batch.edges), len(batch.labels)
     return batch, report
 
 
 def read_ingested(directory: str | Path, reference_time: int) -> IngestBatch:
-    """The batch that the ingest stage wrote to ``directory``.
+    """The events, profiles and edges that the ingest stage wrote to
+    ``directory``; labels are left out, as train alone reads them
+    (``read_ingested_labels``).
 
     Those files hold only valid, in-window, unique records, so nothing is
     checked again. A line that does not decode raises: the engine wrote it,
@@ -198,9 +185,15 @@ def read_ingested(directory: str | Path, reference_time: int) -> IngestBatch:
         events_by_author={a: tuple(evs) for a, evs in events_by_author.items()},
         profiles={(p.user, p.network): p for p in profiles},
         edges=tuple(map(lineio.decode_edge, lineio.read_lines(paths.edges))),
-        labels=tuple(map(lineio.decode_label, lineio.read_lines(paths.labels))),
+        labels=(),
         reference_time=reference_time,
     )
+
+
+def read_ingested_labels(directory: str | Path) -> tuple[PairwiseLabel, ...]:
+    """The labels that the ingest stage wrote to ``directory``, read as
+    strictly as ``read_ingested`` reads the other files."""
+    return tuple(map(lineio.decode_label, lineio.read_lines(InputPaths.in_dir(directory).labels)))
 
 
 def shard_of(profile_id: str, shards: int) -> int:

@@ -12,7 +12,6 @@ or not finite.
 from __future__ import annotations
 
 import math
-import re
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -43,42 +42,37 @@ def _fields(line: str) -> dict[str, str]:
     return out
 
 
-def _layout(*keys: str) -> re.Pattern:
-    """The pattern of a line whose tokens are ``keys`` in that order and no
-    others, as the encoders write it, with one group named after each key."""
-    return re.compile("\t".join(f"{key}=(?P<{key}>[^\t\n]*)" for key in keys))
-
-
-def _values(pattern: re.Pattern, line: str):
-    """The line's values for the pattern's keys, in that order: one regex
-    match for a line as the encoders write it, ``_fields`` for any other."""
-    match = pattern.fullmatch(line)
-    if match is None:
-        f = _fields(line)
-        return [f[key] for key in pattern.groupindex]
-    return [decode_value(v) for v in match.groups()] if "%" in line else match.groups()
-
-
-_EVENT = _layout("actor", "author", "network", "content_type", "action", "timestamp")
-_EDGE = _layout("from", "to", "network")
-_LABEL = _layout("network", "user_a", "user_b", "votes_a", "votes_b")
+def _num(value: float) -> str:
+    return repr(float(value))
 
 
 # -- events ----------------------------------------------------------------
 
-def encode_event(e: InteractionEvent) -> str:
-    return (
-        f"actor={encode_value(e.actor)}\tauthor={encode_value(e.author)}"
-        f"\tnetwork={encode_value(e.network)}\tcontent_type={encode_value(e.content_type)}"
-        f"\taction={encode_value(e.action)}\ttimestamp={e.timestamp}"
+def encode_event(event: InteractionEvent) -> str:
+    return "\t".join(
+        [
+            f"actor={encode_value(event.actor)}",
+            f"author={encode_value(event.author)}",
+            f"network={encode_value(event.network)}",
+            f"content_type={encode_value(event.content_type)}",
+            f"action={encode_value(event.action)}",
+            f"timestamp={event.timestamp}",
+        ]
     )
 
 
 def decode_event(line: str) -> InteractionEvent:
-    actor, author, network, content_type, action, timestamp = _values(_EVENT, line)
-    if not (actor and author):
+    f = _fields(line)
+    if not (f["actor"] and f["author"]):
         raise ValueError("empty user id")
-    return InteractionEvent(actor, author, network, content_type, action, int(timestamp))
+    return InteractionEvent(
+        actor=f["actor"],
+        author=f["author"],
+        network=f["network"],
+        content_type=f["content_type"],
+        action=f["action"],
+        timestamp=int(f["timestamp"]),
+    )
 
 
 # -- profiles --------------------------------------------------------------
@@ -89,7 +83,7 @@ def encode_profile(profile: ProfileSnapshot) -> str:
         f"network={encode_value(profile.network)}",
         f"as_of={profile.as_of.isoformat()}",
     ]
-    tokens += [f"n:{encode_value(k)}={float(v)!r}" for k, v in profile.numeric_attrs]
+    tokens += [f"n:{encode_value(k)}={_num(v)}" for k, v in profile.numeric_attrs]
     tokens += [f"c:{encode_value(k)}={encode_value(v)}" for k, v in profile.categorical_attrs]
     return "\t".join(tokens)
 
@@ -122,34 +116,53 @@ def decode_profile(line: str) -> ProfileSnapshot:
     )
 
 
-# -- graph edges and pairwise labels ---------------------------------------
+# -- graph edges -----------------------------------------------------------
 
 def encode_edge(edge: GraphEdge) -> str:
-    return f"from={encode_value(edge.src)}\tto={encode_value(edge.dst)}\tnetwork={encode_value(edge.network)}"
+    return "\t".join(
+        [
+            f"from={encode_value(edge.src)}",
+            f"to={encode_value(edge.dst)}",
+            f"network={encode_value(edge.network)}",
+        ]
+    )
 
 
 def decode_edge(line: str) -> GraphEdge:
-    src, dst, network = _values(_EDGE, line)
-    if not (src and dst) or src == dst:
+    f = _fields(line)
+    if not (f["from"] and f["to"]) or f["from"] == f["to"]:
         raise ValueError("an edge joins two distinct, non-empty user ids")
-    return GraphEdge(src, dst, network)
+    return GraphEdge(src=f["from"], dst=f["to"], network=f["network"])
 
+
+# -- pairwise labels -------------------------------------------------------
 
 def encode_label(label: PairwiseLabel) -> str:
-    return (
-        f"network={encode_value(label.network)}\tuser_a={encode_value(label.user_a)}"
-        f"\tuser_b={encode_value(label.user_b)}\tvotes_a={label.votes_a}\tvotes_b={label.votes_b}"
+    return "\t".join(
+        [
+            f"network={encode_value(label.network)}",
+            f"user_a={encode_value(label.user_a)}",
+            f"user_b={encode_value(label.user_b)}",
+            f"votes_a={label.votes_a}",
+            f"votes_b={label.votes_b}",
+        ]
     )
 
 
 def decode_label(line: str) -> PairwiseLabel:
-    network, user_a, user_b, votes_a, votes_b = _values(_LABEL, line)
-    votes_a, votes_b = int(votes_a), int(votes_b)
-    if not (user_a and user_b) or user_a == user_b:
+    f = _fields(line)
+    label = PairwiseLabel(
+        network=f["network"],
+        user_a=f["user_a"],
+        user_b=f["user_b"],
+        votes_a=int(f["votes_a"]),
+        votes_b=int(f["votes_b"]),
+    )
+    if not (label.user_a and label.user_b) or label.user_a == label.user_b:
         raise ValueError("a label compares two distinct, non-empty user ids")
-    if votes_a < 0 or votes_b < 0:
+    if label.votes_a < 0 or label.votes_b < 0:
         raise ValueError("vote counts must be >= 0")
-    return PairwiseLabel(network, user_a, user_b, votes_a, votes_b)
+    return label
 
 
 # -- files -----------------------------------------------------------------

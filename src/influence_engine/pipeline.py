@@ -31,7 +31,7 @@ from .hierarchy import (
     save_snapshot,
     score_population,
 )
-from .ingest import InputPaths, LoadReport, load_batch, read_ingested, read_labels
+from .ingest import InputPaths, load_batch, read_ingested, read_ingested_labels
 from .population import (
     CampaignParams,
     PopulationParams,
@@ -215,7 +215,7 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
     registry = _load_registry(cfg)
-    labels = read_labels(InputPaths.in_dir(out / "ingest").labels, registry, LoadReport())
+    labels = read_ingested_labels(out / "ingest")
     store = load_store(_normalized_path(out), registry)
     pairs = preprocess_labels(labels)
 

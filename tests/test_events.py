@@ -266,32 +266,3 @@ class TestCodecFastPaths:
             categorical_attrs=tuple(categorical),
         )
         assert lineio.decode_profile(lineio.encode_profile(profile)) == profile
-
-
-class TestOneMatchPath:
-    """Lines in the encoders' token order take one regex match instead of
-    the token parser; both must read every such line alike."""
-
-    def test_encoders_write_the_matched_layout(self):
-        assert lineio._EVENT.fullmatch(lineio.encode_event(ev()))
-        assert lineio._EDGE.fullmatch(lineio.encode_edge(GraphEdge("a", "b", "wk")))
-        assert lineio._LABEL.fullmatch(lineio.encode_label(PairwiseLabel("tw", "a", "b", 1, 2)))
-
-    @given(
-        values=st.lists(
-            st.text(alphabet=st.characters(codec="utf-8", exclude_characters="\t\n")),
-            min_size=6,
-            max_size=6,
-        )
-    )
-    def test_match_agrees_with_token_parser(self, values):
-        keys = InteractionEvent._fields
-        line = "\t".join(f"{key}={value}" for key, value in zip(keys, values))
-        fields = lineio._fields(line)
-        assert list(lineio._values(lineio._EVENT, line)) == [fields[key] for key in keys]
-
-    def test_tokens_in_any_order_decode_alike(self):
-        line = lineio.encode_event(ev(actor="a%b", author="c=d"))
-        shuffled = "\t".join(reversed(line.split("\t")))
-        assert lineio.decode_event(shuffled) == lineio.decode_event(line) == ev(actor="a%b", author="c=d")
-        assert lineio.decode_event(line + "\textra=1") == lineio.decode_event(line)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -12,7 +13,13 @@ from influence_engine.events import (
     PairwiseLabel,
     ProfileSnapshot,
 )
-from influence_engine.ingest import InputPaths, load_batch, partition_by_author, read_ingested
+from influence_engine.ingest import (
+    InputPaths,
+    load_batch,
+    partition_by_author,
+    read_ingested,
+    read_ingested_labels,
+)
 from influence_engine.pipeline import RunConfig, stage_ingest
 
 REF = 1_700_000_000
@@ -277,7 +284,9 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
     stage_ingest(cfg, out)
 
     checked, report = load_batch(InputPaths.in_dir(out / "ingest"), REF, registry)
-    assert read_ingested(out / "ingest", REF) == checked
+    # features does not use labels, so its batch leaves them to train's reader
+    assert read_ingested(out / "ingest", REF) == replace(checked, labels=())
+    assert read_ingested_labels(out / "ingest") == checked.labels
     # what ingest wrote passes every check that the strict reader skips
     assert report.accepted_events == checked.event_count()
     assert report.expired_events == report.duplicate_events == report.malformed_lines == 0

@@ -156,17 +156,21 @@ class TestDeterminismAndIsolation:
         assert model_bytes(copy) == model_bytes(out)
         assert (copy / "snapshot.txt").read_bytes() == (out / "snapshot.txt").read_bytes()
 
-    def test_features_rerun_fails_on_a_corrupted_ingest_file(self, full_run, tmp_path):
+    @pytest.mark.parametrize(
+        "stage, name, token",
+        [("features", "events.txt", "timestamp="), ("train", "labels.txt", "votes_a=")],
+    )
+    def test_rerun_fails_on_a_corrupted_ingest_file(self, full_run, tmp_path, stage, name, token):
         cfg, out = full_run
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
-        events = copy / "ingest" / "events.txt"
-        lines = events.read_text().splitlines()
-        lines[len(lines) // 2] = lines[len(lines) // 2].replace("timestamp=", "timestamp=x")
-        events.write_text("\n".join(lines) + "\n")
+        damaged = copy / "ingest" / name
+        lines = damaged.read_text().splitlines()
+        lines[len(lines) // 2] = lines[len(lines) // 2].replace(token, token + "x")
+        damaged.write_text("\n".join(lines) + "\n")
         with pytest.raises(StageError) as failed:
-            run_pipeline(cfg, copy, mode="features")
-        assert failed.value.stage == "features"
+            run_pipeline(cfg, copy, mode=stage)
+        assert failed.value.stage == stage
 
     def test_manifest_does_not_depend_on_dataset_location(self, dataset, full_run, tmp_path):
         _, first = full_run
