@@ -47,7 +47,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "rank":
-        snapshot = load_snapshot(args.snapshot)
+        try:
+            snapshot = load_snapshot(args.snapshot)
+        except (OSError, ValueError) as exc:
+            print(f"bad snapshot: {exc}", file=sys.stderr)
+            return 1
         users = [
             lineio.decode_value(line.strip())
             for line in args.users.read_text().splitlines()

@@ -1,30 +1,31 @@
-"""Feature generation: tuple-aggregated dynamic counts, long-lasting
-profile/graph signals, and global-max log normalization.
+"""Feature generation: dynamic counts in one vectorized integer pass,
+long-lasting profile/graph signals, and global-max log normalization.
 
-Dynamic aggregation is a commutative, associative fold keyed by
-(author, feature key): shards merge by addition, so any author-disjoint
-partitioning produces the identical table.
+A table is three aligned columns: user code, key code and value. Dynamic
+counts stay integers until the final float, so the table does not depend on
+event order or on how the events are grouped.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import lineio
-from .events import SECONDS_PER_DAY, InteractionEvent
+from .events import SECONDS_PER_DAY
 from .graph import (
     degree_stats,
     edges_by_network,
     inlink_outlink_ratio,
     pagerank,
 )
-from .ingest import IngestBatch, partition_by_author
+from .ingest import IngestBatch
 from .registry import FeatureRegistry, dynamic_key, longlasting_key
 
 COHORT_ALL = "all"
@@ -47,95 +48,98 @@ class CohortContext:
             raise ValueError("peer_band must be > 0")
 
 
-def conditional_emit(
-    event: InteractionEvent, cohorts: CohortContext, reference_time: int
-) -> list[tuple[str, int]]:
-    """Expand one event into (cohort, day-index) emissions.
-
-    ``all`` always fires; ``higher``/``peers`` need prior scores for both
-    the actor and the author.
-    """
-    day_index = int((reference_time - event.timestamp) // SECONDS_PER_DAY)
-    out = [(COHORT_ALL, day_index)]
-    actor_score = cohorts.prior_scores.get(event.actor)
-    author_score = cohorts.prior_scores.get(event.author)
-    if actor_score is None or author_score is None:
-        return out
-    # higher and peers are disjoint: within the band is a peer, above it is higher
-    if actor_score - author_score > cohorts.peer_band:
-        out.append((COHORT_HIGHER, day_index))
-    elif abs(actor_score - author_score) <= cohorts.peer_band:
-        out.append((COHORT_PEERS, day_index))
-    return out
-
-
-def multiday_sketch(
-    day_counts: Mapping[int, int], windows: tuple[int, ...]
-) -> dict[int, int]:
-    """Expand per-day buckets into trailing-window counts via prefix sums."""
-    max_window = max(windows)
-    prefix = [0] * (max_window + 1)
-    for day, count in day_counts.items():
-        if not 0 <= day < max_window:
-            raise ValueError(f"day index {day} outside [0, {max_window})")
-        prefix[day + 1] += count
-    for i in range(1, len(prefix)):
-        prefix[i] += prefix[i - 1]
-    return {w: prefix[w] for w in windows}
+def _intern(strings: Iterable[str], codes: dict[str, int]) -> np.ndarray:
+    """The code of each string in ``codes``, adding the strings it lacks."""
+    return np.array([codes.setdefault(s, len(codes)) for s in strings], dtype=np.int64)
 
 
 @dataclass
 class RawFeatureTable:
-    """Sparse (user, feature key) -> non-negative raw value."""
+    """Sparse (user, feature key) -> non-negative raw value, as aligned
+    columns: ``user`` indexes ``users`` and ``key`` indexes ``keys``, which
+    hold each string once. A cell occurs at most once."""
 
-    values: dict[tuple[str, str], float] = field(default_factory=dict)
+    users: list[str]
+    keys: list[str]
+    user: np.ndarray
+    key: np.ndarray
+    value: np.ndarray
 
-    def add(self, user: str, key: str, value: float) -> None:
-        if value < 0:
+    @classmethod
+    def from_cells(cls, cells: Mapping[tuple[str, str], float]) -> "RawFeatureTable":
+        users, keys = {}, {}
+        user = _intern((u for u, _ in cells), users)
+        key = _intern((k for _, k in cells), keys)
+        value = np.array(list(cells.values()), dtype=np.float64)
+        if (value < 0).any():
             raise ValueError("feature values must be >= 0")
-        cell = (user, key)
-        self.values[cell] = self.values.get(cell, 0.0) + value
+        return cls(list(users), list(keys), user, key, value)
 
-    def merge(self, other: "RawFeatureTable") -> None:
-        for cell, value in other.values.items():
-            self.values[cell] = self.values.get(cell, 0.0) + value
-
-    def get(self, user: str, key: str) -> float:
-        return self.values.get((user, key), 0.0)
-
-
-def _aggregate_shard(
-    batch: IngestBatch, cohorts: CohortContext, registry: FeatureRegistry
-) -> RawFeatureTable:
-    day_buckets: dict[tuple[str, str, str, str, str], Counter] = defaultdict(Counter)
-    for author, events in batch.events_by_author.items():
-        for event in events:
-            if not registry.networks[event.network].dynamic:
-                continue
-            for cohort, day in conditional_emit(event, cohorts, batch.reference_time):
-                # a cohort the registry leaves out has no place in the key space
-                if cohort in registry.cohorts:
-                    day_buckets[(author, event.network, event.content_type, event.action, cohort)][day] += 1
-
-    table = RawFeatureTable()
-    for (author, network, content, action, cohort), days in day_buckets.items():
-        for window, count in multiday_sketch(days, registry.windows).items():
-            if count > 0:
-                table.add(author, dynamic_key(network, content, action, cohort, window), float(count))
-    return table
+    def concat(self, other: "RawFeatureTable") -> "RawFeatureTable":
+        """The cells of both tables, which must not share a cell."""
+        users, keys = {}, {}
+        parts = [
+            (_intern(t.users, users)[t.user], _intern(t.keys, keys)[t.key], t.value)
+            for t in (self, other)
+        ]
+        user, key, value = (np.concatenate(column) for column in zip(*parts))
+        return RawFeatureTable(list(users), list(keys), user, key, value)
 
 
 def aggregate_dynamic(
-    batch: IngestBatch,
-    cohorts: CohortContext,
-    registry: FeatureRegistry,
-    shards: int = 1,
+    batch: IngestBatch, cohorts: CohortContext, registry: FeatureRegistry
 ) -> RawFeatureTable:
-    """Single pass over events, then window expansion; O(event count)."""
-    table = RawFeatureTable()
-    for shard in partition_by_author(batch, shards):
-        table.merge(_aggregate_shard(shard, cohorts, registry))
-    return table
+    """Count each author's events per (network, content, action, cohort,
+    window) in one integer pass.
+
+    ``all`` counts every event; ``higher`` and ``peers`` need prior scores
+    for both the actor and the author. An event counts in every registered
+    window longer than its age in whole days, so one older than the longest
+    window counts in none; an event after the reference time raises.
+    """
+    authors = list(batch.events_by_author)
+    author = np.repeat(np.arange(len(authors)), [len(evs) for evs in batch.events_by_author.values()])
+    events = list(chain.from_iterable(batch.events_by_author.values()))
+    triples: dict[tuple[str, str, str], int] = {}  # (network, content, action) -> combo code
+    combo = np.array([triples.setdefault(e[2:5], len(triples)) for e in events], dtype=np.int64)
+    combos = list(triples)
+    timestamp = np.array([e.timestamp for e in events], dtype=np.int64)
+    day = (batch.reference_time - timestamp) // SECONDS_PER_DAY
+    if (day < 0).any():
+        raise ValueError(f"day index {day.min()} below 0: an event after the reference time")
+    windows = sorted(set(registry.windows))
+    slot = np.searchsorted(windows, day, side="right")  # the event counts in windows[slot:]
+
+    dynamic = np.array([registry.networks[network].dynamic for network, _, _ in combos], dtype=bool)
+    fired = {COHORT_ALL: dynamic[combo]}
+    if cohorts.prior_scores:
+        score = cohorts.prior_scores.get
+        actor = np.array([score(e.actor, math.nan) for e in events], dtype=np.float64)
+        diff = actor - np.array([score(a, math.nan) for a in authors], dtype=np.float64)[author]
+        # nan (a missing score) fails both; within the band is a peer, above it is higher
+        fired[COHORT_HIGHER] = fired[COHORT_ALL] & (diff > cohorts.peer_band)
+        fired[COHORT_PEERS] = fired[COHORT_ALL] & (np.abs(diff) <= cohorts.peer_band)
+    # a cohort the registry leaves out has no place in the key space
+    names = [c for c in fired if c in registry.cohorts]
+    fires = np.array([fired[c] for c in names], dtype=bool).reshape(len(names), len(events))
+    cohort, event = np.nonzero(fires)
+
+    # per (combo, cohort, author): counts by slot, summed up the slots
+    cell = (combo[event] * len(names) + cohort) * len(authors) + author[event]
+    cells, row = np.unique(cell, return_inverse=True)
+    width = len(windows) + 1
+    by_window = np.bincount(row * width + slot[event], minlength=len(cells) * width)
+    by_window = by_window.reshape(len(cells), width).cumsum(axis=1)[:, :-1]
+    row, window = np.nonzero(by_window)
+    used, key = np.unique(cells[row] // len(authors) * len(windows) + window, return_inverse=True)
+    c, i, w = np.unravel_index(used, (len(combos), len(names), len(windows)))
+    return RawFeatureTable(
+        users=authors,
+        keys=[dynamic_key(*combos[c], names[i], windows[w]) for c, i, w in zip(c, i, w)],
+        user=cells[row] % len(authors),
+        key=key,
+        value=by_window[row, window].astype(np.float64),
+    )
 
 
 def aggregate_longlasting(
@@ -149,18 +153,18 @@ def aggregate_longlasting(
     Networks whose PageRank stopped at its iteration cap are appended to
     ``unconverged``.
     """
-    table = RawFeatureTable()
+    cells: defaultdict[tuple[str, str], float] = defaultdict(float)
     skipped = 0
     for (user, network), profile in batch.profiles.items():
         registered = registry.networks[network].longlasting_attrs
         for name, value in profile.numeric_attrs:
             if name in registered:
-                table.add(user, longlasting_key(network, name), value)
+                cells[(user, longlasting_key(network, name))] += value
             else:
                 skipped += 1
         for name, category in profile.categorical_attrs:
             if name in registered:
-                table.add(user, longlasting_key(network, name), registry.ordinal_value(name, category))
+                cells[(user, longlasting_key(network, name))] += registry.ordinal_value(name, category)
             else:
                 skipped += 1
 
@@ -172,26 +176,25 @@ def aggregate_longlasting(
                 unconverged.append(network)
             key = longlasting_key(network, "pagerank")
             for user, score in result.scores.items():
-                table.add(user, key, score)
+                cells[(user, key)] += score
         if "inlink_outlink_ratio" in registered and pairs:
             indeg, outdeg = degree_stats(pairs)
             key = longlasting_key(network, "inlink_outlink_ratio")
             for user, ratio in inlink_outlink_ratio(indeg, outdeg).items():
-                table.add(user, key, ratio)
+                cells[(user, key)] += ratio
         if "inlinks" in registered and pairs:
             indeg, _ = degree_stats(pairs)
             key = longlasting_key(network, "inlinks")
             for user, deg in indeg.items():
-                table.add(user, key, float(deg))
-    return table, skipped
+                cells[(user, key)] += float(deg)
+    return RawFeatureTable.from_cells(cells), skipped
 
 
 def compute_global_maxima(table: RawFeatureTable) -> dict[str, float]:
-    maxima: dict[str, float] = {}
-    for (_, key), value in table.values.items():
-        if value > maxima.get(key, 0.0):
-            maxima[key] = value
-    return maxima
+    """The largest value of each key that is above 0 for some user."""
+    top = np.zeros(len(table.keys))
+    np.maximum.at(top, table.key, table.value)
+    return {table.keys[i]: float(top[i]) for i in np.flatnonzero(top)}
 
 
 def normalize(raw: float, maximum: float) -> float:
@@ -226,12 +229,18 @@ class FeatureStore:
 
 # -- dumps -----------------------------------------------------------------
 
+def _ranks(strings: list[str]) -> np.ndarray:
+    rank = np.empty(len(strings), dtype=np.int64)
+    rank[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
+    return rank
+
+
 def dump_table(table: RawFeatureTable, path: str | Path) -> None:
-    lines = [
-        f"{lineio.encode_value(user)}\t{key}\t{value!r}"
-        for (user, key), value in sorted(table.values.items())
-    ]
-    lineio.write_lines(path, lines)
+    """One ``user<TAB>key<TAB>repr(value)`` line per cell, in (user, key) order."""
+    order = np.lexsort((_ranks(table.keys)[table.key], _ranks(table.users)[table.user]))
+    users = [lineio.encode_value(user) for user in table.users]
+    cells = zip(table.user[order].tolist(), table.key[order].tolist(), table.value[order].tolist())
+    lineio.write_lines(path, (f"{users[u]}\t{table.keys[k]}\t{v!r}" for u, k, v in cells))
 
 
 def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:

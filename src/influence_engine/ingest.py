@@ -1,10 +1,9 @@
-"""Batch loading: validation, trailing-window filtering, dedup, sharding."""
+"""Batch loading: validation, trailing-window filtering and dedup."""
 
 from __future__ import annotations
 
-import zlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .events import (
     TimeWindow,
     validate_event,
 )
-from .registry import FeatureRegistry
+from .registry import GRAPH_ATTRS, FeatureRegistry
 
 
 @dataclass(frozen=True)
@@ -167,10 +166,13 @@ def load_batch(
     return batch, report
 
 
-def read_ingested(directory: str | Path, reference_time: int) -> IngestBatch:
+def read_ingested(
+    directory: str | Path, reference_time: int, registry: FeatureRegistry
+) -> IngestBatch:
     """The events, profiles and edges that the ingest stage wrote to
     ``directory``; labels are left out, as train alone reads them
-    (``read_ingested_labels``).
+    (``read_ingested_labels``), and so are the edges when no network of
+    ``registry`` derives an attribute from them.
 
     Those files hold only valid, in-window, unique records, so nothing is
     checked again. A line that does not decode raises: the engine wrote it,
@@ -181,10 +183,11 @@ def read_ingested(directory: str | Path, reference_time: int) -> IngestBatch:
     for event in map(lineio.decode_event, lineio.read_lines(paths.events)):
         events_by_author.setdefault(event.author, []).append(event)
     profiles = map(lineio.decode_profile, lineio.read_lines(paths.profiles))
+    graph = any(GRAPH_ATTRS.intersection(s.longlasting_attrs) for s in registry.networks.values())
     return IngestBatch(
         events_by_author={a: tuple(evs) for a, evs in events_by_author.items()},
         profiles={(p.user, p.network): p for p in profiles},
-        edges=tuple(map(lineio.decode_edge, lineio.read_lines(paths.edges))),
+        edges=tuple(map(lineio.decode_edge, lineio.read_lines(paths.edges))) if graph else (),
         labels=(),
         reference_time=reference_time,
     )
@@ -194,24 +197,3 @@ def read_ingested_labels(directory: str | Path) -> tuple[PairwiseLabel, ...]:
     """The labels that the ingest stage wrote to ``directory``, read as
     strictly as ``read_ingested`` reads the other files."""
     return tuple(map(lineio.decode_label, lineio.read_lines(InputPaths.in_dir(directory).labels)))
-
-
-def shard_of(profile_id: str, shards: int) -> int:
-    # crc32 rather than hash(): stable across processes and runs
-    return zlib.crc32(profile_id.encode()) % shards
-
-
-def partition_by_author(batch: IngestBatch, shards: int) -> list[IngestBatch]:
-    """Split the batch into author-disjoint sub-batches.
-
-    Profiles, edges, and labels are shared by reference; only the event
-    groups are partitioned. The union of shard events equals the batch.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if shards == 1:
-        return [batch]
-    groups: list[dict[str, tuple[InteractionEvent, ...]]] = [{} for _ in range(shards)]
-    for author, events in batch.events_by_author.items():
-        groups[shard_of(author, shards)][author] = events
-    return [replace(batch, events_by_author=g) for g in groups]

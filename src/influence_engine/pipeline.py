@@ -183,16 +183,17 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     registry = _load_registry(cfg)
-    batch = read_ingested(out / "ingest", cfg.reference_time)
+    batch = read_ingested(out / "ingest", cfg.reference_time, registry)
     prior = {}
     if cfg.prior_snapshot is not None:
         prior = load_snapshot(cfg.prior_snapshot).prior_scores()
     cohorts = CohortContext(prior_scores=prior, peer_band=registry.peer_band)
 
-    table = feat.aggregate_dynamic(batch, cohorts, registry, shards=cfg.shards)
+    # the aggregation is exact integer counting, so cfg.shards changes nothing
+    dynamic = feat.aggregate_dynamic(batch, cohorts, registry)
     unconverged: list[str] = []
     longlasting, unregistered = feat.aggregate_longlasting(batch, registry, unconverged)
-    table.merge(longlasting)
+    table = dynamic.concat(longlasting)
     maxima = feat.compute_global_maxima(table)
     for network in unconverged:
         print(f"warning\tpagerank-unconverged\tnetwork={network}")
@@ -200,13 +201,13 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     dest = out / "features"
     feat.dump_table(table, dest / "raw_features.txt")
     feat.dump_maxima(maxima, dest / "maxima.txt")
-    # in place, as a normalized copy would hold a second table in memory; a key
-    # that is 0 for every user has no recorded maximum and normalizes to 0
-    for cell, raw in table.values.items():
-        table.values[cell] = feat.normalize(raw, maxima.get(cell[1], 0.0))
+    # a key that is 0 for every user has no recorded maximum and normalizes to 0
+    maximum = [maxima.get(key, 0.0) for key in table.keys]
+    per_cell = map(maximum.__getitem__, table.key.tolist())
+    table.value[:] = list(map(feat.normalize, table.value.tolist(), per_cell))
     feat.dump_table(table, _normalized_path(out))
     return {
-        "raw_cells": len(table.values),
+        "raw_cells": len(table.value),
         "feature_keys": len(maxima),
         "unregistered_attrs": unregistered,
         "pagerank_unconverged": len(unconverged),

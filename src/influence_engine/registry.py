@@ -21,6 +21,9 @@ from .events import WINDOW_DAYS
 DEFAULT_COHORTS = ("all", "higher", "peers")
 DEFAULT_PEER_BAND = 5.0
 
+# the long-lasting attributes that the features stage derives from the edges
+GRAPH_ATTRS = frozenset({"pagerank", "inlinks", "inlink_outlink_ratio"})
+
 # a key is its canonical string: a name holding one of these could make two
 # keys alike or break a tab-separated line
 _KEY_BREAKERS = "/\t\n"

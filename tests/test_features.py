@@ -1,25 +1,28 @@
 import math
 import random
 import re
+import zlib
+from collections import Counter, defaultdict
 from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from influence_engine.events import SECONDS_PER_DAY, WINDOW_DAYS
 from influence_engine.features import (
+    COHORT_ALL,
+    COHORT_HIGHER,
+    COHORT_PEERS,
     CohortContext,
     RawFeatureTable,
     aggregate_dynamic,
     aggregate_longlasting,
     compute_global_maxima,
-    conditional_emit,
     dump_table,
     load_store,
-    multiday_sketch,
     normalize,
 )
 from influence_engine.registry import FeatureRegistry, NetworkSpec, dynamic_key, longlasting_key
@@ -27,7 +30,7 @@ from influence_engine.registry import FeatureRegistry, NetworkSpec, dynamic_key,
 from conftest import make_small_registry
 from oracles import brute_window_counts
 from test_ingest import REF, ev, write_inputs
-from influence_engine.ingest import InputPaths, load_batch
+from influence_engine.ingest import IngestBatch, load_batch
 from influence_engine.events import ProfileSnapshot, GraphEdge
 
 
@@ -37,69 +40,200 @@ def batch_from(tmp_path, small_registry, events=(), profiles=(), edges=()):
     return batch
 
 
+def batch_of(events, reference_time=REF):
+    """A batch of ``events`` as given, without the checks of ingest."""
+    by_author = {}
+    for event in events:
+        by_author.setdefault(event.author, []).append(event)
+    return IngestBatch({a: tuple(evs) for a, evs in by_author.items()}, {}, (), (), reference_time)
+
+
+def as_dict(table):
+    """A table's cells as {(user, key): value}."""
+    cells = zip(table.user.tolist(), table.key.tolist(), table.value.tolist())
+    return {(table.users[u], table.keys[k]): v for u, k, v in cells}
+
+
+def value_of(table, user, key):
+    return as_dict(table).get((user, key), 0.0)
+
+
+# -- the per-event aggregation that aggregate_dynamic replaced, kept as its
+# -- reference: one (cohort, day) emission per event, then prefix sums
+
+def conditional_emit(event, cohorts, reference_time):
+    """Expand one event into (cohort, day-index) emissions."""
+    day_index = int((reference_time - event.timestamp) // SECONDS_PER_DAY)
+    out = [(COHORT_ALL, day_index)]
+    actor_score = cohorts.prior_scores.get(event.actor)
+    author_score = cohorts.prior_scores.get(event.author)
+    if actor_score is None or author_score is None:
+        return out
+    if actor_score - author_score > cohorts.peer_band:
+        out.append((COHORT_HIGHER, day_index))
+    elif abs(actor_score - author_score) <= cohorts.peer_band:
+        out.append((COHORT_PEERS, day_index))
+    return out
+
+
+def multiday_sketch(day_counts, windows):
+    """Per-day buckets to trailing-window counts via prefix sums; a day at or
+    beyond the longest window counts in none."""
+    max_window = max(windows)
+    prefix = [0] * (max_window + 1)
+    for day, count in day_counts.items():
+        if day < 0:
+            raise ValueError(f"day index {day} below 0")
+        if day < max_window:
+            prefix[day + 1] += count
+    for i in range(1, len(prefix)):
+        prefix[i] += prefix[i - 1]
+    return {w: prefix[w] for w in windows}
+
+
+def reference_aggregate(batch, cohorts, registry):
+    day_buckets = defaultdict(Counter)
+    for author, events in batch.events_by_author.items():
+        for event in events:
+            if not registry.networks[event.network].dynamic:
+                continue
+            for cohort, day in conditional_emit(event, cohorts, batch.reference_time):
+                if cohort in registry.cohorts:
+                    day_buckets[(author, event.network, event.content_type, event.action, cohort)][day] += 1
+    cells = {}
+    for (author, network, content, action, cohort), days in day_buckets.items():
+        for window, count in multiday_sketch(days, registry.windows).items():
+            if count > 0:
+                cells[(author, dynamic_key(network, content, action, cohort, window))] = float(count)
+    return cells
+
+
 class TestConditionalEmit:
+    """Which cohorts one event fires, seen through aggregate_dynamic."""
+
     def ctx(self, **scores):
         return CohortContext(prior_scores=scores, peer_band=5.0)
 
+    def fired(self, cohorts, ts=REF - 10):
+        event = ev("author", actor="actor", ts=ts)
+        table = aggregate_dynamic(batch_of([event]), cohorts, make_small_registry())
+        return sorted({key.split("/")[4] for _, key in as_dict(table)})
+
     def test_higher_actor(self):
-        event = ev("author", actor="actor", ts=REF - 10)
-        emits = conditional_emit(event, self.ctx(actor=70.0, author=50.0), REF)
-        assert [c for c, _ in emits] == ["all", "higher"]
+        assert self.fired(self.ctx(actor=70.0, author=50.0)) == ["all", "higher"]
 
     def test_peer_actor(self):
-        event = ev("author", actor="actor", ts=REF - 10)
-        emits = conditional_emit(event, self.ctx(actor=52.0, author=50.0), REF)
-        assert [c for c, _ in emits] == ["all", "peers"]
+        assert self.fired(self.ctx(actor=52.0, author=50.0)) == ["all", "peers"]
 
     def test_bootstrap_emits_all_only(self):
         event = ev("author", actor="actor", ts=REF - 10)
-        assert conditional_emit(event, CohortContext(), REF) == [("all", 0)]
+        table = aggregate_dynamic(batch_of([event]), CohortContext(), make_small_registry())
+        # day 0: one count in every window of the all cohort, nothing else
+        assert as_dict(table) == {
+            ("author", dynamic_key("tw", "message", "like", "all", w)): 1.0 for w in WINDOW_DAYS
+        }
 
     def test_missing_one_side_emits_all_only(self):
-        event = ev("author", actor="actor", ts=REF - 10)
-        emits = conditional_emit(event, self.ctx(actor=70.0), REF)
-        assert [c for c, _ in emits] == ["all"]
+        assert self.fired(self.ctx(actor=70.0)) == ["all"]
 
     def test_day_index(self):
-        event = ev("author", actor="actor", ts=REF - 5 * SECONDS_PER_DAY - 1)
-        assert conditional_emit(event, CohortContext(), REF) == [("all", 5)]
+        # whole days before the reference time, rounded down: a day index d
+        # counts in the windows longer than d
+        registry = make_small_registry()
+        key = dynamic_key("tw", "message", "like", "all", 7)
+        day_5 = ev("a", ts=REF - 5 * SECONDS_PER_DAY - 1)
+        table = aggregate_dynamic(batch_of([day_5]), CohortContext(), registry)
+        assert value_of(table, "a", key) == 1.0
+        assert value_of(table, "a", dynamic_key("tw", "message", "like", "all", 3)) == 0.0
+        for ts, inside in ((REF - 7 * SECONDS_PER_DAY, False), (REF - 7 * SECONDS_PER_DAY + 1, True)):
+            table = aggregate_dynamic(batch_of([ev("a", ts=ts)]), CohortContext(), registry)
+            assert value_of(table, "a", key) == float(inside)
 
     def test_equal_scores_are_peers_not_higher(self):
-        event = ev("author", actor="actor", ts=REF - 10)
-        emits = conditional_emit(event, self.ctx(actor=50.0, author=50.0), REF)
-        assert [c for c, _ in emits] == ["all", "peers"]
+        assert self.fired(self.ctx(actor=50.0, author=50.0)) == ["all", "peers"]
+
+    def test_a_band_apart_is_peers(self):
+        assert self.fired(self.ctx(actor=55.0, author=50.0)) == ["all", "peers"]
+        assert self.fired(self.ctx(actor=45.0, author=50.0)) == ["all", "peers"]
+        assert self.fired(self.ctx(actor=55.5, author=50.0)) == ["all", "higher"]
+        assert self.fired(self.ctx(actor=44.5, author=50.0)) == ["all"]
+
+
+def window_counts(days, windows=WINDOW_DAYS):
+    """Window counts of one author's events, ``days`` whole days old."""
+    registry = replace(make_small_registry(), windows=tuple(windows))
+    events = [ev("a", actor=f"r{i}", ts=REF - d * SECONDS_PER_DAY - 1) for i, d in enumerate(days)]
+    table = aggregate_dynamic(batch_of(events), CohortContext(), registry)
+    return {w: value_of(table, "a", dynamic_key("tw", "message", "like", "all", w)) for w in windows}
 
 
 class TestMultidaySketch:
     def test_single_event_day_5(self):
-        counts = multiday_sketch({5: 1}, WINDOW_DAYS)
+        counts = window_counts([5])
         assert counts == {3: 0, 7: 1, 14: 1, 21: 1, 30: 1, 60: 1, 90: 1}
 
     def test_mixed_days(self):
-        counts = multiday_sketch({0: 2, 10: 1}, WINDOW_DAYS)
+        counts = window_counts([0, 0, 10])
         assert counts[3] == 2
         assert counts[7] == 2
         assert counts[14] == 3
         assert counts[90] == 3
 
     def test_empty(self):
-        assert multiday_sketch({}, WINDOW_DAYS) == {w: 0 for w in WINDOW_DAYS}
+        assert window_counts([]) == {w: 0 for w in WINDOW_DAYS}
 
     def test_out_of_range_day_rejected(self):
+        # an event after the reference time has no day index
         with pytest.raises(ValueError):
-            multiday_sketch({90: 1}, WINDOW_DAYS)
+            window_counts([-1])
+        # one older than the longest registered window counts in none
+        assert window_counts([90]) == {w: 0 for w in WINDOW_DAYS}
+        assert window_counts([14, 5], windows=(3, 7)) == {3: 0, 7: 1}
 
     @given(
         days=st.lists(st.integers(min_value=0, max_value=89), min_size=0, max_size=200)
     )
     def test_matches_brute_force_and_nests(self, days):
-        buckets = {}
-        for d in days:
-            buckets[d] = buckets.get(d, 0) + 1
-        counts = multiday_sketch(buckets, WINDOW_DAYS)
+        counts = window_counts(days)
         assert counts == brute_window_counts(days, WINDOW_DAYS)
         ordered = [counts[w] for w in WINDOW_DAYS]
         assert ordered == sorted(ordered)
+
+
+# prior scores a whole or half band apart, so that differences of exactly
+# +-peer_band occur, or anywhere in the score range
+scores = st.one_of(st.sampled_from([45.0, 47.5, 50.0, 52.5, 55.0]), st.floats(0, 100))
+
+
+@given(
+    events=st.lists(
+        st.builds(
+            ev,
+            author=st.sampled_from("abc"),
+            actor=st.sampled_from("abc"),
+            network=st.sampled_from(["tw", "fb", "wk"]),
+            content=st.sampled_from(["message", "photo"]),
+            action=st.sampled_from(["comment", "like"]),
+            ts=st.integers(min_value=REF - 100 * SECONDS_PER_DAY, max_value=REF),
+        ),
+        max_size=60,
+    ),
+    prior=st.dictionaries(st.sampled_from("abcd"), scores, min_size=2),
+    peer_band=st.sampled_from([5.0, 2.5]),
+    cohorts=st.lists(st.sampled_from(["all", "higher", "peers", "other"]), min_size=1, unique=True),
+    windows=st.lists(st.sampled_from(WINDOW_DAYS), min_size=1, unique=True),
+)
+# without the explain phase, which takes minutes to report a failure here
+@settings(phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+def test_aggregate_dynamic_equals_per_event_reference(events, prior, peer_band, cohorts, windows):
+    registry = replace(
+        make_small_registry(), cohorts=tuple(cohorts), windows=tuple(windows), peer_band=peer_band
+    )
+    context = CohortContext(prior_scores=prior, peer_band=peer_band)
+    batch = batch_of(events)
+    assert as_dict(aggregate_dynamic(batch, context, registry)) == reference_aggregate(
+        batch, context, registry
+    )
 
 
 class TestAggregateDynamic:
@@ -114,12 +248,12 @@ class TestAggregateDynamic:
         scores = {"p": 50.0, "q0": 51.0, "q1": 49.0, "q2": 52.0, "q3": 48.0}
         table = aggregate_dynamic(batch, CohortContext(prior_scores=scores), small_registry)
         key = dynamic_key("fb", "photo", "comment", "peers", 7)
-        assert table.get("p", key) == 4.0
+        assert value_of(table, "p", key) == 4.0
 
     def test_empty_batch(self, tmp_path, small_registry):
         batch = batch_from(tmp_path, small_registry)
         table = aggregate_dynamic(batch, CohortContext(), small_registry)
-        assert table.values == {}
+        assert as_dict(table) == {}
 
     def test_order_permutation_invariance(self, tmp_path, small_registry):
         rng = random.Random(3)
@@ -136,12 +270,11 @@ class TestAggregateDynamic:
                                CohortContext(), small_registry)
         t2 = aggregate_dynamic(batch_from(tmp_path / "b", small_registry, events=shuffled),
                                CohortContext(), small_registry)
-        assert t1.values == t2.values
+        assert as_dict(t1) == as_dict(t2)
 
     @given(shards=st.sampled_from([1, 2, 4, 8]))
     def test_partition_invariance(self, tmp_path_factory, shards):
-        from conftest import make_small_registry
-
+        # author-disjoint parts aggregated on their own make the same cells
         small_registry = make_small_registry()
         tmp = tmp_path_factory.mktemp("agg")
         rng = random.Random(9)
@@ -152,9 +285,14 @@ class TestAggregateDynamic:
             for i in range(120)
         ]
         batch = batch_from(tmp, small_registry, events=events)
-        base = aggregate_dynamic(batch, CohortContext(), small_registry, shards=1)
-        other = aggregate_dynamic(batch, CohortContext(), small_registry, shards=shards)
-        assert base.values == other.values
+        base = aggregate_dynamic(batch, CohortContext(), small_registry)
+        other = {}
+        for shard in range(shards):
+            part = {a: evs for a, evs in batch.events_by_author.items()
+                    if zlib.crc32(a.encode()) % shards == shard}
+            other.update(as_dict(aggregate_dynamic(replace(batch, events_by_author=part),
+                                                   CohortContext(), small_registry)))
+        assert as_dict(base) == other
 
     def test_window_nesting_on_aggregated_table(self, tmp_path, small_registry):
         rng = random.Random(5)
@@ -166,7 +304,7 @@ class TestAggregateDynamic:
         batch = batch_from(tmp_path, small_registry, events=events)
         table = aggregate_dynamic(batch, CohortContext(), small_registry)
         counts = [
-            table.get("a", dynamic_key("tw", "photo", "comment", "all", w))
+            value_of(table, "a", dynamic_key("tw", "photo", "comment", "all", w))
             for w in WINDOW_DAYS
         ]
         assert counts == sorted(counts)
@@ -184,8 +322,8 @@ class TestAggregateDynamic:
         bigger = aggregate_dynamic(
             batch_from(tmp_path / "b", small_registry, events=events),
             CohortContext(), small_registry)
-        for cell, value in smaller.values.items():
-            assert bigger.values.get(cell, 0.0) >= value
+        for cell, value in as_dict(smaller).items():
+            assert as_dict(bigger).get(cell, 0.0) >= value
 
 
 class TestLonglasting:
@@ -202,9 +340,9 @@ class TestLonglasting:
     def test_numeric_pass_through_and_ordinal_mapping(self, tmp_path, small_registry):
         batch = batch_from(tmp_path, small_registry, profiles=self.profiles())
         table, skipped = aggregate_longlasting(batch, small_registry)
-        assert table.get("a", longlasting_key("tw", "followers")) == 1500.0
-        assert table.get("a", longlasting_key("fb", "education_level")) == 4.0
-        assert table.get("b", longlasting_key("fb", "education_level")) == 0.0
+        assert value_of(table, "a", longlasting_key("tw", "followers")) == 1500.0
+        assert value_of(table, "a", longlasting_key("fb", "education_level")) == 4.0
+        assert value_of(table, "b", longlasting_key("fb", "education_level")) == 0.0
         assert skipped == 1
 
     def test_graph_features(self, tmp_path, small_registry):
@@ -215,10 +353,10 @@ class TestLonglasting:
         ]
         batch = batch_from(tmp_path, small_registry, edges=edges)
         table, _ = aggregate_longlasting(batch, small_registry)
-        assert table.get("hub", longlasting_key("wk", "inlinks")) == 2.0
-        assert table.get("hub", longlasting_key("wk", "inlink_outlink_ratio")) == 2.0
+        assert value_of(table, "hub", longlasting_key("wk", "inlinks")) == 2.0
+        assert value_of(table, "hub", longlasting_key("wk", "inlink_outlink_ratio")) == 2.0
         pr = {
-            u: table.get(u, longlasting_key("wk", "pagerank"))
+            u: value_of(table, u, longlasting_key("wk", "pagerank"))
             for u in ("x", "y", "hub")
         }
         assert pr["hub"] > pr["x"] > 0
@@ -227,24 +365,20 @@ class TestLonglasting:
 
 class TestMaximaAndNormalize:
     def test_maxima_simple(self):
-        from influence_engine.features import RawFeatureTable
-
         key = longlasting_key("tw", "followers")
-        table = RawFeatureTable()
-        for user, value in [("a", 3.0), ("b", 7.0), ("c", 2.0)]:
-            table.add(user, key, value)
+        table = RawFeatureTable.from_cells({("a", key): 3.0, ("b", key): 7.0, ("c", key): 2.0})
         assert compute_global_maxima(table) == {key: 7.0}
 
     def test_maxima_of_shard_maxima(self):
-        from influence_engine.features import RawFeatureTable
-
         key = longlasting_key("tw", "followers")
         values = {f"u{i}": float(i * 3 % 17) for i in range(20)}
-        whole = RawFeatureTable()
-        left, right = RawFeatureTable(), RawFeatureTable()
-        for i, (user, value) in enumerate(values.items()):
-            whole.add(user, key, value)
-            (left if i % 2 else right).add(user, key, value)
+        whole = RawFeatureTable.from_cells({(user, key): value for user, value in values.items()})
+        left, right = (
+            RawFeatureTable.from_cells(
+                {(user, key): value for i, (user, value) in enumerate(values.items()) if i % 2 == side}
+            )
+            for side in (1, 0)
+        )
         combined = {
             key: max(compute_global_maxima(left).get(key, 0.0),
                      compute_global_maxima(right).get(key, 0.0))
@@ -276,8 +410,8 @@ class TestMaximaAndNormalize:
 def normalize_in_place(table):
     """What the features stage does between the raw and normalized dumps."""
     maxima = compute_global_maxima(table)
-    for cell, raw in table.values.items():
-        table.values[cell] = normalize(raw, maxima.get(cell[1], 0.0))
+    cells = zip(table.key.tolist(), table.value.tolist())
+    table.value = np.array([normalize(raw, maxima.get(table.keys[k], 0.0)) for k, raw in cells])
     return maxima
 
 
@@ -307,7 +441,7 @@ class TestStoreAndDumps:
             for (user, network), vec in store.vectors.items()
             for i in np.flatnonzero(vec)
         }
-        assert loaded == table.values
+        assert loaded == as_dict(table)
 
     def test_key_outside_registry_is_named(self, tmp_path, small_registry):
         all_only = replace(small_registry, cohorts=("all",))
@@ -335,10 +469,10 @@ NETWORK_OF = {
 )
 def test_normalize_dump_and_load_are_one_path(tmp_path_factory, cells):
     registry = make_small_registry()
-    table = RawFeatureTable()
+    raw = {}
     for user, key, value in cells:
-        table.add(user, key, value)
-    raw = dict(table.values)
+        raw[(user, key)] = raw.get((user, key), 0.0) + value
+    table = RawFeatureTable.from_cells(raw)
     maxima = normalize_in_place(table)
     path = tmp_path_factory.mktemp("store") / "normalized.txt"
     dump_table(table, path)

@@ -16,7 +16,6 @@ from influence_engine.events import (
 from influence_engine.ingest import (
     InputPaths,
     load_batch,
-    partition_by_author,
     read_ingested,
     read_ingested_labels,
 )
@@ -135,48 +134,6 @@ class TestLoadBatch:
         assert first == second
 
 
-class TestPartition:
-    def make_batch(self, tmp_path, small_registry, authors):
-        events = [
-            ev(a, actor=f"r{i}", ts=REF - 100 - i) for a in authors for i in range(3)
-        ]
-        paths = write_inputs(tmp_path, events=events)
-        batch, _ = load_batch(paths, REF, small_registry)
-        return batch
-
-    def test_single_shard_is_identity(self, tmp_path, small_registry):
-        batch = self.make_batch(tmp_path, small_registry, ["a", "b", "c"])
-        assert partition_by_author(batch, 1) == [batch]
-
-    def test_authors_are_disjoint_and_union_covers(self, tmp_path, small_registry):
-        batch = self.make_batch(tmp_path, small_registry, list("abcdefg"))
-        shards = partition_by_author(batch, 3)
-        seen = {}
-        for i, shard in enumerate(shards):
-            for author, events in shard.events_by_author.items():
-                assert author not in seen
-                seen[author] = events
-        assert seen == batch.events_by_author
-
-    def test_zero_shards_rejected(self, tmp_path, small_registry):
-        batch = self.make_batch(tmp_path, small_registry, ["a"])
-        with pytest.raises(ValueError):
-            partition_by_author(batch, 0)
-
-    @given(shards=st.integers(min_value=1, max_value=9))
-    def test_partition_is_a_partition_for_any_shard_count(self, tmp_path_factory, shards):
-        from conftest import make_small_registry
-
-        tmp = tmp_path_factory.mktemp("partition")
-        batch = self.make_batch(tmp, make_small_registry(), list("abcdefghij"))
-        parts = partition_by_author(batch, shards)
-        assert len(parts) == shards or shards == 1
-        merged = {}
-        for part in parts:
-            merged.update(part.events_by_author)
-        assert merged == batch.events_by_author
-
-
 # One events.txt line as written to disk: a valid record with an LF or CRLF
 # ending, a record cut short, junk without line breaks, or a valid record with
 # bytes that are not UTF-8 spliced in (surrogateescape writes them raw).
@@ -285,7 +242,7 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
 
     checked, report = load_batch(InputPaths.in_dir(out / "ingest"), REF, registry)
     # features does not use labels, so its batch leaves them to train's reader
-    assert read_ingested(out / "ingest", REF) == replace(checked, labels=())
+    assert read_ingested(out / "ingest", REF, registry) == replace(checked, labels=())
     assert read_ingested_labels(out / "ingest") == checked.labels
     # what ingest wrote passes every check that the strict reader skips
     assert report.accepted_events == checked.event_count()

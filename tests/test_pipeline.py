@@ -1,5 +1,6 @@
 import functools
 import json
+from collections import defaultdict
 import os
 import re
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import influence_engine
-from influence_engine import features, graph, nnls, pipeline, training
+from influence_engine import features, graph, lineio, nnls, pipeline, training
 from influence_engine.cli import main
 from influence_engine.hierarchy import ScoreEntry, ScoreSnapshot, load_snapshot, save_snapshot
 from influence_engine.ingest import load_batch
@@ -19,6 +20,8 @@ from influence_engine.population import PopulationParams, generate_population, w
 from influence_engine.registry import FeatureRegistry
 
 from datetime import date
+
+from oracles import brute_window_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -295,6 +298,55 @@ class TestFeatureStage:
         assert b"nan" not in snapshots[0]
 
 
+    def test_registry_without_the_90_day_window(self, dataset, tmp_path):
+        # ingest keeps 90 days; an event older than the longest registered
+        # window counts in no window rather than failing the stage
+        registry = edited_registry(
+            dataset, tmp_path / "registry.json", lambda data: data.update(windows=[3, 7])
+        )
+        config = make_config(dataset, tmp_path / "config.json", registry=str(registry))
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+
+        days = defaultdict(list)
+        for line in lineio.read_lines(out / "ingest" / "events.txt"):
+            event = lineio.decode_event(line)
+            tuple_key = (event.author, event.network, event.content_type, event.action)
+            days[tuple_key].append((1_700_000_000 - event.timestamp) // 86400)
+        assert max(max(d) for d in days.values()) >= 7
+        expected = {}
+        for (author, network, content, action), found in days.items():
+            for window, count in brute_window_counts(found, (3, 7)).items():
+                if count:
+                    expected[(author, f"dyn/{network}/{content}/{action}/all/{window}d")] = float(count)
+        raw = {}
+        for line in lineio.read_lines(out / "features" / "raw_features.txt"):
+            user, key, value = line.split("\t")
+            if key.startswith("dyn/"):
+                raw[(lineio.decode_value(user), key)] = float(value)
+        assert raw == expected
+
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_edges_are_read_only_for_graph_attributes(self, dataset, tmp_path, graph):
+        def edit(data):
+            if graph:
+                data["networks"]["tw"]["longlasting_attrs"].append("inlinks")
+
+        registry = edited_registry(dataset, tmp_path / "registry.json", edit)
+        cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json", registry=str(registry)))
+        out = tmp_path / "out"
+        run_pipeline(cfg, out, mode="ingest")
+        run_pipeline(cfg, out, mode="features")
+        dumps = {p.name: p.read_bytes() for p in (out / "features").iterdir()}
+        (out / "ingest" / "edges.txt").unlink()
+        if graph:
+            with pytest.raises(StageError):
+                run_pipeline(cfg, out, mode="features")
+        else:
+            run_pipeline(cfg, out, mode="features")
+            assert {p.name: p.read_bytes() for p in (out / "features").iterdir()} == dumps
+
+
 class TestTrainStage:
     def test_unconverged_nnls_is_counted_and_warned(self, full_run, tmp_path, monkeypatch, capsys):
         cfg, first = full_run
@@ -408,6 +460,13 @@ class TestCLI:
         assert capsys.readouterr().out.splitlines() == [
             "a%09b\t70.0", "plain\t40.0", "nobody\tunscored",
         ]
+
+    def test_rank_with_a_missing_snapshot_exits_one(self, tmp_path, capsys):
+        users_file = tmp_path / "users.txt"
+        users_file.write_text("a\n")
+        code = main(["rank", "--snapshot", str(tmp_path / "missing.txt"), "--users", str(users_file)])
+        assert code == 1
+        assert "bad snapshot" in capsys.readouterr().err
 
     def test_full_run_never_imports_scipy(self, dataset, tmp_path):
         # start-up cost is paid by every daily run; scipy.stats alone cost
