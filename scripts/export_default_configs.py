@@ -39,7 +39,6 @@ def main() -> None:
         "tree": "tree.json",
         "reference_time": 1_700_000_000,
         "seed": 0,
-        "shards": 8,
         "prior_snapshot": None,
         "holdout_fraction": 0.2,
     }

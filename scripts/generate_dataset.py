@@ -41,7 +41,6 @@ def main() -> None:
         "tree": "tree.json",
         "reference_time": params.reference_time,
         "seed": args.seed,
-        "shards": 1,
         "latent": "latent.txt",
         "population": "population.json",
     }

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -31,21 +30,6 @@ from .registry import FeatureRegistry, dynamic_key, longlasting_key
 COHORT_ALL = "all"
 COHORT_HIGHER = "higher"
 COHORT_PEERS = "peers"
-
-
-@dataclass(frozen=True)
-class CohortContext:
-    """Audience comparator built from the previous run's score snapshot.
-
-    With no prior scores (bootstrap run) only the ``all`` cohort fires.
-    """
-
-    prior_scores: Mapping[str, float] = field(default_factory=dict)
-    peer_band: float = 5.0
-
-    def __post_init__(self):
-        if self.peer_band <= 0:
-            raise ValueError("peer_band must be > 0")
 
 
 def _intern(strings: Iterable[str], codes: dict[str, int]) -> np.ndarray:
@@ -87,19 +71,21 @@ class RawFeatureTable:
 
 
 def aggregate_dynamic(
-    batch: IngestBatch, cohorts: CohortContext, registry: FeatureRegistry
+    batch: IngestBatch, prior_scores: Mapping[str, float], registry: FeatureRegistry
 ) -> RawFeatureTable:
     """Count each author's events per (network, content, action, cohort,
     window) in one integer pass.
 
     ``all`` counts every event; ``higher`` and ``peers`` need prior scores
-    for both the actor and the author. An event counts in every registered
-    window longer than its age in whole days, so one older than the longest
-    window counts in none; an event after the reference time raises.
+    for both the actor and the author, whose difference is compared with
+    ``registry.peer_band``. With no prior scores (a first run) only ``all``
+    fires. An event counts in every registered window longer than its age
+    in whole days, so one older than the longest window counts in none; an
+    event after the reference time raises.
     """
-    authors = list(batch.events_by_author)
-    author = np.repeat(np.arange(len(authors)), [len(evs) for evs in batch.events_by_author.values()])
-    events = list(chain.from_iterable(batch.events_by_author.values()))
+    events = batch.events
+    authors: dict[str, int] = {}
+    author = _intern((e.author for e in events), authors)
     triples: dict[tuple[str, str, str], int] = {}  # (network, content, action) -> combo code
     combo = np.array([triples.setdefault(e[2:5], len(triples)) for e in events], dtype=np.int64)
     combos = list(triples)
@@ -112,13 +98,13 @@ def aggregate_dynamic(
 
     dynamic = np.array([registry.networks[network].dynamic for network, _, _ in combos], dtype=bool)
     fired = {COHORT_ALL: dynamic[combo]}
-    if cohorts.prior_scores:
-        score = cohorts.prior_scores.get
+    if prior_scores:
+        score, band = prior_scores.get, registry.peer_band
         actor = np.array([score(e.actor, math.nan) for e in events], dtype=np.float64)
         diff = actor - np.array([score(a, math.nan) for a in authors], dtype=np.float64)[author]
         # nan (a missing score) fails both; within the band is a peer, above it is higher
-        fired[COHORT_HIGHER] = fired[COHORT_ALL] & (diff > cohorts.peer_band)
-        fired[COHORT_PEERS] = fired[COHORT_ALL] & (np.abs(diff) <= cohorts.peer_band)
+        fired[COHORT_HIGHER] = fired[COHORT_ALL] & (diff > band)
+        fired[COHORT_PEERS] = fired[COHORT_ALL] & (np.abs(diff) <= band)
     # a cohort the registry leaves out has no place in the key space
     names = [c for c in fired if c in registry.cohorts]
     fires = np.array([fired[c] for c in names], dtype=bool).reshape(len(names), len(events))
@@ -134,7 +120,7 @@ def aggregate_dynamic(
     used, key = np.unique(cells[row] // len(authors) * len(windows) + window, return_inverse=True)
     c, i, w = np.unravel_index(used, (len(combos), len(names), len(windows)))
     return RawFeatureTable(
-        users=authors,
+        users=list(authors),
         keys=[dynamic_key(*combos[c], names[i], windows[w]) for c, i, w in zip(c, i, w)],
         user=cells[row] % len(authors),
         key=key,

@@ -21,22 +21,8 @@ from .events import (
 from .registry import GRAPH_ATTRS, FeatureRegistry
 
 
-@dataclass(frozen=True)
-class InputPaths:
-    events: Path
-    profiles: Path
-    edges: Path
-    labels: Path
-
-    @classmethod
-    def in_dir(cls, directory: str | Path) -> "InputPaths":
-        d = Path(directory)
-        return cls(
-            events=d / "events.txt",
-            profiles=d / "profiles.txt",
-            edges=d / "edges.txt",
-            labels=d / "labels.txt",
-        )
+# the files of an input directory, in the order the manifest hashes them
+INPUT_FILES = ("events.txt", "profiles.txt", "edges.txt", "labels.txt")
 
 
 @dataclass
@@ -70,14 +56,11 @@ class LoadReport:
 class IngestBatch:
     """Validated, deduplicated, window-filtered inputs for one scoring run."""
 
-    events_by_author: dict[str, tuple[InteractionEvent, ...]]
+    events: tuple[InteractionEvent, ...]
     profiles: dict[tuple[str, str], ProfileSnapshot]  # (user, network)
     edges: tuple[GraphEdge, ...]
     labels: tuple[PairwiseLabel, ...]
     reference_time: int
-
-    def event_count(self) -> int:
-        return sum(len(v) for v in self.events_by_author.values())
 
 
 def _decoded(path: Path, decode, report: LoadReport):
@@ -96,9 +79,9 @@ def _decoded(path: Path, decode, report: LoadReport):
 
 def read_events(
     path: Path, window: TimeWindow, registry: FeatureRegistry, report: LoadReport
-) -> dict[str, tuple[InteractionEvent, ...]]:
-    """Valid, in-window, first-seen events grouped by author."""
-    events_by_author: dict[str, list[InteractionEvent]] = {}
+) -> tuple[InteractionEvent, ...]:
+    """Valid, in-window, first-seen events in file order."""
+    events: list[InteractionEvent] = []
     seen: set[InteractionEvent] = set()
     for raw in _decoded(path, lineio.decode_event, report):
         checked = validate_event(raw, registry)
@@ -112,9 +95,9 @@ def read_events(
             report.duplicate_events += 1
             continue
         seen.add(checked)
-        events_by_author.setdefault(checked.author, []).append(checked)
-        report.accepted_events += 1
-    return {a: tuple(evs) for a, evs in events_by_author.items()}
+        events.append(checked)
+    report.accepted_events = len(events)
+    return tuple(events)
 
 
 def read_profiles(
@@ -146,20 +129,21 @@ def _read_registered(path: Path, decode, registry: FeatureRegistry, report: Load
 
 
 def load_batch(
-    paths: InputPaths, reference_time: int, registry: FeatureRegistry
+    directory: str | Path, reference_time: int, registry: FeatureRegistry
 ) -> tuple[IngestBatch, LoadReport]:
-    """Read all input files into one immutable batch.
+    """Read the ``INPUT_FILES`` of ``directory`` into one immutable batch.
 
     Unreadable files are fatal; malformed lines are counted and skipped so a
     single dirty record cannot kill a run.
     """
+    events, profiles, edges, labels = (Path(directory) / name for name in INPUT_FILES)
     report = LoadReport()
     window = TimeWindow(reference_time, MAX_WINDOW_DAYS)
     batch = IngestBatch(
-        events_by_author=read_events(paths.events, window, registry, report),
-        profiles=read_profiles(paths.profiles, window.reference_date(), registry, report),
-        edges=_read_registered(paths.edges, lineio.decode_edge, registry, report),
-        labels=_read_registered(paths.labels, lineio.decode_label, registry, report),
+        events=read_events(events, window, registry, report),
+        profiles=read_profiles(profiles, window.reference_date(), registry, report),
+        edges=_read_registered(edges, lineio.decode_edge, registry, report),
+        labels=_read_registered(labels, lineio.decode_label, registry, report),
         reference_time=reference_time,
     )
     report.edges, report.labels = len(batch.edges), len(batch.labels)
@@ -178,16 +162,13 @@ def read_ingested(
     checked again. A line that does not decode raises: the engine wrote it,
     so it is damage to report, not dirty input to count.
     """
-    paths = InputPaths.in_dir(directory)
-    events_by_author: dict[str, list[InteractionEvent]] = {}
-    for event in map(lineio.decode_event, lineio.read_lines(paths.events)):
-        events_by_author.setdefault(event.author, []).append(event)
-    profiles = map(lineio.decode_profile, lineio.read_lines(paths.profiles))
+    events, profiles, edges, _ = (Path(directory) / name for name in INPUT_FILES)
+    decoded = map(lineio.decode_profile, lineio.read_lines(profiles))
     graph = any(GRAPH_ATTRS.intersection(s.longlasting_attrs) for s in registry.networks.values())
     return IngestBatch(
-        events_by_author={a: tuple(evs) for a, evs in events_by_author.items()},
-        profiles={(p.user, p.network): p for p in profiles},
-        edges=tuple(map(lineio.decode_edge, lineio.read_lines(paths.edges))) if graph else (),
+        events=tuple(map(lineio.decode_event, lineio.read_lines(events))),
+        profiles={(p.user, p.network): p for p in decoded},
+        edges=tuple(map(lineio.decode_edge, lineio.read_lines(edges))) if graph else (),
         labels=(),
         reference_time=reference_time,
     )
@@ -196,4 +177,4 @@ def read_ingested(
 def read_ingested_labels(directory: str | Path) -> tuple[PairwiseLabel, ...]:
     """The labels that the ingest stage wrote to ``directory``, read as
     strictly as ``read_ingested`` reads the other files."""
-    return tuple(map(lineio.decode_label, lineio.read_lines(InputPaths.in_dir(directory).labels)))
+    return tuple(map(lineio.decode_label, lineio.read_lines(Path(directory) / "labels.txt")))

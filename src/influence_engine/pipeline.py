@@ -22,7 +22,7 @@ from .evaluation import (
     rank_correlation,
 )
 from .events import MAX_WINDOW_DAYS, TimeWindow
-from .features import CohortContext, load_store
+from .features import load_store
 from .graph import edges_by_network, graph_summary
 from .hierarchy import (
     ScoreSnapshot,
@@ -31,7 +31,7 @@ from .hierarchy import (
     save_snapshot,
     score_population,
 )
-from .ingest import InputPaths, load_batch, read_ingested, read_ingested_labels
+from .ingest import INPUT_FILES, load_batch, read_ingested, read_ingested_labels
 from .population import (
     CampaignParams,
     PopulationParams,
@@ -59,7 +59,6 @@ class RunConfig:
     tree_path: Path
     reference_time: int
     seed: int = 0
-    shards: int = 1
     prior_snapshot: Path | None = None
     holdout_fraction: float = 0.2
     nnls_tol: float = 1e-10
@@ -70,22 +69,25 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        """A JSON config; ``input_dir``, ``registry``, ``tree`` and
+        ``reference_time`` are required, paths relative to its directory."""
         base = Path(path).parent
         data = json.loads(Path(path).read_text())
 
-        def resolve(key):
+        def resolve(key, required=False):
+            if required and not data.get(key):
+                raise KeyError(key)
             return (base / data[key]).resolve() if data.get(key) else None
 
         campaign = data.get("campaign", {})
         if "score_range" in campaign:
             campaign["score_range"] = tuple(campaign["score_range"])
         return cls(
-            input_dir=resolve("input_dir"),
-            registry_path=resolve("registry"),
-            tree_path=resolve("tree"),
+            input_dir=resolve("input_dir", required=True),
+            registry_path=resolve("registry", required=True),
+            tree_path=resolve("tree", required=True),
             reference_time=int(data["reference_time"]),
             seed=int(data.get("seed", 0)),
-            shards=int(data.get("shards", 1)),
             prior_snapshot=resolve("prior_snapshot"),
             holdout_fraction=float(data.get("holdout_fraction", 0.2)),
             nnls_tol=float(data.get("nnls_tol", 1e-10)),
@@ -109,7 +111,6 @@ class RunConfig:
                 "tree": _sha256_or_none(self.tree_path),
                 "reference_time": self.reference_time,
                 "seed": self.seed,
-                "shards": self.shards,
                 "prior_snapshot": _sha256_or_none(self.prior_snapshot),
                 "holdout_fraction": self.holdout_fraction,
                 "nnls_tol": self.nnls_tol,
@@ -132,10 +133,6 @@ def _sha256_or_none(path: Path | None) -> str | None:
     return _sha256(path) if path is not None and path.is_file() else None
 
 
-def _load_registry(cfg: RunConfig) -> FeatureRegistry:
-    return FeatureRegistry.load(cfg.registry_path)
-
-
 def _normalized_path(out: Path) -> Path:
     return out / "features" / "normalized_features.txt"
 
@@ -149,17 +146,10 @@ def _graph_stats_path(out: Path) -> Path:
 # -- stages ----------------------------------------------------------------
 
 def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
-    registry = _load_registry(cfg)
-    batch, report = load_batch(
-        InputPaths.in_dir(cfg.input_dir), cfg.reference_time, registry
-    )
+    registry = FeatureRegistry.load(cfg.registry_path)
+    batch, report = load_batch(cfg.input_dir, cfg.reference_time, registry)
     dest = out / "ingest"
-    event_lines = sorted(
-        lineio.encode_event(e)
-        for events in batch.events_by_author.values()
-        for e in events
-    )
-    lineio.write_lines(dest / "events.txt", event_lines)
+    lineio.write_lines(dest / "events.txt", sorted(map(lineio.encode_event, batch.events)))
     lineio.write_lines(
         dest / "profiles.txt",
         sorted(lineio.encode_profile(p) for p in batch.profiles.values()),
@@ -182,15 +172,12 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 
 def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
-    registry = _load_registry(cfg)
+    registry = FeatureRegistry.load(cfg.registry_path)
     batch = read_ingested(out / "ingest", cfg.reference_time, registry)
     prior = {}
     if cfg.prior_snapshot is not None:
         prior = load_snapshot(cfg.prior_snapshot).prior_scores()
-    cohorts = CohortContext(prior_scores=prior, peer_band=registry.peer_band)
-
-    # the aggregation is exact integer counting, so cfg.shards changes nothing
-    dynamic = feat.aggregate_dynamic(batch, cohorts, registry)
+    dynamic = feat.aggregate_dynamic(batch, prior, registry)
     unconverged: list[str] = []
     longlasting, unregistered = feat.aggregate_longlasting(batch, registry, unconverged)
     table = dynamic.concat(longlasting)
@@ -215,7 +202,7 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 
 def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
-    registry = _load_registry(cfg)
+    registry = FeatureRegistry.load(cfg.registry_path)
     labels = read_ingested_labels(out / "ingest")
     store = load_store(_normalized_path(out), registry)
     pairs = preprocess_labels(labels)
@@ -250,7 +237,7 @@ def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 
 def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
-    registry = _load_registry(cfg)
+    registry = FeatureRegistry.load(cfg.registry_path)
     store = load_store(_normalized_path(out), registry)
     tree = load_tree(cfg.tree_path)
 
@@ -355,7 +342,7 @@ def run_pipeline(cfg: RunConfig, out: str | Path, mode: str = "all") -> Path:
 
 def write_manifest(cfg: RunConfig, out: Path, counts: dict[str, dict[str, int]]) -> None:
     lines = [f"config_hash={cfg.config_digest()}"]
-    for name in ("events.txt", "profiles.txt", "edges.txt", "labels.txt"):
+    for name in INPUT_FILES:
         path = cfg.input_dir / name
         if path.exists():
             lines.append(f"input.{name}.sha256={_sha256(path)}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,6 +72,8 @@ class FeatureRegistry:
         for w in self.windows:
             if w not in WINDOW_DAYS:
                 raise ValueError(f"window {w} not in supported set {WINDOW_DAYS}")
+        if not (math.isfinite(self.peer_band) and self.peer_band > 0):
+            raise ValueError(f"peer_band must be finite and above 0, not {self.peer_band!r}")
 
     # -- feature space -----------------------------------------------------
 

@@ -16,7 +16,6 @@ from influence_engine.features import (
     COHORT_ALL,
     COHORT_HIGHER,
     COHORT_PEERS,
-    CohortContext,
     RawFeatureTable,
     aggregate_dynamic,
     aggregate_longlasting,
@@ -35,17 +34,14 @@ from influence_engine.events import ProfileSnapshot, GraphEdge
 
 
 def batch_from(tmp_path, small_registry, events=(), profiles=(), edges=()):
-    paths = write_inputs(tmp_path, events=events, profiles=profiles, edges=edges)
-    batch, _ = load_batch(paths, REF, small_registry)
+    inputs = write_inputs(tmp_path, events=events, profiles=profiles, edges=edges)
+    batch, _ = load_batch(inputs, REF, small_registry)
     return batch
 
 
 def batch_of(events, reference_time=REF):
     """A batch of ``events`` as given, without the checks of ingest."""
-    by_author = {}
-    for event in events:
-        by_author.setdefault(event.author, []).append(event)
-    return IngestBatch({a: tuple(evs) for a, evs in by_author.items()}, {}, (), (), reference_time)
+    return IngestBatch(tuple(events), {}, (), (), reference_time)
 
 
 def as_dict(table):
@@ -61,17 +57,17 @@ def value_of(table, user, key):
 # -- the per-event aggregation that aggregate_dynamic replaced, kept as its
 # -- reference: one (cohort, day) emission per event, then prefix sums
 
-def conditional_emit(event, cohorts, reference_time):
+def conditional_emit(event, prior_scores, peer_band, reference_time):
     """Expand one event into (cohort, day-index) emissions."""
     day_index = int((reference_time - event.timestamp) // SECONDS_PER_DAY)
     out = [(COHORT_ALL, day_index)]
-    actor_score = cohorts.prior_scores.get(event.actor)
-    author_score = cohorts.prior_scores.get(event.author)
+    actor_score = prior_scores.get(event.actor)
+    author_score = prior_scores.get(event.author)
     if actor_score is None or author_score is None:
         return out
-    if actor_score - author_score > cohorts.peer_band:
+    if actor_score - author_score > peer_band:
         out.append((COHORT_HIGHER, day_index))
-    elif abs(actor_score - author_score) <= cohorts.peer_band:
+    elif abs(actor_score - author_score) <= peer_band:
         out.append((COHORT_PEERS, day_index))
     return out
 
@@ -91,15 +87,15 @@ def multiday_sketch(day_counts, windows):
     return {w: prefix[w] for w in windows}
 
 
-def reference_aggregate(batch, cohorts, registry):
+def reference_aggregate(batch, prior_scores, registry):
     day_buckets = defaultdict(Counter)
-    for author, events in batch.events_by_author.items():
-        for event in events:
-            if not registry.networks[event.network].dynamic:
-                continue
-            for cohort, day in conditional_emit(event, cohorts, batch.reference_time):
-                if cohort in registry.cohorts:
-                    day_buckets[(author, event.network, event.content_type, event.action, cohort)][day] += 1
+    for event in batch.events:
+        if not registry.networks[event.network].dynamic:
+            continue
+        emitted = conditional_emit(event, prior_scores, registry.peer_band, batch.reference_time)
+        for cohort, day in emitted:
+            if cohort in registry.cohorts:
+                day_buckets[(event.author, event.network, event.content_type, event.action, cohort)][day] += 1
     cells = {}
     for (author, network, content, action, cohort), days in day_buckets.items():
         for window, count in multiday_sketch(days, registry.windows).items():
@@ -111,30 +107,28 @@ def reference_aggregate(batch, cohorts, registry):
 class TestConditionalEmit:
     """Which cohorts one event fires, seen through aggregate_dynamic."""
 
-    def ctx(self, **scores):
-        return CohortContext(prior_scores=scores, peer_band=5.0)
-
-    def fired(self, cohorts, ts=REF - 10):
+    def fired(self, prior, ts=REF - 10):
+        # prior scores, compared with the small registry's peer_band of 5
         event = ev("author", actor="actor", ts=ts)
-        table = aggregate_dynamic(batch_of([event]), cohorts, make_small_registry())
+        table = aggregate_dynamic(batch_of([event]), prior, make_small_registry())
         return sorted({key.split("/")[4] for _, key in as_dict(table)})
 
     def test_higher_actor(self):
-        assert self.fired(self.ctx(actor=70.0, author=50.0)) == ["all", "higher"]
+        assert self.fired(dict(actor=70.0, author=50.0)) == ["all", "higher"]
 
     def test_peer_actor(self):
-        assert self.fired(self.ctx(actor=52.0, author=50.0)) == ["all", "peers"]
+        assert self.fired(dict(actor=52.0, author=50.0)) == ["all", "peers"]
 
     def test_bootstrap_emits_all_only(self):
         event = ev("author", actor="actor", ts=REF - 10)
-        table = aggregate_dynamic(batch_of([event]), CohortContext(), make_small_registry())
+        table = aggregate_dynamic(batch_of([event]), {}, make_small_registry())
         # day 0: one count in every window of the all cohort, nothing else
         assert as_dict(table) == {
             ("author", dynamic_key("tw", "message", "like", "all", w)): 1.0 for w in WINDOW_DAYS
         }
 
     def test_missing_one_side_emits_all_only(self):
-        assert self.fired(self.ctx(actor=70.0)) == ["all"]
+        assert self.fired(dict(actor=70.0)) == ["all"]
 
     def test_day_index(self):
         # whole days before the reference time, rounded down: a day index d
@@ -142,28 +136,28 @@ class TestConditionalEmit:
         registry = make_small_registry()
         key = dynamic_key("tw", "message", "like", "all", 7)
         day_5 = ev("a", ts=REF - 5 * SECONDS_PER_DAY - 1)
-        table = aggregate_dynamic(batch_of([day_5]), CohortContext(), registry)
+        table = aggregate_dynamic(batch_of([day_5]), {}, registry)
         assert value_of(table, "a", key) == 1.0
         assert value_of(table, "a", dynamic_key("tw", "message", "like", "all", 3)) == 0.0
         for ts, inside in ((REF - 7 * SECONDS_PER_DAY, False), (REF - 7 * SECONDS_PER_DAY + 1, True)):
-            table = aggregate_dynamic(batch_of([ev("a", ts=ts)]), CohortContext(), registry)
+            table = aggregate_dynamic(batch_of([ev("a", ts=ts)]), {}, registry)
             assert value_of(table, "a", key) == float(inside)
 
     def test_equal_scores_are_peers_not_higher(self):
-        assert self.fired(self.ctx(actor=50.0, author=50.0)) == ["all", "peers"]
+        assert self.fired(dict(actor=50.0, author=50.0)) == ["all", "peers"]
 
     def test_a_band_apart_is_peers(self):
-        assert self.fired(self.ctx(actor=55.0, author=50.0)) == ["all", "peers"]
-        assert self.fired(self.ctx(actor=45.0, author=50.0)) == ["all", "peers"]
-        assert self.fired(self.ctx(actor=55.5, author=50.0)) == ["all", "higher"]
-        assert self.fired(self.ctx(actor=44.5, author=50.0)) == ["all"]
+        assert self.fired(dict(actor=55.0, author=50.0)) == ["all", "peers"]
+        assert self.fired(dict(actor=45.0, author=50.0)) == ["all", "peers"]
+        assert self.fired(dict(actor=55.5, author=50.0)) == ["all", "higher"]
+        assert self.fired(dict(actor=44.5, author=50.0)) == ["all"]
 
 
 def window_counts(days, windows=WINDOW_DAYS):
     """Window counts of one author's events, ``days`` whole days old."""
     registry = replace(make_small_registry(), windows=tuple(windows))
     events = [ev("a", actor=f"r{i}", ts=REF - d * SECONDS_PER_DAY - 1) for i, d in enumerate(days)]
-    table = aggregate_dynamic(batch_of(events), CohortContext(), registry)
+    table = aggregate_dynamic(batch_of(events), {}, registry)
     return {w: value_of(table, "a", dynamic_key("tw", "message", "like", "all", w)) for w in windows}
 
 
@@ -229,10 +223,9 @@ def test_aggregate_dynamic_equals_per_event_reference(events, prior, peer_band, 
     registry = replace(
         make_small_registry(), cohorts=tuple(cohorts), windows=tuple(windows), peer_band=peer_band
     )
-    context = CohortContext(prior_scores=prior, peer_band=peer_band)
     batch = batch_of(events)
-    assert as_dict(aggregate_dynamic(batch, context, registry)) == reference_aggregate(
-        batch, context, registry
+    assert as_dict(aggregate_dynamic(batch, prior, registry)) == reference_aggregate(
+        batch, prior, registry
     )
 
 
@@ -246,13 +239,13 @@ class TestAggregateDynamic:
         ]
         batch = batch_from(tmp_path, small_registry, events=events)
         scores = {"p": 50.0, "q0": 51.0, "q1": 49.0, "q2": 52.0, "q3": 48.0}
-        table = aggregate_dynamic(batch, CohortContext(prior_scores=scores), small_registry)
+        table = aggregate_dynamic(batch, scores, small_registry)
         key = dynamic_key("fb", "photo", "comment", "peers", 7)
         assert value_of(table, "p", key) == 4.0
 
     def test_empty_batch(self, tmp_path, small_registry):
         batch = batch_from(tmp_path, small_registry)
-        table = aggregate_dynamic(batch, CohortContext(), small_registry)
+        table = aggregate_dynamic(batch, {}, small_registry)
         assert as_dict(table) == {}
 
     def test_order_permutation_invariance(self, tmp_path, small_registry):
@@ -267,9 +260,9 @@ class TestAggregateDynamic:
         shuffled = events[:]
         rng.shuffle(shuffled)
         t1 = aggregate_dynamic(batch_from(tmp_path / "a", small_registry, events=events),
-                               CohortContext(), small_registry)
+                               {}, small_registry)
         t2 = aggregate_dynamic(batch_from(tmp_path / "b", small_registry, events=shuffled),
-                               CohortContext(), small_registry)
+                               {}, small_registry)
         assert as_dict(t1) == as_dict(t2)
 
     @given(shards=st.sampled_from([1, 2, 4, 8]))
@@ -285,13 +278,11 @@ class TestAggregateDynamic:
             for i in range(120)
         ]
         batch = batch_from(tmp, small_registry, events=events)
-        base = aggregate_dynamic(batch, CohortContext(), small_registry)
+        base = aggregate_dynamic(batch, {}, small_registry)
         other = {}
         for shard in range(shards):
-            part = {a: evs for a, evs in batch.events_by_author.items()
-                    if zlib.crc32(a.encode()) % shards == shard}
-            other.update(as_dict(aggregate_dynamic(replace(batch, events_by_author=part),
-                                                   CohortContext(), small_registry)))
+            part = tuple(e for e in batch.events if zlib.crc32(e.author.encode()) % shards == shard)
+            other.update(as_dict(aggregate_dynamic(replace(batch, events=part), {}, small_registry)))
         assert as_dict(base) == other
 
     def test_window_nesting_on_aggregated_table(self, tmp_path, small_registry):
@@ -302,7 +293,7 @@ class TestAggregateDynamic:
             for i in range(80)
         ]
         batch = batch_from(tmp_path, small_registry, events=events)
-        table = aggregate_dynamic(batch, CohortContext(), small_registry)
+        table = aggregate_dynamic(batch, {}, small_registry)
         counts = [
             value_of(table, "a", dynamic_key("tw", "photo", "comment", "all", w))
             for w in WINDOW_DAYS
@@ -318,10 +309,10 @@ class TestAggregateDynamic:
         ]
         smaller = aggregate_dynamic(
             batch_from(tmp_path / "s", small_registry, events=events[:-1]),
-            CohortContext(), small_registry)
+            {}, small_registry)
         bigger = aggregate_dynamic(
             batch_from(tmp_path / "b", small_registry, events=events),
-            CohortContext(), small_registry)
+            {}, small_registry)
         for cell, value in as_dict(smaller).items():
             assert as_dict(bigger).get(cell, 0.0) >= value
 
@@ -419,7 +410,7 @@ class TestStoreAndDumps:
     def test_store_alignment_and_range(self, tmp_path, small_registry):
         events = [ev("a", actor=f"r{i}", network="tw", ts=REF - 50 - i) for i in range(5)]
         batch = batch_from(tmp_path, small_registry, events=events)
-        table = aggregate_dynamic(batch, CohortContext(), small_registry)
+        table = aggregate_dynamic(batch, {}, small_registry)
         normalize_in_place(table)
         dump_table(table, tmp_path / "normalized.txt")
         store = load_store(tmp_path / "normalized.txt", small_registry)
@@ -433,7 +424,7 @@ class TestStoreAndDumps:
     def test_table_dump_round_trip(self, tmp_path, small_registry):
         events = [ev("a", actor=f"r{i}", network="tw", ts=REF - 50 - i) for i in range(5)]
         batch = batch_from(tmp_path, small_registry, events=events)
-        table = aggregate_dynamic(batch, CohortContext(), small_registry)
+        table = aggregate_dynamic(batch, {}, small_registry)
         dump_table(table, tmp_path / "dump.txt")
         store = load_store(tmp_path / "dump.txt", small_registry)
         loaded = {
@@ -537,3 +528,10 @@ class TestRegistryKeySpace:
         spec = NetworkSpec(name="tw", content_types=("a", "a/x"), actions=("x/y", "y"))
         with pytest.raises(ValueError, match="'a/x'"):
             FeatureRegistry(networks={"tw": spec})
+
+    @pytest.mark.parametrize("band", [0.0, -1.0, math.nan, math.inf])
+    def test_peer_band_must_be_finite_and_above_zero(self, small_registry, band):
+        # nan would fire no higher or peers cohort at all, inf would make every pair peers
+        data = {**small_registry.to_dict(), "peer_band": band}
+        with pytest.raises(ValueError, match="peer_band"):
+            FeatureRegistry.from_dict(data)

@@ -1,8 +1,8 @@
 """Byte-level guard on the files the engine writes.
 
 Two days of one fixed synthetic population: a first run with graph
-attributes on every network, then a day-2 run on 3 shards with the first
-run's snapshot as prior, so all three cohorts fire. The sha256 digests of
+attributes on every network, then a day-2 run with the first run's
+snapshot as prior, so all three cohorts fire. The sha256 digests of
 every feature, model and snapshot file are pinned below, so a refactor
 that moves a single byte fails in tier 1 and not only in the benchmark.
 """
@@ -59,7 +59,6 @@ def run_two_days(root):
         registry_path=dataset / "registry.json",
         tree_path=dataset / "tree.json",
         reference_time=params.reference_time + SECONDS_PER_DAY,
-        shards=3,
         prior_snapshot=root / "day1" / "snapshot.txt",
     )
     run_pipeline(day1, root / "day1")

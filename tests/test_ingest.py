@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from datetime import date
 
@@ -14,7 +15,7 @@ from influence_engine.events import (
     ProfileSnapshot,
 )
 from influence_engine.ingest import (
-    InputPaths,
+    INPUT_FILES,
     load_batch,
     read_ingested,
     read_ingested_labels,
@@ -29,39 +30,39 @@ def ev(author, actor="z", ts=REF - 1000, network="tw", content="message", action
 
 
 def write_inputs(tmp_path, events=(), profiles=(), edges=(), labels=(), raw_event_lines=None):
-    paths = InputPaths.in_dir(tmp_path)
+    """Write the four input files to ``tmp_path`` and return it."""
     event_lines = [lineio.encode_event(e) for e in events]
     if raw_event_lines:
         event_lines += list(raw_event_lines)
-    lineio.write_lines(paths.events, event_lines)
-    lineio.write_lines(paths.profiles, [lineio.encode_profile(p) for p in profiles])
-    lineio.write_lines(paths.edges, [lineio.encode_edge(e) for e in edges])
-    lineio.write_lines(paths.labels, [lineio.encode_label(l) for l in labels])
-    return paths
+    lineio.write_lines(tmp_path / "events.txt", event_lines)
+    lineio.write_lines(tmp_path / "profiles.txt", [lineio.encode_profile(p) for p in profiles])
+    lineio.write_lines(tmp_path / "edges.txt", [lineio.encode_edge(e) for e in edges])
+    lineio.write_lines(tmp_path / "labels.txt", [lineio.encode_label(l) for l in labels])
+    return tmp_path
 
 
 class TestLoadBatch:
     def test_event_91_days_old_excluded(self, tmp_path, small_registry):
         old = ev("a", ts=REF - 91 * SECONDS_PER_DAY)
         fresh = ev("a", ts=REF - 1)
-        paths = write_inputs(tmp_path, events=[old, fresh])
-        batch, report = load_batch(paths, REF, small_registry)
-        assert batch.event_count() == 1
+        inputs = write_inputs(tmp_path, events=[old, fresh])
+        batch, report = load_batch(inputs, REF, small_registry)
+        assert len(batch.events) == 1
         assert report.expired_events == 1
 
     def test_boundary_is_half_open(self, tmp_path, small_registry):
         exactly = ev("a", ts=REF - 90 * SECONDS_PER_DAY)
         just_inside = ev("a", ts=REF - 90 * SECONDS_PER_DAY + 1)
-        paths = write_inputs(tmp_path, events=[exactly, just_inside])
-        batch, report = load_batch(paths, REF, small_registry)
-        assert batch.event_count() == 1
+        inputs = write_inputs(tmp_path, events=[exactly, just_inside])
+        batch, report = load_batch(inputs, REF, small_registry)
+        assert len(batch.events) == 1
         assert report.expired_events == 1
 
     def test_byte_identical_lines_deduplicate(self, tmp_path, small_registry):
         event = ev("a")
-        paths = write_inputs(tmp_path, events=[event, event])
-        batch, report = load_batch(paths, REF, small_registry)
-        assert batch.event_count() == 1
+        inputs = write_inputs(tmp_path, events=[event, event])
+        batch, report = load_batch(inputs, REF, small_registry)
+        assert len(batch.events) == 1
         assert report.duplicate_events == 1
 
     def test_grouping_by_author(self, tmp_path, small_registry):
@@ -72,38 +73,38 @@ class TestLoadBatch:
             ev("y", actor="p", ts=REF - 10),
             ev("y", actor="q", ts=REF - 20),
         ]
-        paths = write_inputs(tmp_path, events=events)
-        batch, _ = load_batch(paths, REF, small_registry)
-        assert {a: len(es) for a, es in batch.events_by_author.items()} == {"x": 3, "y": 2}
+        inputs = write_inputs(tmp_path, events=events)
+        batch, _ = load_batch(inputs, REF, small_registry)
+        assert Counter(e.author for e in batch.events) == {"x": 3, "y": 2}
 
     def test_malformed_lines_skipped_and_counted(self, tmp_path, small_registry):
-        paths = write_inputs(
+        inputs = write_inputs(
             tmp_path, events=[ev("a")], raw_event_lines=["not a record", "actor=only"]
         )
-        batch, report = load_batch(paths, REF, small_registry)
-        assert batch.event_count() == 1
+        batch, report = load_batch(inputs, REF, small_registry)
+        assert len(batch.events) == 1
         assert report.malformed_lines == 2
 
     def test_bytes_not_utf8_make_one_malformed_line_in_every_file(self, tmp_path, small_registry):
-        paths = write_inputs(
+        inputs = write_inputs(
             tmp_path,
             events=[ev("a"), ev("b")],
             profiles=[ProfileSnapshot("a", "tw", date(2023, 11, 1))] * 2,
             edges=[GraphEdge("a", "b", "wk")] * 2,
             labels=[PairwiseLabel("tw", "a", "b", 5, 1)] * 2,
         )
-        for path in (paths.events, paths.profiles, paths.edges, paths.labels):
+        for path in (inputs / name for name in INPUT_FILES):
             first, second = path.read_bytes().splitlines(keepends=True)
             path.write_bytes(first + second.replace(b"=", b"=\xff\xfe", 1))
-        batch, report = load_batch(paths, REF, small_registry)
+        batch, report = load_batch(inputs, REF, small_registry)
         assert report.malformed_lines == 4
-        assert batch.event_count() == 1
+        assert len(batch.events) == 1
         assert (report.profiles, report.edges, report.labels) == (1, 1, 1)
 
     def test_rejections_counted_by_reason(self, tmp_path, small_registry):
         events = [ev("a", actor="a"), ev("b", network="nope")]
-        paths = write_inputs(tmp_path, events=events)
-        _, report = load_batch(paths, REF, small_registry)
+        inputs = write_inputs(tmp_path, events=events)
+        _, report = load_batch(inputs, REF, small_registry)
         assert report.rejected["self-reaction"] == 1
         assert report.rejected["unknown-network"] == 1
         assert "rejected.self-reaction=1" in report.summary_line()
@@ -118,19 +119,19 @@ class TestLoadBatch:
             )
 
         # reference date for REF is 2023-11-14 UTC
-        paths = write_inputs(tmp_path, profiles=[prof(1, 5.0), prof(10, 7.0), prof(20, 9.0)])
-        batch, report = load_batch(paths, REF, small_registry)
+        inputs = write_inputs(tmp_path, profiles=[prof(1, 5.0), prof(10, 7.0), prof(20, 9.0)])
+        batch, report = load_batch(inputs, REF, small_registry)
         assert batch.profiles[("a", "tw")].numeric_attrs == (("followers", 7.0),)
         assert report.stale_profiles == 1
 
     def test_missing_file_is_fatal(self, tmp_path, small_registry):
         with pytest.raises(FileNotFoundError):
-            load_batch(InputPaths.in_dir(tmp_path), REF, small_registry)
+            load_batch(tmp_path, REF, small_registry)
 
     def test_idempotent(self, tmp_path, small_registry):
-        paths = write_inputs(tmp_path, events=[ev("a"), ev("b")])
-        first, _ = load_batch(paths, REF, small_registry)
-        second, _ = load_batch(paths, REF, small_registry)
+        inputs = write_inputs(tmp_path, events=[ev("a"), ev("b")])
+        first, _ = load_batch(inputs, REF, small_registry)
+        second, _ = load_batch(inputs, REF, small_registry)
         assert first == second
 
 
@@ -164,7 +165,7 @@ def test_dirty_event_lines_are_counted_never_raised(tmp_path_factory, lines):
 
     registry = make_small_registry()
     dirty = write_inputs(tmp_path_factory.mktemp("dirty"))
-    with open(dirty.events, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(dirty / "events.txt", "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write("".join(lines))
     batch, report = load_batch(dirty, REF, registry)
     accounted = (
@@ -178,7 +179,7 @@ def test_dirty_event_lines_are_counted_never_raised(tmp_path_factory, lines):
 
     # a CRLF ending reads exactly like an LF one
     clean = write_inputs(tmp_path_factory.mktemp("clean"))
-    with open(clean.events, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(clean / "events.txt", "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write("".join(line.replace("\r\n", "\n") for line in lines))
     assert load_batch(clean, REF, registry) == (batch, report)
 
@@ -227,12 +228,11 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
 
     registry = make_small_registry()
     raw = tmp_path_factory.mktemp("raw")
-    paths = write_inputs(raw)
-    with open(paths.events, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(raw / "events.txt", "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write("".join(events))
-    lineio.write_lines(paths.profiles, profiles)
-    lineio.write_lines(paths.edges, edges)
-    lineio.write_lines(paths.labels, labels)
+    lineio.write_lines(raw / "profiles.txt", profiles)
+    lineio.write_lines(raw / "edges.txt", edges)
+    lineio.write_lines(raw / "labels.txt", labels)
     registry.save(raw / "registry.json")
     cfg = RunConfig(
         input_dir=raw, registry_path=raw / "registry.json", tree_path=raw / "tree.json", reference_time=REF
@@ -240,11 +240,11 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
     out = tmp_path_factory.mktemp("out")
     stage_ingest(cfg, out)
 
-    checked, report = load_batch(InputPaths.in_dir(out / "ingest"), REF, registry)
+    checked, report = load_batch(out / "ingest", REF, registry)
     # features does not use labels, so its batch leaves them to train's reader
     assert read_ingested(out / "ingest", REF, registry) == replace(checked, labels=())
     assert read_ingested_labels(out / "ingest") == checked.labels
     # what ingest wrote passes every check that the strict reader skips
-    assert report.accepted_events == checked.event_count()
+    assert report.accepted_events == len(checked.events)
     assert report.expired_events == report.duplicate_events == report.malformed_lines == 0
     assert report.stale_profiles == 0 and not report.rejected

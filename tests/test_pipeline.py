@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 from collections import defaultdict
 import os
 import re
@@ -33,7 +34,6 @@ def make_config(dataset: Path, path: Path, **overrides) -> Path:
         "tree": str(dataset / "tree.json"),
         "reference_time": 1_700_000_000,
         "seed": 0,
-        "shards": 1,
         "latent": str(dataset / "latent.txt"),
         "population": str(dataset / "population.json"),
         "reference_rankings": [str(DATA / "atp_ranking.txt")],
@@ -184,15 +184,14 @@ class TestDeterminismAndIsolation:
         run_pipeline(RunConfig.from_file(config), second, mode="all")
         assert (first / "manifest.txt").read_bytes() == (second / "manifest.txt").read_bytes()
 
-    def test_shard_count_does_not_change_features(self, dataset, full_run, tmp_path):
-        _, first = full_run
+    def test_a_shards_key_changes_nothing(self, dataset, full_run, tmp_path):
+        # older configs carry a shard count; it is read by nothing, hashed by nothing
+        cfg, first = full_run
         config = make_config(dataset, tmp_path / "config.json", shards=4)
+        assert RunConfig.from_file(config) == cfg
         sharded = tmp_path / "out"
         run_pipeline(RunConfig.from_file(config), sharded, mode="all")
-        assert (
-            (first / "features" / "normalized_features.txt").read_bytes()
-            == (sharded / "features" / "normalized_features.txt").read_bytes()
-        )
+        assert (first / "manifest.txt").read_bytes() == (sharded / "manifest.txt").read_bytes()
 
     def test_seed_changes_holdout_but_not_features(self, dataset, full_run, tmp_path):
         _, first = full_run
@@ -421,6 +420,27 @@ class TestCLI:
         code = main(["all", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "bad config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["input_dir", "registry", "tree"])
+    def test_a_config_without_a_required_path_exits_one(self, dataset, tmp_path, capsys, key):
+        config = make_config(dataset, tmp_path / "config.json")
+        data = json.loads(config.read_text())
+        del data[key]
+        config.write_text(json.dumps(data))
+        code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"bad config: {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("band", [0.0, -1.0, math.nan, math.inf])
+    def test_a_peer_band_not_finite_and_above_zero_fails_ingest(self, dataset, tmp_path, capsys, band):
+        registry = edited_registry(
+            dataset, tmp_path / "registry.json", lambda data: data.update(peer_band=band)
+        )
+        config = make_config(dataset, tmp_path / "config.json", registry=str(registry))
+        code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "peer_band" in capsys.readouterr().err
 
     def test_stage_failure_maps_to_stage_exit_code(self, dataset, tmp_path, capsys):
         config = make_config(dataset, tmp_path / "config.json")
