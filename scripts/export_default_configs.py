@@ -1,48 +1,41 @@
 #!/usr/bin/env python3
-"""Regenerate configs/registry.json and configs/tree.json from code.
+"""Regenerate configs/registry.json, configs/tree.json and
+configs/run.example.json from code.
 
 The checked-in configs are derived artifacts; rerun this after changing
-the default registry or the shipped score-tree shape.
+the default registry, the shipped score-tree shape or the example config.
 """
 
 import json
 from pathlib import Path
 
 from influence_engine.hierarchy import parse_tree, save_tree
+from influence_engine.population import desk_tree
 from influence_engine.registry import default_registry
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+EXAMPLE = {
+    "input_dir": "/path/to/inputs",
+    "registry": "registry.json",
+    "tree": "tree.json",
+    "reference_time": 1_700_000_000,
+    "seed": 0,
+    "prior_snapshot": None,
+}
 
-def default_tree(registry) -> dict:
-    scorable = sorted(registry.scorable_networks())
-    return {
-        "node_id": "root",
-        "combiner": "l2-norm",
-        "heuristic_basis": "graph_size",
-        "children": [
-            {"node_id": name, "combiner": "supervised-dot", "network": name}
-            for name in scorable
-        ],
-    }
+
+def export(directory: Path) -> None:
+    directory.mkdir(exist_ok=True)
+    registry = default_registry()
+    registry.save(directory / "registry.json")
+    tree = desk_tree(tuple(registry.scorable_networks()))
+    save_tree(parse_tree(tree), directory / "tree.json")
+    (directory / "run.example.json").write_text(json.dumps(EXAMPLE, indent=2) + "\n")
 
 
 def main() -> None:
-    CONFIGS.mkdir(exist_ok=True)
-    registry = default_registry()
-    registry.save(CONFIGS / "registry.json")
-    save_tree(parse_tree(default_tree(registry)), CONFIGS / "tree.json")
-
-    example = {
-        "input_dir": "/path/to/inputs",
-        "registry": "registry.json",
-        "tree": "tree.json",
-        "reference_time": 1_700_000_000,
-        "seed": 0,
-        "prior_snapshot": None,
-        "holdout_fraction": 0.2,
-    }
-    (CONFIGS / "run.example.json").write_text(json.dumps(example, indent=2) + "\n")
+    export(CONFIGS)
     for name in ("registry.json", "tree.json", "run.example.json"):
         print(f"wrote {CONFIGS / name}")
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import lineio
@@ -32,10 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(mode, help=f"run the {mode!r} stage(s)")
         sp.add_argument("--config", required=True, type=Path, help="run config JSON")
         sp.add_argument("--out", required=True, type=Path, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument(
-            "--reference-time", type=int, default=None, help="override reference timestamp"
-        )
 
     rank = sub.add_parser("rank", help="rank a user-list file by snapshot score")
     rank.add_argument("--snapshot", required=True, type=Path)
@@ -52,24 +47,24 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"bad snapshot: {exc}", file=sys.stderr)
             return 1
-        users = [
-            lineio.decode_value(line.strip())
-            for line in args.users.read_text().splitlines()
-            if line.strip()
-        ]
+        try:
+            users = [
+                lineio.decode_value(line.strip())
+                for line in args.users.read_text().splitlines()
+                if line.strip()
+            ]
+        except (OSError, ValueError) as exc:
+            print(f"bad users file: {exc}", file=sys.stderr)
+            return 1
         for user, score in rank_cohort(snapshot, users):
             print(f"{lineio.encode_value(user)}\t{'unscored' if score is None else repr(score)}")
         return 0
 
     try:
         cfg = RunConfig.from_file(args.config)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.reference_time is not None:
-        cfg = replace(cfg, reference_time=args.reference_time)
 
     try:
         manifest = run_pipeline(cfg, args.out, mode=args.command)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import features as feat
@@ -60,12 +60,9 @@ class RunConfig:
     reference_time: int
     seed: int = 0
     prior_snapshot: Path | None = None
-    holdout_fraction: float = 0.2
-    nnls_tol: float = 1e-10
     latent_path: Path | None = None
     reference_rankings: tuple[Path, ...] = ()
     population_path: Path | None = None
-    campaign: CampaignParams = field(default_factory=CampaignParams)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -73,15 +70,14 @@ class RunConfig:
         ``reference_time`` are required, paths relative to its directory."""
         base = Path(path).parent
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: not a JSON object")
 
         def resolve(key, required=False):
             if required and not data.get(key):
                 raise KeyError(key)
             return (base / data[key]).resolve() if data.get(key) else None
 
-        campaign = data.get("campaign", {})
-        if "score_range" in campaign:
-            campaign["score_range"] = tuple(campaign["score_range"])
         return cls(
             input_dir=resolve("input_dir", required=True),
             registry_path=resolve("registry", required=True),
@@ -89,14 +85,11 @@ class RunConfig:
             reference_time=int(data["reference_time"]),
             seed=int(data.get("seed", 0)),
             prior_snapshot=resolve("prior_snapshot"),
-            holdout_fraction=float(data.get("holdout_fraction", 0.2)),
-            nnls_tol=float(data.get("nnls_tol", 1e-10)),
             latent_path=resolve("latent"),
             reference_rankings=tuple(
                 (base / p).resolve() for p in data.get("reference_rankings", ())
             ),
             population_path=resolve("population"),
-            campaign=CampaignParams(**campaign),
         )
 
     def config_digest(self) -> str:
@@ -112,12 +105,9 @@ class RunConfig:
                 "reference_time": self.reference_time,
                 "seed": self.seed,
                 "prior_snapshot": _sha256_or_none(self.prior_snapshot),
-                "holdout_fraction": self.holdout_fraction,
-                "nnls_tol": self.nnls_tol,
                 "latent": _sha256_or_none(self.latent_path),
                 "reference_rankings": [_sha256_or_none(p) for p in self.reference_rankings],
                 "population": _sha256_or_none(self.population_path),
-                "campaign": repr(self.campaign),
             },
             sort_keys=True,
         )
@@ -138,8 +128,9 @@ def _normalized_path(out: Path) -> Path:
 
 
 def _graph_stats_path(out: Path) -> Path:
-    # one line per network with edges: its name, then graph_summary's values as
-    # key=repr tokens; ingest writes it so that score need not read the edges
+    # one line per registered network: its name, then graph_summary's values as
+    # key=repr tokens (zeros for a network with no edges); ingest writes it so
+    # that score need not read the edges
     return out / "ingest" / "graph_stats.txt"
 
 
@@ -156,9 +147,10 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
     )
     lineio.write_lines(dest / "edges.txt", sorted(lineio.encode_edge(e) for e in batch.edges))
     lineio.write_lines(dest / "labels.txt", sorted(lineio.encode_label(l) for l in batch.labels))
+    grouped = edges_by_network(batch.edges)
     stats_lines = []
-    for network, pairs in sorted(edges_by_network(batch.edges).items()):
-        stats = sorted(graph_summary(pairs).items())
+    for network in sorted(registry.networks):
+        stats = sorted(graph_summary(grouped.get(network, [])).items())
         stats_lines.append("\t".join([network] + [f"{key}={value!r}" for key, value in stats]))
     lineio.write_lines(_graph_stats_path(out), stats_lines)
     lineio.write_lines(dest / "load_report.txt", [report.summary_line()])
@@ -215,15 +207,7 @@ def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
         if not net_pairs:
             report_lines.append(f"model\tnetwork={network}\tskipped=no-pairs")
             continue
-        w, report = train_network(
-            net_pairs,
-            store,
-            registry,
-            network,
-            holdout_fraction=cfg.holdout_fraction,
-            seed=cfg.seed,
-            tol=cfg.nnls_tol,
-        )
+        w, report = train_network(net_pairs, store, registry, network, seed=cfg.seed)
         save_model(w, registry, models_dir / f"{network}.model")
         report_lines.append(report.summary_line())
         trained += 1
@@ -286,7 +270,7 @@ def stage_simulate(cfg: RunConfig, out: Path) -> dict[str, int]:
     data = json.loads(Path(cfg.population_path).read_text())
     pop = generate_population(PopulationParams.from_dict(data["params"]), data["seed"])
     snapshot = load_snapshot(out / "snapshot.txt")
-    result = run_campaign(pop, snapshot, cfg.campaign, cfg.seed)
+    result = run_campaign(pop, snapshot, CampaignParams(), cfg.seed)
     lineio.write_lines(out / "campaign_report.txt", result.report_lines())
     for line in result.report_lines():
         print(line)

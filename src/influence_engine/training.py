@@ -120,12 +120,11 @@ def nnls_solve(
     y: np.ndarray,
     network: str,
     registry_hash: str,
-    tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> WeightVector:
     if X.shape[0] < 1:
         raise ValueError("cannot train on an empty design matrix")
-    result: NNLSResult = nnls(X, y, tol=tol, max_iter=max_iter)
+    result: NNLSResult = nnls(X, y, max_iter=max_iter)
     return WeightVector(
         network=network,
         weights=result.x,
@@ -208,12 +207,11 @@ def train_network(
     network: str,
     holdout_fraction: float = 0.2,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> tuple[WeightVector, ModelReport]:
     net_pairs = [p for p in pairs if p.network == network]
     train, holdout = split_pairs(net_pairs, holdout_fraction, seed)
     X, y, skipped = build_design(train, store, network)
-    w = nnls_solve(X, y, network, registry.registry_hash(network), tol=tol)
+    w = nnls_solve(X, y, network, registry.registry_hash(network))
     report = evaluate_model(w, holdout, store, train_pairs=len(y), skipped=skipped)
     return w, report
 

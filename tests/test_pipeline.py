@@ -9,12 +9,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import influence_engine
 from influence_engine import features, graph, lineio, nnls, pipeline, training
 from influence_engine.cli import main
-from influence_engine.hierarchy import ScoreEntry, ScoreSnapshot, load_snapshot, save_snapshot
+from influence_engine.hierarchy import (
+    ScoreEntry,
+    ScoreSnapshot,
+    l2_combine,
+    load_snapshot,
+    load_tree,
+    save_snapshot,
+)
 from influence_engine.ingest import load_batch
 from influence_engine.pipeline import RunConfig, StageError, rank_cohort, run_pipeline, stages_for_mode
 from influence_engine.population import PopulationParams, generate_population, write_dataset
@@ -184,14 +192,24 @@ class TestDeterminismAndIsolation:
         run_pipeline(RunConfig.from_file(config), second, mode="all")
         assert (first / "manifest.txt").read_bytes() == (second / "manifest.txt").read_bytes()
 
-    def test_a_shards_key_changes_nothing(self, dataset, full_run, tmp_path):
-        # older configs carry a shard count; it is read by nothing, hashed by nothing
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("shards", 4),
+            ("holdout_fraction", 0.5),
+            ("nnls_tol", 1e-3),
+            ("campaign", {"post_prob": 1.0}),
+        ],
+        ids=["shards", "holdout_fraction", "nnls_tol", "campaign"],
+    )
+    def test_a_retired_key_changes_nothing(self, dataset, full_run, tmp_path, key, value):
+        # older configs carry keys the engine no longer reads; none is read or hashed
         cfg, first = full_run
-        config = make_config(dataset, tmp_path / "config.json", shards=4)
+        config = make_config(dataset, tmp_path / "config.json", **{key: value})
         assert RunConfig.from_file(config) == cfg
-        sharded = tmp_path / "out"
-        run_pipeline(RunConfig.from_file(config), sharded, mode="all")
-        assert (first / "manifest.txt").read_bytes() == (sharded / "manifest.txt").read_bytes()
+        other = tmp_path / "out"
+        run_pipeline(RunConfig.from_file(config), other, mode="all")
+        assert (first / "manifest.txt").read_bytes() == (other / "manifest.txt").read_bytes()
 
     def test_seed_changes_holdout_but_not_features(self, dataset, full_run, tmp_path):
         _, first = full_run
@@ -354,7 +372,7 @@ class TestTrainStage:
         out = tmp_path / "out"
         shutil.copytree(first, out)
         monkeypatch.setattr(
-            training, "nnls", lambda X, y, tol, max_iter: nnls.nnls(X, y, tol=tol, max_iter=1)
+            training, "nnls", lambda X, y, max_iter: nnls.nnls(X, y, max_iter=1)
         )
         run_pipeline(cfg, out, mode="train")
         manifest = (out / "manifest.txt").read_text().splitlines()
@@ -362,6 +380,38 @@ class TestTrainStage:
         assert f"stage.train.nnls_unconverged={len(scorable)}" in manifest
         warnings = [l for l in capsys.readouterr().out.splitlines() if l.startswith("warning")]
         assert warnings == [f"warning\tnnls-unconverged\tnetwork={n}" for n in scorable]
+
+
+class TestScoreStage:
+    def test_a_network_without_edges_weighs_zero(self, dataset, tmp_path):
+        # graph_size is the root's weight basis, so a network without edges weighs 0
+        inputs = tmp_path / "inputs"
+        shutil.copytree(dataset, inputs)
+        edges = [
+            line for line in lineio.read_lines(inputs / "edges.txt")
+            if lineio.decode_edge(line).network != "ig"
+        ]
+        lineio.write_lines(inputs / "edges.txt", edges)
+        config = make_config(inputs, tmp_path / "config.json")
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+
+        stats = {}
+        for line in lineio.read_lines(out / "ingest" / "graph_stats.txt"):
+            network, *tokens = line.split("\t")
+            stats[network] = dict(token.split("=") for token in tokens)
+        assert stats["ig"] == {"avg_node_degree": "0.0", "graph_size": "0.0"}
+        assert float(stats["tw"]["graph_size"]) > 0 and float(stats["fb"]["graph_size"]) > 0
+
+        children = [child.network for child in load_tree(inputs / "tree.json").children]
+        sizes = np.array([float(stats[network]["graph_size"]) for network in children])
+        weights = sizes / sizes.max()
+        assert weights[children.index("ig")] == 0.0
+        entries = load_snapshot(out / "snapshot.txt").entries
+        entry = next(e for _, e in sorted(entries.items()) if dict(e.node_scores).get("ig"))
+        leaves = dict(entry.node_scores)
+        f = np.array([leaves.get(network, 0.0) for network in children])
+        assert entry.raw_root == l2_combine(f, weights)
 
 
 class TestIdsThatNeedEscaping:
@@ -414,9 +464,19 @@ class TestStageGating:
 
 
 class TestCLI:
-    def test_bad_config_exits_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: {},
+            lambda data: [],
+            lambda data: {**data, "reference_time": None},
+            lambda data: {**data, "seed": None},
+        ],
+        ids=["empty", "not-an-object", "null-reference-time", "null-seed"],
+    )
+    def test_bad_config_exits_one(self, dataset, tmp_path, capsys, edit):
+        bad = make_config(dataset, tmp_path / "bad.json")
+        bad.write_text(json.dumps(edit(json.loads(bad.read_text()))))
         code = main(["all", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "bad config" in capsys.readouterr().err
@@ -487,6 +547,16 @@ class TestCLI:
         code = main(["rank", "--snapshot", str(tmp_path / "missing.txt"), "--users", str(users_file)])
         assert code == 1
         assert "bad snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"caf\xe9\n"], ids=["missing", "not-utf8"])
+    def test_rank_with_an_unreadable_users_file_exits_one(self, full_run, tmp_path, capsys, content):
+        _, out = full_run
+        users_file = tmp_path / "users.txt"
+        if content is not None:
+            users_file.write_bytes(content)
+        code = main(["rank", "--snapshot", str(out / "snapshot.txt"), "--users", str(users_file)])
+        assert code == 1
+        assert "bad users file" in capsys.readouterr().err
 
     def test_full_run_never_imports_scipy(self, dataset, tmp_path):
         # start-up cost is paid by every daily run; scipy.stats alone cost
