@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Collection, NamedTuple
 
 SECONDS_PER_DAY = 86400
 
@@ -28,6 +29,21 @@ class InteractionEvent(NamedTuple):
     content_type: str
     action: str
     timestamp: int  # seconds since epoch, UTC
+
+
+class EventColumns(NamedTuple):
+    """Events as six aligned lists, one per ``InteractionEvent`` field."""
+
+    actor: list[str]
+    author: list[str]
+    network: list[str]
+    content_type: list[str]
+    action: list[str]
+    timestamp: list[int]
+
+    @classmethod
+    def of(cls, events: Collection[InteractionEvent]) -> "EventColumns":
+        return cls._make(list(map(itemgetter(i), events)) for i in range(len(cls._fields)))
 
 
 class ProfileSnapshot(NamedTuple):

@@ -12,7 +12,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -32,9 +32,9 @@ COHORT_HIGHER = "higher"
 COHORT_PEERS = "peers"
 
 
-def _intern(strings: Iterable[str], codes: dict[str, int]) -> np.ndarray:
-    """The code of each string in ``codes``, adding the strings it lacks."""
-    return np.array([codes.setdefault(s, len(codes)) for s in strings], dtype=np.int64)
+def _intern(values: Iterable[Hashable], codes: dict) -> np.ndarray:
+    """The code of each value in ``codes``, adding the values it lacks."""
+    return np.array([codes.setdefault(v, len(codes)) for v in values], dtype=np.int64)
 
 
 @dataclass
@@ -85,12 +85,11 @@ def aggregate_dynamic(
     """
     events = batch.events
     authors: dict[str, int] = {}
-    author = _intern((e.author for e in events), authors)
+    author = _intern(events.author, authors)
     triples: dict[tuple[str, str, str], int] = {}  # (network, content, action) -> combo code
-    combo = np.array([triples.setdefault(e[2:5], len(triples)) for e in events], dtype=np.int64)
+    combo = _intern(zip(events.network, events.content_type, events.action), triples)
     combos = list(triples)
-    timestamp = np.array([e.timestamp for e in events], dtype=np.int64)
-    day = (batch.reference_time - timestamp) // SECONDS_PER_DAY
+    day = (batch.reference_time - np.array(events.timestamp, dtype=np.int64)) // SECONDS_PER_DAY
     if (day < 0).any():
         raise ValueError(f"day index {day.min()} below 0: an event after the reference time")
     windows = sorted(set(registry.windows))
@@ -100,14 +99,14 @@ def aggregate_dynamic(
     fired = {COHORT_ALL: dynamic[combo]}
     if prior_scores:
         score, band = prior_scores.get, registry.peer_band
-        actor = np.array([score(e.actor, math.nan) for e in events], dtype=np.float64)
+        actor = np.array([score(a, math.nan) for a in events.actor], dtype=np.float64)
         diff = actor - np.array([score(a, math.nan) for a in authors], dtype=np.float64)[author]
         # nan (a missing score) fails both; within the band is a peer, above it is higher
         fired[COHORT_HIGHER] = fired[COHORT_ALL] & (diff > band)
         fired[COHORT_PEERS] = fired[COHORT_ALL] & (np.abs(diff) <= band)
     # a cohort the registry leaves out has no place in the key space
     names = [c for c in fired if c in registry.cohorts]
-    fires = np.array([fired[c] for c in names], dtype=bool).reshape(len(names), len(events))
+    fires = np.array([fired[c] for c in names], dtype=bool).reshape(len(names), len(combo))
     cohort, event = np.nonzero(fires)
 
     # per (combo, cohort, author): counts by slot, summed up the slots

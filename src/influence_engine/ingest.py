@@ -10,6 +10,7 @@ from pathlib import Path
 from . import lineio
 from .events import (
     MAX_WINDOW_DAYS,
+    EventColumns,
     GraphEdge,
     InteractionEvent,
     PairwiseLabel,
@@ -56,7 +57,7 @@ class LoadReport:
 class IngestBatch:
     """Validated, deduplicated, window-filtered inputs for one scoring run."""
 
-    events: tuple[InteractionEvent, ...]
+    events: EventColumns
     profiles: dict[tuple[str, str], ProfileSnapshot]  # (user, network)
     edges: tuple[GraphEdge, ...]
     labels: tuple[PairwiseLabel, ...]
@@ -79,7 +80,7 @@ def _decoded(path: Path, decode, report: LoadReport):
 
 def read_events(
     path: Path, window: TimeWindow, registry: FeatureRegistry, report: LoadReport
-) -> tuple[InteractionEvent, ...]:
+) -> EventColumns:
     """Valid, in-window, first-seen events in file order."""
     events: list[InteractionEvent] = []
     seen: set[InteractionEvent] = set()
@@ -97,7 +98,7 @@ def read_events(
         seen.add(checked)
         events.append(checked)
     report.accepted_events = len(events)
-    return tuple(events)
+    return EventColumns.of(events)
 
 
 def read_profiles(
@@ -159,16 +160,17 @@ def read_ingested(
     ``registry`` derives an attribute from them.
 
     Those files hold only valid, in-window, unique records, so nothing is
-    checked again. A line that does not decode raises: the engine wrote it,
-    so it is damage to report, not dirty input to count.
+    checked again. A line that does not decode, or that does not hold its
+    fields in the order ingest writes them, raises: the engine wrote it, so
+    it is damage to report, not dirty input to count.
     """
     events, profiles, edges, _ = (Path(directory) / name for name in INPUT_FILES)
     decoded = map(lineio.decode_profile, lineio.read_lines(profiles))
     graph = any(GRAPH_ATTRS.intersection(s.longlasting_attrs) for s in registry.networks.values())
     return IngestBatch(
-        events=tuple(map(lineio.decode_event, lineio.read_lines(events))),
+        events=lineio.read_event_columns(events),
         profiles={(p.user, p.network): p for p in decoded},
-        edges=tuple(map(lineio.decode_edge, lineio.read_lines(edges))) if graph else (),
+        edges=lineio.read_edges(edges) if graph else (),
         labels=(),
         reference_time=reference_time,
     )

@@ -7,17 +7,21 @@ A decoder raises ``ValueError`` or ``KeyError`` on a line that breaks the
 data model: an empty user id, a self-loop edge, a label comparing one user
 with itself, a negative vote count, or a numeric attribute that is negative
 or not finite.
+
+The column readers of ingest's own files, unlike the per-line decoders, also
+require each line to hold exactly its encoder's fields in its order.
 """
 
 from __future__ import annotations
 
 import math
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
-from .events import GraphEdge, InteractionEvent, PairwiseLabel, ProfileSnapshot
+from .events import EventColumns, GraphEdge, InteractionEvent, PairwiseLabel, ProfileSnapshot
 
 
 # the characters quote(..., safe="") leaves as they are
@@ -38,7 +42,9 @@ def _fields(line: str) -> dict[str, str]:
         key, sep, value = token.partition("=")
         if not sep or not key:
             raise ValueError(f"malformed token {token!r}")
-        out[key] = decode_value(value)
+        out[key] = value
+    if "%" in line:  # only an escaped value needs decoding
+        out = {key: decode_value(value) for key, value in out.items()}
     return out
 
 
@@ -48,15 +54,18 @@ def _num(value: float) -> str:
 
 # -- events ----------------------------------------------------------------
 
-def encode_event(event: InteractionEvent) -> str:
+def encode_event(
+    actor: str, author: str, network: str, content_type: str, action: str, timestamp: int
+) -> str:
+    """One event's line: ``encode_event(*event)``, or ``map(encode_event, *columns)``."""
     return "\t".join(
         [
-            f"actor={encode_value(event.actor)}",
-            f"author={encode_value(event.author)}",
-            f"network={encode_value(event.network)}",
-            f"content_type={encode_value(event.content_type)}",
-            f"action={encode_value(event.action)}",
-            f"timestamp={event.timestamp}",
+            f"actor={encode_value(actor)}",
+            f"author={encode_value(author)}",
+            f"network={encode_value(network)}",
+            f"content_type={encode_value(content_type)}",
+            f"action={encode_value(action)}",
+            f"timestamp={timestamp}",
         ]
     )
 
@@ -166,6 +175,58 @@ def decode_label(line: str) -> PairwiseLabel:
 
 
 # -- files -----------------------------------------------------------------
+
+# bytes of whole lines that a column reader takes at a time: enough that each
+# chunk costs a few passes in C, few enough that a chunk's strings stay small
+CHUNK_HINT = 1 << 16
+
+
+def _read_columns(path: str | Path, keys: tuple[str, ...]) -> list[list[str]]:
+    """One list of decoded values per key, in file order, from a file whose
+    every line holds exactly ``keys``, in that order, as ``key=value``
+    tokens. Any other line, or a last line without its newline, raises
+    ``ValueError``."""
+    prefixes = [f"{key}=" for key in keys]
+    width = len(keys)
+    columns: list[list[str]] = [[] for _ in keys]
+    with Path(path).open("r", encoding="utf-8") as fh:
+        while lines := fh.readlines(CHUNK_HINT):
+            # a line short of a field next to one with a field too many would
+            # still line up by position, so each line's tabs are counted
+            tabs = set(map(str.count, lines, repeat("\t")))
+            if tabs != {width - 1} or not lines[-1].endswith("\n"):
+                raise ValueError(f"{path}: a line does not hold {width} fields and a newline")
+            text = "".join(lines)
+            tokens = text.replace("\n", "\t").split("\t")
+            tokens.pop()  # the empty string after the last newline
+            escaped = "%" in text
+            for start, (column, prefix) in enumerate(zip(columns, prefixes)):
+                values = tokens[start::width]
+                if not all(map(str.startswith, values, repeat(prefix))):
+                    raise ValueError(f"{path}: a line does not hold {keys} in that order")
+                values = map(str.removeprefix, values, repeat(prefix))
+                column.extend(map(decode_value, values) if escaped else values)
+    return columns
+
+
+def read_event_columns(path: str | Path) -> EventColumns:
+    """The events of a file of ``encode_event`` lines, read strictly; an
+    empty user id or a timestamp that is not an integer raises."""
+    actor, author, network, content_type, action, timestamp = _read_columns(
+        path, InteractionEvent._fields  # the keys encode_event writes
+    )
+    if not (all(actor) and all(author)):
+        raise ValueError(f"{path}: empty user id")
+    return EventColumns(actor, author, network, content_type, action, list(map(int, timestamp)))
+
+
+def read_edges(path: str | Path) -> tuple[GraphEdge, ...]:
+    """The edges of a file of ``encode_edge`` lines, read strictly."""
+    src, dst, network = _read_columns(path, ("from", "to", "network"))
+    if not (all(src) and all(dst)) or any(map(str.__eq__, src, dst)):
+        raise ValueError(f"{path}: an edge joins two distinct, non-empty user ids")
+    return tuple(map(GraphEdge, src, dst, network))
+
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     path = Path(path)

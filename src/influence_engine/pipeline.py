@@ -73,6 +73,12 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ValueError(f"{path}: not a JSON object")
 
+        def integer(key, default=None):
+            value = data[key] if default is None else data.get(key, default)
+            if type(value) is not int:  # int() would truncate a float and take a bool
+                raise ValueError(f"{key} must be an integer, not {value!r}")
+            return value
+
         def resolve(key, required=False):
             if required and not data.get(key):
                 raise KeyError(key)
@@ -82,8 +88,8 @@ class RunConfig:
             input_dir=resolve("input_dir", required=True),
             registry_path=resolve("registry", required=True),
             tree_path=resolve("tree", required=True),
-            reference_time=int(data["reference_time"]),
-            seed=int(data.get("seed", 0)),
+            reference_time=integer("reference_time"),
+            seed=integer("seed", 0),
             prior_snapshot=resolve("prior_snapshot"),
             latent_path=resolve("latent"),
             reference_rankings=tuple(
@@ -140,7 +146,7 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
     registry = FeatureRegistry.load(cfg.registry_path)
     batch, report = load_batch(cfg.input_dir, cfg.reference_time, registry)
     dest = out / "ingest"
-    lineio.write_lines(dest / "events.txt", sorted(map(lineio.encode_event, batch.events)))
+    lineio.write_lines(dest / "events.txt", sorted(map(lineio.encode_event, *batch.events)))
     lineio.write_lines(
         dest / "profiles.txt",
         sorted(lineio.encode_profile(p) for p in batch.profiles.values()),

@@ -224,7 +224,7 @@ def write_dataset(pop: SyntheticPopulation, directory: str | Path) -> Path:
     """Materialize the full desk-scale input set in one directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lineio.write_lines(directory / "events.txt", (lineio.encode_event(e) for e in generate_events(pop)))
+    lineio.write_lines(directory / "events.txt", (lineio.encode_event(*e) for e in generate_events(pop)))
     lineio.write_lines(directory / "profiles.txt", (lineio.encode_profile(p) for p in generate_profiles(pop)))
     lineio.write_lines(directory / "edges.txt", (lineio.encode_edge(e) for e in generate_edges(pop)))
     lineio.write_lines(directory / "labels.txt", (lineio.encode_label(l) for l in generate_labels(pop)))

@@ -1,3 +1,4 @@
+import random
 from datetime import date
 from urllib.parse import quote
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from influence_engine import lineio
 from influence_engine.events import (
+    EventColumns,
     GraphEdge,
     InteractionEvent,
     PairwiseLabel,
@@ -35,8 +37,8 @@ class TestUserId:
 
     def test_empty_profile_id_rejected(self):
         records = [
-            (lineio.decode_event, lineio.encode_event(ev(actor=""))),
-            (lineio.decode_event, lineio.encode_event(ev(author=""))),
+            (lineio.decode_event, lineio.encode_event(*ev(actor=""))),
+            (lineio.decode_event, lineio.encode_event(*ev(author=""))),
             (lineio.decode_profile, lineio.encode_profile(ProfileSnapshot("", "tw", date(2023, 11, 1)))),
             (lineio.decode_edge, lineio.encode_edge(GraphEdge("", "b", "wk"))),
             (lineio.decode_edge, lineio.encode_edge(GraphEdge("a", "", "wk"))),
@@ -173,7 +175,7 @@ class TestLineCodecs:
     )
     def test_event_round_trip(self, actor, author, content, action, ts):
         event = InteractionEvent(actor, author, "tw", content, action, ts)
-        assert lineio.decode_event(lineio.encode_event(event)) == event
+        assert lineio.decode_event(lineio.encode_event(*event)) == event
 
     @given(
         name=text_values,
@@ -229,7 +231,7 @@ class TestCodecFastPaths:
     )
     def test_event_round_trip(self, actor, author, network, content, action, ts):
         event = InteractionEvent(actor, author, network, content, action, ts)
-        assert lineio.decode_event(lineio.encode_event(event)) == event
+        assert lineio.decode_event(lineio.encode_event(*event)) == event
 
     @given(src=codec_values, dst=codec_values, network=codec_values)
     def test_edge_round_trip(self, src, dst, network):
@@ -266,3 +268,66 @@ class TestCodecFastPaths:
             categorical_attrs=tuple(categorical),
         )
         assert lineio.decode_profile(lineio.encode_profile(profile)) == profile
+
+
+LINE = lineio.encode_event("a", "b", "tw", "message", "like", 5) + "\n"
+EDGE = lineio.encode_edge(GraphEdge("a", "b", "wk")) + "\n"
+DAMAGED = {
+    "reordered": (lineio.read_event_columns, LINE + LINE.replace("actor=a\tauthor=b", "author=b\tactor=a")),
+    "missing-field": (lineio.read_event_columns, LINE + LINE.replace("network=tw\t", "")),
+    "extra-field": (lineio.read_event_columns, LINE + LINE.replace("\n", "\textra=1\n")),
+    # a line short of its last field, then one that starts with it
+    "shifted": (lineio.read_event_columns, LINE.replace("\ttimestamp=5", "") + "timestamp=5\t" + LINE),
+    "empty-id": (lineio.read_event_columns, LINE + LINE.replace("author=b", "author=")),
+    "timestamp-not-an-integer": (lineio.read_event_columns, LINE + LINE.replace("=5", "=5.0")),
+    "self-loop-edge": (lineio.read_edges, EDGE + EDGE.replace("to=b", "to=a")),
+    "edge-missing-field": (lineio.read_edges, EDGE + EDGE.replace("\tnetwork=wk", "")),
+    "no-final-newline": (lineio.read_event_columns, LINE + LINE.rstrip("\n")),
+}
+
+
+class TestColumnReaders:
+    """The strict readers of the event and edge files that ingest writes."""
+
+    @given(
+        events=st.lists(
+            st.builds(InteractionEvent, *[codec_values] * 5, st.integers()), max_size=20
+        ),
+        edges=st.lists(
+            st.builds(GraphEdge, codec_values, codec_values, codec_values), max_size=20
+        ).map(lambda edges: [e for e in edges if e.src != e.dst]),
+    )
+    def test_round_trip(self, tmp_path_factory, events, edges):
+        directory = tmp_path_factory.mktemp("columns")
+        lineio.write_lines(directory / "events.txt", (lineio.encode_event(*e) for e in events))
+        lineio.write_lines(directory / "edges.txt", map(lineio.encode_edge, edges))
+        assert lineio.read_event_columns(directory / "events.txt") == EventColumns.of(events)
+        assert lineio.read_edges(directory / "edges.txt") == tuple(edges)
+
+    def test_a_file_of_several_chunks(self, tmp_path):
+        # plain ids first, so that chunks with and without escapes both occur
+        rng = random.Random(7)
+
+        def special():
+            return "".join(rng.choices("ab%=~\t\n\u00e9\u6f22", k=rng.randint(1, 8)))
+
+        plain = [ev(f"u{i}", f"v{i}", ts=rng.randrange(-2**40, 2**40)) for i in range(1500)]
+        escaped = [ev(special(), special(), special(), special(), "like", i) for i in range(1500)]
+        path = tmp_path / "events.txt"
+        lineio.write_lines(path, (lineio.encode_event(*e) for e in plain + escaped))
+        assert path.stat().st_size > 3 * lineio.CHUNK_HINT
+        assert lineio.read_event_columns(path) == EventColumns.of(plain + escaped)
+
+    @pytest.mark.parametrize("damage", list(DAMAGED))
+    def test_a_damaged_file_raises(self, tmp_path, damage):
+        reader, text = DAMAGED[damage]
+        path = tmp_path / "damaged.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            reader(path)
+
+    def test_the_undamaged_lines_read(self, tmp_path):
+        (tmp_path / "events.txt").write_text(LINE * 2)
+        (tmp_path / "edges.txt").write_text(EDGE * 2)
+        assert lineio.read_event_columns(tmp_path / "events.txt") == EventColumns.of([ev("a", "b", ts=5)] * 2)
+        assert lineio.read_edges(tmp_path / "edges.txt") == (GraphEdge("a", "b", "wk"),) * 2

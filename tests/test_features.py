@@ -30,7 +30,7 @@ from conftest import make_small_registry
 from oracles import brute_window_counts
 from test_ingest import REF, ev, write_inputs
 from influence_engine.ingest import IngestBatch, load_batch
-from influence_engine.events import ProfileSnapshot, GraphEdge
+from influence_engine.events import EventColumns, GraphEdge, InteractionEvent, ProfileSnapshot
 
 
 def batch_from(tmp_path, small_registry, events=(), profiles=(), edges=()):
@@ -41,7 +41,7 @@ def batch_from(tmp_path, small_registry, events=(), profiles=(), edges=()):
 
 def batch_of(events, reference_time=REF):
     """A batch of ``events`` as given, without the checks of ingest."""
-    return IngestBatch(tuple(events), {}, (), (), reference_time)
+    return IngestBatch(EventColumns.of(events), {}, (), (), reference_time)
 
 
 def as_dict(table):
@@ -89,7 +89,7 @@ def multiday_sketch(day_counts, windows):
 
 def reference_aggregate(batch, prior_scores, registry):
     day_buckets = defaultdict(Counter)
-    for event in batch.events:
+    for event in map(InteractionEvent, *batch.events):
         if not registry.networks[event.network].dynamic:
             continue
         emitted = conditional_emit(event, prior_scores, registry.peer_band, batch.reference_time)
@@ -281,8 +281,8 @@ class TestAggregateDynamic:
         base = aggregate_dynamic(batch, {}, small_registry)
         other = {}
         for shard in range(shards):
-            part = tuple(e for e in batch.events if zlib.crc32(e.author.encode()) % shards == shard)
-            other.update(as_dict(aggregate_dynamic(replace(batch, events=part), {}, small_registry)))
+            part = [e for e in map(InteractionEvent, *batch.events) if zlib.crc32(e.author.encode()) % shards == shard]
+            other.update(as_dict(aggregate_dynamic(replace(batch, events=EventColumns.of(part)), {}, small_registry)))
         assert as_dict(base) == other
 
     def test_window_nesting_on_aggregated_table(self, tmp_path, small_registry):

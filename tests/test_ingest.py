@@ -31,7 +31,7 @@ def ev(author, actor="z", ts=REF - 1000, network="tw", content="message", action
 
 def write_inputs(tmp_path, events=(), profiles=(), edges=(), labels=(), raw_event_lines=None):
     """Write the four input files to ``tmp_path`` and return it."""
-    event_lines = [lineio.encode_event(e) for e in events]
+    event_lines = [lineio.encode_event(*e) for e in events]
     if raw_event_lines:
         event_lines += list(raw_event_lines)
     lineio.write_lines(tmp_path / "events.txt", event_lines)
@@ -47,7 +47,7 @@ class TestLoadBatch:
         fresh = ev("a", ts=REF - 1)
         inputs = write_inputs(tmp_path, events=[old, fresh])
         batch, report = load_batch(inputs, REF, small_registry)
-        assert len(batch.events) == 1
+        assert len(batch.events.actor) == 1
         assert report.expired_events == 1
 
     def test_boundary_is_half_open(self, tmp_path, small_registry):
@@ -55,14 +55,14 @@ class TestLoadBatch:
         just_inside = ev("a", ts=REF - 90 * SECONDS_PER_DAY + 1)
         inputs = write_inputs(tmp_path, events=[exactly, just_inside])
         batch, report = load_batch(inputs, REF, small_registry)
-        assert len(batch.events) == 1
+        assert len(batch.events.actor) == 1
         assert report.expired_events == 1
 
     def test_byte_identical_lines_deduplicate(self, tmp_path, small_registry):
         event = ev("a")
         inputs = write_inputs(tmp_path, events=[event, event])
         batch, report = load_batch(inputs, REF, small_registry)
-        assert len(batch.events) == 1
+        assert len(batch.events.actor) == 1
         assert report.duplicate_events == 1
 
     def test_grouping_by_author(self, tmp_path, small_registry):
@@ -75,14 +75,14 @@ class TestLoadBatch:
         ]
         inputs = write_inputs(tmp_path, events=events)
         batch, _ = load_batch(inputs, REF, small_registry)
-        assert Counter(e.author for e in batch.events) == {"x": 3, "y": 2}
+        assert Counter(batch.events.author) == {"x": 3, "y": 2}
 
     def test_malformed_lines_skipped_and_counted(self, tmp_path, small_registry):
         inputs = write_inputs(
             tmp_path, events=[ev("a")], raw_event_lines=["not a record", "actor=only"]
         )
         batch, report = load_batch(inputs, REF, small_registry)
-        assert len(batch.events) == 1
+        assert len(batch.events.actor) == 1
         assert report.malformed_lines == 2
 
     def test_bytes_not_utf8_make_one_malformed_line_in_every_file(self, tmp_path, small_registry):
@@ -98,7 +98,7 @@ class TestLoadBatch:
             path.write_bytes(first + second.replace(b"=", b"=\xff\xfe", 1))
         batch, report = load_batch(inputs, REF, small_registry)
         assert report.malformed_lines == 4
-        assert len(batch.events) == 1
+        assert len(batch.events.actor) == 1
         assert (report.profiles, report.edges, report.labels) == (1, 1, 1)
 
     def test_rejections_counted_by_reason(self, tmp_path, small_registry):
@@ -145,7 +145,7 @@ valid_lines = st.builds(
     ts=st.integers(min_value=REF - 100 * SECONDS_PER_DAY, max_value=REF + 10),
     network=st.sampled_from(["tw", "fb", "wk", "nope"]),
     action=st.sampled_from(["like", "reshare", "superpoke"]),
-).map(lineio.encode_event)
+).map(lambda event: lineio.encode_event(*event))
 junk_chars = st.characters(codec="utf-8", exclude_characters="\r\n")
 raw_lines = st.one_of(
     st.tuples(valid_lines, st.sampled_from(["\n", "\r\n"])).map("".join),
@@ -245,6 +245,6 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
     assert read_ingested(out / "ingest", REF, registry) == replace(checked, labels=())
     assert read_ingested_labels(out / "ingest") == checked.labels
     # what ingest wrote passes every check that the strict reader skips
-    assert report.accepted_events == len(checked.events)
+    assert report.accepted_events == len(checked.events.actor)
     assert report.expired_events == report.duplicate_events == report.malformed_lines == 0
     assert report.stale_profiles == 0 and not report.rejected

@@ -1,5 +1,6 @@
 import functools
 import json
+from dataclasses import replace
 import math
 from collections import defaultdict
 import os
@@ -169,10 +170,24 @@ class TestDeterminismAndIsolation:
 
     @pytest.mark.parametrize(
         "stage, name, token",
-        [("features", "events.txt", "timestamp="), ("train", "labels.txt", "votes_a=")],
+        [
+            ("features", "events.txt", "timestamp="),
+            ("features", "edges.txt", "\tto"),
+            ("train", "labels.txt", "votes_a="),
+        ],
     )
-    def test_rerun_fails_on_a_corrupted_ingest_file(self, full_run, tmp_path, stage, name, token):
+    def test_rerun_fails_on_a_corrupted_ingest_file(
+        self, dataset, full_run, tmp_path, stage, name, token
+    ):
         cfg, out = full_run
+        if name == "edges.txt":
+            # features reads the edges only when a network has a graph attribute
+            registry = edited_registry(
+                dataset,
+                tmp_path / "registry.json",
+                lambda data: data["networks"]["tw"]["longlasting_attrs"].append("inlinks"),
+            )
+            cfg = replace(cfg, registry_path=registry)
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
         damaged = copy / "ingest" / name
@@ -471,8 +486,19 @@ class TestCLI:
             lambda data: [],
             lambda data: {**data, "reference_time": None},
             lambda data: {**data, "seed": None},
+            lambda data: {**data, "seed": 2.9},
+            lambda data: {**data, "seed": True},
+            lambda data: {**data, "reference_time": 1_700_000_000.9},
         ],
-        ids=["empty", "not-an-object", "null-reference-time", "null-seed"],
+        ids=[
+            "empty",
+            "not-an-object",
+            "null-reference-time",
+            "null-seed",
+            "float-seed",
+            "bool-seed",
+            "float-reference-time",
+        ],
     )
     def test_bad_config_exits_one(self, dataset, tmp_path, capsys, edit):
         bad = make_config(dataset, tmp_path / "bad.json")
