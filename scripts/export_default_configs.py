@@ -9,7 +9,6 @@ the default registry, the shipped score-tree shape or the example config.
 import json
 from pathlib import Path
 
-from influence_engine.hierarchy import parse_tree, save_tree
 from influence_engine.population import desk_tree
 from influence_engine.registry import default_registry
 
@@ -30,7 +29,7 @@ def export(directory: Path) -> None:
     registry = default_registry()
     registry.save(directory / "registry.json")
     tree = desk_tree(tuple(registry.scorable_networks()))
-    save_tree(parse_tree(tree), directory / "tree.json")
+    (directory / "tree.json").write_text(json.dumps(tree, indent=2) + "\n")
     (directory / "run.example.json").write_text(json.dumps(EXAMPLE, indent=2) + "\n")
 
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from operator import itemgetter
-from typing import Collection, NamedTuple
+from typing import NamedTuple
 
 SECONDS_PER_DAY = 86400
 
@@ -40,10 +39,6 @@ class EventColumns(NamedTuple):
     content_type: list[str]
     action: list[str]
     timestamp: list[int]
-
-    @classmethod
-    def of(cls, events: Collection[InteractionEvent]) -> "EventColumns":
-        return cls._make(list(map(itemgetter(i), events)) for i in range(len(cls._fields)))
 
 
 class ProfileSnapshot(NamedTuple):
@@ -93,14 +88,6 @@ class TimeWindow:
         return datetime.fromtimestamp(self.reference_time, tz=timezone.utc).date()
 
 
-@dataclass(frozen=True)
-class Rejection:
-    """A rejected record with a machine-readable reason code."""
-
-    reason: str
-    detail: str = ""
-
-
 REJECT_UNKNOWN_NETWORK = "unknown-network"
 REJECT_UNKNOWN_ACTION = "unknown-action"
 REJECT_UNKNOWN_CONTENT = "unknown-content"
@@ -108,21 +95,22 @@ REJECT_SELF_REACTION = "self-reaction"
 REJECT_BAD_TIMESTAMP = "bad-timestamp"
 
 
-def validate_event(raw: InteractionEvent, registry) -> InteractionEvent | Rejection:
-    """Check one event against the dimension registry.
+def validate_event(raw: InteractionEvent, registry) -> str | None:
+    """Check one event against the dimension registry: the reason code of a
+    rejected event, or ``None`` for a valid one.
 
     Rejections are values, never exceptions: a dirty log line must not be
     able to abort a batch.
     """
     if raw.actor == raw.author:
-        return Rejection(REJECT_SELF_REACTION, raw.actor)
+        return REJECT_SELF_REACTION
     if raw.timestamp <= 0:
-        return Rejection(REJECT_BAD_TIMESTAMP, str(raw.timestamp))
+        return REJECT_BAD_TIMESTAMP
     spec = registry.networks.get(raw.network)
     if spec is None:
-        return Rejection(REJECT_UNKNOWN_NETWORK, raw.network)
+        return REJECT_UNKNOWN_NETWORK
     if raw.content_type not in spec.content_types:
-        return Rejection(REJECT_UNKNOWN_CONTENT, f"{raw.network}:{raw.content_type}")
+        return REJECT_UNKNOWN_CONTENT
     if raw.action not in spec.actions:
-        return Rejection(REJECT_UNKNOWN_ACTION, f"{raw.network}:{raw.action}")
-    return raw
+        return REJECT_UNKNOWN_ACTION
+    return None

@@ -17,14 +17,13 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 from . import lineio
-from .events import SECONDS_PER_DAY
+from .events import SECONDS_PER_DAY, EventColumns, GraphEdge, ProfileSnapshot
 from .graph import (
     degree_stats,
     edges_by_network,
     inlink_outlink_ratio,
     pagerank,
 )
-from .ingest import IngestBatch
 from .registry import FeatureRegistry, dynamic_key, longlasting_key
 
 COHORT_ALL = "all"
@@ -71,7 +70,10 @@ class RawFeatureTable:
 
 
 def aggregate_dynamic(
-    batch: IngestBatch, prior_scores: Mapping[str, float], registry: FeatureRegistry
+    events: EventColumns,
+    reference_time: int,
+    prior_scores: Mapping[str, float],
+    registry: FeatureRegistry,
 ) -> RawFeatureTable:
     """Count each author's events per (network, content, action, cohort,
     window) in one integer pass.
@@ -83,13 +85,12 @@ def aggregate_dynamic(
     in whole days, so one older than the longest window counts in none; an
     event after the reference time raises.
     """
-    events = batch.events
     authors: dict[str, int] = {}
     author = _intern(events.author, authors)
     triples: dict[tuple[str, str, str], int] = {}  # (network, content, action) -> combo code
     combo = _intern(zip(events.network, events.content_type, events.action), triples)
     combos = list(triples)
-    day = (batch.reference_time - np.array(events.timestamp, dtype=np.int64)) // SECONDS_PER_DAY
+    day = (reference_time - np.array(events.timestamp, dtype=np.int64)) // SECONDS_PER_DAY
     if (day < 0).any():
         raise ValueError(f"day index {day.min()} below 0: an event after the reference time")
     windows = sorted(set(registry.windows))
@@ -128,32 +129,36 @@ def aggregate_dynamic(
 
 
 def aggregate_longlasting(
-    batch: IngestBatch, registry: FeatureRegistry, unconverged: list[str] | None = None
+    profiles: Iterable[ProfileSnapshot],
+    edges: Iterable[GraphEdge],
+    registry: FeatureRegistry,
+    unconverged: list[str] | None = None,
 ) -> tuple[RawFeatureTable, int]:
     """Profile and graph signals; returns (table, skipped attr count).
 
-    Categorical attributes are mapped to 1-based ordinal ranks; unknown
-    category values map to 0. PageRank and the inlink/outlink ratio are
-    derived from the edge set for networks that register those attrs.
+    ``profiles`` holds at most one snapshot per (user, network), as ingest
+    keeps them. Categorical attributes are mapped to 1-based ordinal ranks;
+    unknown category values map to 0. PageRank and the inlink/outlink ratio
+    are derived from the edge set for networks that register those attrs.
     Networks whose PageRank stopped at its iteration cap are appended to
     ``unconverged``.
     """
     cells: defaultdict[tuple[str, str], float] = defaultdict(float)
     skipped = 0
-    for (user, network), profile in batch.profiles.items():
+    for user, network, _, numeric_attrs, categorical_attrs in profiles:
         registered = registry.networks[network].longlasting_attrs
-        for name, value in profile.numeric_attrs:
+        for name, value in numeric_attrs:
             if name in registered:
                 cells[(user, longlasting_key(network, name))] += value
             else:
                 skipped += 1
-        for name, category in profile.categorical_attrs:
+        for name, category in categorical_attrs:
             if name in registered:
                 cells[(user, longlasting_key(network, name))] += registry.ordinal_value(name, category)
             else:
                 skipped += 1
 
-    for network, pairs in sorted(edges_by_network(batch.edges).items()):
+    for network, pairs in sorted(edges_by_network(edges).items()):
         registered = registry.networks[network].longlasting_attrs
         if "pagerank" in registered and pairs:
             result = pagerank(pairs)

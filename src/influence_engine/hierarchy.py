@@ -87,23 +87,6 @@ def load_tree(path: str | Path) -> ScoreNode:
     return parse_tree(json.loads(Path(path).read_text()))
 
 
-def tree_to_dict(node: ScoreNode) -> dict:
-    out: dict = {"node_id": node.node_id, "combiner": node.combiner}
-    if node.network:
-        out["network"] = node.network
-    if node.heuristic_basis:
-        out["heuristic_basis"] = node.heuristic_basis
-    if node.explicit_weights is not None:
-        out["weights"] = list(node.explicit_weights)
-    if node.children:
-        out["children"] = [tree_to_dict(c) for c in node.children]
-    return out
-
-
-def save_tree(node: ScoreNode, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(tree_to_dict(node), indent=2) + "\n")
-
-
 # -- combiners -------------------------------------------------------------
 
 def leaf_score(f: np.ndarray, w: np.ndarray) -> float:

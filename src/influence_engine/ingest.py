@@ -10,16 +10,13 @@ from pathlib import Path
 from . import lineio
 from .events import (
     MAX_WINDOW_DAYS,
-    EventColumns,
     GraphEdge,
-    InteractionEvent,
     PairwiseLabel,
     ProfileSnapshot,
-    Rejection,
     TimeWindow,
     validate_event,
 )
-from .registry import GRAPH_ATTRS, FeatureRegistry
+from .registry import FeatureRegistry
 
 
 # the files of an input directory, in the order the manifest hashes them
@@ -55,13 +52,13 @@ class LoadReport:
 
 @dataclass(frozen=True)
 class IngestBatch:
-    """Validated, deduplicated, window-filtered inputs for one scoring run."""
+    """What ingest accepted: validated, deduplicated, window-filtered inputs
+    for one scoring run."""
 
-    events: EventColumns
+    events: list[str]  # canonical ``encode_event`` lines, sorted
     profiles: dict[tuple[str, str], ProfileSnapshot]  # (user, network)
     edges: tuple[GraphEdge, ...]
     labels: tuple[PairwiseLabel, ...]
-    reference_time: int
 
 
 def _decoded(path: Path, decode, report: LoadReport):
@@ -80,25 +77,24 @@ def _decoded(path: Path, decode, report: LoadReport):
 
 def read_events(
     path: Path, window: TimeWindow, registry: FeatureRegistry, report: LoadReport
-) -> EventColumns:
-    """Valid, in-window, first-seen events in file order."""
-    events: list[InteractionEvent] = []
-    seen: set[InteractionEvent] = set()
-    for raw in _decoded(path, lineio.decode_event, report):
-        checked = validate_event(raw, registry)
-        if isinstance(checked, Rejection):
-            report.rejected[checked.reason] += 1
+) -> list[str]:
+    """The canonical line of each valid, in-window event, once, sorted."""
+    lines: set[str] = set()
+    kept = 0
+    for event in _decoded(path, lineio.decode_event, report):
+        reason = validate_event(event, registry)
+        if reason is not None:
+            report.rejected[reason] += 1
             continue
-        if not window.contains(checked.timestamp):
+        if not window.contains(event.timestamp):
             report.expired_events += 1
             continue
-        if checked in seen:  # an event is its own dedup key
-            report.duplicate_events += 1
-            continue
-        seen.add(checked)
-        events.append(checked)
-    report.accepted_events = len(events)
-    return EventColumns.of(events)
+        kept += 1
+        # the encoding is canonical and injective, so a line is its event's dedup key
+        lines.add(lineio.encode_event(*event))
+    report.accepted_events = len(lines)
+    report.duplicate_events = kept - len(lines)
+    return sorted(lines)
 
 
 def read_profiles(
@@ -145,38 +141,12 @@ def load_batch(
         profiles=read_profiles(profiles, window.reference_date(), registry, report),
         edges=_read_registered(edges, lineio.decode_edge, registry, report),
         labels=_read_registered(labels, lineio.decode_label, registry, report),
-        reference_time=reference_time,
     )
     report.edges, report.labels = len(batch.edges), len(batch.labels)
     return batch, report
 
 
-def read_ingested(
-    directory: str | Path, reference_time: int, registry: FeatureRegistry
-) -> IngestBatch:
-    """The events, profiles and edges that the ingest stage wrote to
-    ``directory``; labels are left out, as train alone reads them
-    (``read_ingested_labels``), and so are the edges when no network of
-    ``registry`` derives an attribute from them.
-
-    Those files hold only valid, in-window, unique records, so nothing is
-    checked again. A line that does not decode, or that does not hold its
-    fields in the order ingest writes them, raises: the engine wrote it, so
-    it is damage to report, not dirty input to count.
-    """
-    events, profiles, edges, _ = (Path(directory) / name for name in INPUT_FILES)
-    decoded = map(lineio.decode_profile, lineio.read_lines(profiles))
-    graph = any(GRAPH_ATTRS.intersection(s.longlasting_attrs) for s in registry.networks.values())
-    return IngestBatch(
-        events=lineio.read_event_columns(events),
-        profiles={(p.user, p.network): p for p in decoded},
-        edges=lineio.read_edges(edges) if graph else (),
-        labels=(),
-        reference_time=reference_time,
-    )
-
-
 def read_ingested_labels(directory: str | Path) -> tuple[PairwiseLabel, ...]:
-    """The labels that the ingest stage wrote to ``directory``, read as
-    strictly as ``read_ingested`` reads the other files."""
+    """The labels that the ingest stage wrote to ``directory``, read
+    strictly: a line that does not decode raises."""
     return tuple(map(lineio.decode_label, lineio.read_lines(Path(directory) / "labels.txt")))

@@ -57,7 +57,7 @@ def _num(value: float) -> str:
 def encode_event(
     actor: str, author: str, network: str, content_type: str, action: str, timestamp: int
 ) -> str:
-    """One event's line: ``encode_event(*event)``, or ``map(encode_event, *columns)``."""
+    """One event's canonical line: ``encode_event(*event)``."""
     return "\t".join(
         [
             f"actor={encode_value(actor)}",

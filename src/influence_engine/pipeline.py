@@ -31,7 +31,7 @@ from .hierarchy import (
     save_snapshot,
     score_population,
 )
-from .ingest import INPUT_FILES, load_batch, read_ingested, read_ingested_labels
+from .ingest import INPUT_FILES, load_batch, read_ingested_labels
 from .population import (
     CampaignParams,
     PopulationParams,
@@ -39,7 +39,7 @@ from .population import (
     load_latent,
     run_campaign,
 )
-from .registry import FeatureRegistry
+from .registry import GRAPH_ATTRS, FeatureRegistry
 from .training import load_model, preprocess_labels, save_model, train_network
 
 STAGES = ("ingest", "features", "train", "score", "evaluate", "simulate")
@@ -146,7 +146,7 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
     registry = FeatureRegistry.load(cfg.registry_path)
     batch, report = load_batch(cfg.input_dir, cfg.reference_time, registry)
     dest = out / "ingest"
-    lineio.write_lines(dest / "events.txt", sorted(map(lineio.encode_event, *batch.events)))
+    lineio.write_lines(dest / "events.txt", batch.events)
     lineio.write_lines(
         dest / "profiles.txt",
         sorted(lineio.encode_profile(p) for p in batch.profiles.values()),
@@ -171,13 +171,20 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     registry = FeatureRegistry.load(cfg.registry_path)
-    batch = read_ingested(out / "ingest", cfg.reference_time, registry)
+    # ingest wrote these files and left only valid, in-window, unique records
+    # in them, so nothing is checked again; a line that does not decode, or
+    # that does not hold its fields in ingest's order, is damage and raises
+    ingested = out / "ingest"
+    events = lineio.read_event_columns(ingested / "events.txt")
+    profiles = tuple(map(lineio.decode_profile, lineio.read_lines(ingested / "profiles.txt")))
+    graph = any(GRAPH_ATTRS.intersection(s.longlasting_attrs) for s in registry.networks.values())
+    edges = lineio.read_edges(ingested / "edges.txt") if graph else ()
     prior = {}
     if cfg.prior_snapshot is not None:
         prior = load_snapshot(cfg.prior_snapshot).prior_scores()
-    dynamic = feat.aggregate_dynamic(batch, prior, registry)
+    dynamic = feat.aggregate_dynamic(events, cfg.reference_time, prior, registry)
     unconverged: list[str] = []
-    longlasting, unregistered = feat.aggregate_longlasting(batch, registry, unconverged)
+    longlasting, unregistered = feat.aggregate_longlasting(profiles, edges, registry, unconverged)
     table = dynamic.concat(longlasting)
     maxima = feat.compute_global_maxima(table)
     for network in unconverged:

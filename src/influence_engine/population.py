@@ -26,7 +26,7 @@ from .events import (
     ProfileSnapshot,
     TimeWindow,
 )
-from .hierarchy import ScoreSnapshot, save_tree, parse_tree
+from .hierarchy import ScoreSnapshot
 from .registry import FeatureRegistry, NetworkSpec
 
 
@@ -233,7 +233,7 @@ def write_dataset(pop: SyntheticPopulation, directory: str | Path) -> Path:
         (f"{u}\t{repr(pop.latent[u])}" for u in pop.users),
     )
     desk_registry(pop.params.networks).save(directory / "registry.json")
-    save_tree(parse_tree(desk_tree(pop.params.networks)), directory / "tree.json")
+    (directory / "tree.json").write_text(json.dumps(desk_tree(pop.params.networks), indent=2) + "\n")
     (directory / "population.json").write_text(
         json.dumps({"seed": pop.seed, "params": pop.params.to_dict()}, indent=2) + "\n"
     )

@@ -1,4 +1,5 @@
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import hypothesis
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
+from influence_engine.events import EventColumns
 from influence_engine.registry import FeatureRegistry, NetworkSpec
 
 hypothesis.settings.register_profile(
@@ -19,6 +21,11 @@ DATA_DIR = Path(__file__).parent / "data"
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+def columns_of(events) -> EventColumns:
+    """A list of events as the aligned columns that the features stage reads."""
+    return EventColumns._make(list(map(itemgetter(i), events)) for i in range(len(EventColumns._fields)))
 
 
 def make_small_registry() -> FeatureRegistry:

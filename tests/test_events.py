@@ -3,20 +3,20 @@ from datetime import date
 from urllib.parse import quote
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from influence_engine import lineio
 from influence_engine.events import (
-    EventColumns,
     GraphEdge,
     InteractionEvent,
     PairwiseLabel,
     ProfileSnapshot,
-    Rejection,
     TimeWindow,
     validate_event,
 )
+
+from conftest import columns_of
 
 REF = 1_700_000_000
 
@@ -52,32 +52,24 @@ class TestUserId:
 
 class TestValidateEvent:
     def test_self_reaction_rejected(self, small_registry):
-        result = validate_event(ev(actor="a", author="a"), small_registry)
-        assert isinstance(result, Rejection)
-        assert result.reason == "self-reaction"
+        assert validate_event(ev(actor="a", author="a"), small_registry) == "self-reaction"
 
     def test_valid_event_passes_unchanged(self, small_registry):
         event = ev(network="tw", action="reshare", ts=1700000000)
-        assert validate_event(event, small_registry) is event
+        assert validate_event(event, small_registry) is None
 
     def test_unregistered_action_rejected(self, small_registry):
         # "reshare" is registered for tw but not fb in the fixture registry
-        result = validate_event(ev(network="fb", action="reshare"), small_registry)
-        assert isinstance(result, Rejection)
-        assert result.reason == "unknown-action"
+        assert validate_event(ev(network="fb", action="reshare"), small_registry) == "unknown-action"
 
     def test_unknown_network_rejected(self, small_registry):
-        result = validate_event(ev(network="myspace"), small_registry)
-        assert result == Rejection("unknown-network", "myspace")
+        assert validate_event(ev(network="myspace"), small_registry) == "unknown-network"
 
     def test_bad_timestamp_rejected(self, small_registry):
-        result = validate_event(ev(ts=0), small_registry)
-        assert isinstance(result, Rejection)
-        assert result.reason == "bad-timestamp"
+        assert validate_event(ev(ts=0), small_registry) == "bad-timestamp"
 
     def test_dynamicless_network_rejects_events(self, small_registry):
-        result = validate_event(ev(network="wk"), small_registry)
-        assert isinstance(result, Rejection)
+        assert validate_event(ev(network="wk"), small_registry) is not None
 
 
 ids = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
@@ -97,14 +89,13 @@ REGISTRY = __import__("conftest").make_small_registry()
 
 @given(event_strategy)
 def test_validated_events_satisfy_invariants(event):
-    result = validate_event(event, REGISTRY)
-    if isinstance(result, Rejection):
+    if validate_event(event, REGISTRY) is not None:
         return
-    spec = REGISTRY.networks[result.network]
-    assert result.actor != result.author
-    assert result.timestamp > 0
-    assert result.content_type in spec.content_types
-    assert result.action in spec.actions
+    spec = REGISTRY.networks[event.network]
+    assert event.actor != event.author
+    assert event.timestamp > 0
+    assert event.content_type in spec.content_types
+    assert event.action in spec.actions
 
 
 @given(event_strategy)
@@ -297,11 +288,13 @@ class TestColumnReaders:
             st.builds(GraphEdge, codec_values, codec_values, codec_values), max_size=20
         ).map(lambda edges: [e for e in edges if e.src != e.dst]),
     )
+    # without the explain phase, which takes minutes to report a broken reader
+    @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
     def test_round_trip(self, tmp_path_factory, events, edges):
         directory = tmp_path_factory.mktemp("columns")
         lineio.write_lines(directory / "events.txt", (lineio.encode_event(*e) for e in events))
         lineio.write_lines(directory / "edges.txt", map(lineio.encode_edge, edges))
-        assert lineio.read_event_columns(directory / "events.txt") == EventColumns.of(events)
+        assert lineio.read_event_columns(directory / "events.txt") == columns_of(events)
         assert lineio.read_edges(directory / "edges.txt") == tuple(edges)
 
     def test_a_file_of_several_chunks(self, tmp_path):
@@ -316,7 +309,7 @@ class TestColumnReaders:
         path = tmp_path / "events.txt"
         lineio.write_lines(path, (lineio.encode_event(*e) for e in plain + escaped))
         assert path.stat().st_size > 3 * lineio.CHUNK_HINT
-        assert lineio.read_event_columns(path) == EventColumns.of(plain + escaped)
+        assert lineio.read_event_columns(path) == columns_of(plain + escaped)
 
     @pytest.mark.parametrize("damage", list(DAMAGED))
     def test_a_damaged_file_raises(self, tmp_path, damage):
@@ -329,5 +322,5 @@ class TestColumnReaders:
     def test_the_undamaged_lines_read(self, tmp_path):
         (tmp_path / "events.txt").write_text(LINE * 2)
         (tmp_path / "edges.txt").write_text(EDGE * 2)
-        assert lineio.read_event_columns(tmp_path / "events.txt") == EventColumns.of([ev("a", "b", ts=5)] * 2)
+        assert lineio.read_event_columns(tmp_path / "events.txt") == columns_of([ev("a", "b", ts=5)] * 2)
         assert lineio.read_edges(tmp_path / "edges.txt") == (GraphEdge("a", "b", "wk"),) * 2

@@ -26,11 +26,12 @@ from influence_engine.features import (
 )
 from influence_engine.registry import FeatureRegistry, NetworkSpec, dynamic_key, longlasting_key
 
-from conftest import make_small_registry
+from conftest import columns_of, make_small_registry
 from oracles import brute_window_counts
 from test_ingest import REF, ev, write_inputs
-from influence_engine.ingest import IngestBatch, load_batch
-from influence_engine.events import EventColumns, GraphEdge, InteractionEvent, ProfileSnapshot
+from influence_engine import lineio
+from influence_engine.ingest import load_batch
+from influence_engine.events import GraphEdge, InteractionEvent, ProfileSnapshot
 
 
 def batch_from(tmp_path, small_registry, events=(), profiles=(), edges=()):
@@ -39,9 +40,10 @@ def batch_from(tmp_path, small_registry, events=(), profiles=(), edges=()):
     return batch
 
 
-def batch_of(events, reference_time=REF):
-    """A batch of ``events`` as given, without the checks of ingest."""
-    return IngestBatch(EventColumns.of(events), {}, (), (), reference_time)
+def columns_from(tmp_path, small_registry, events=()):
+    """The columns of the events that ingest accepts, as features reads them."""
+    batch = batch_from(tmp_path, small_registry, events=events)
+    return columns_of(list(map(lineio.decode_event, batch.events)))
 
 
 def as_dict(table):
@@ -87,12 +89,12 @@ def multiday_sketch(day_counts, windows):
     return {w: prefix[w] for w in windows}
 
 
-def reference_aggregate(batch, prior_scores, registry):
+def reference_aggregate(columns, prior_scores, registry):
     day_buckets = defaultdict(Counter)
-    for event in map(InteractionEvent, *batch.events):
+    for event in map(InteractionEvent, *columns):
         if not registry.networks[event.network].dynamic:
             continue
-        emitted = conditional_emit(event, prior_scores, registry.peer_band, batch.reference_time)
+        emitted = conditional_emit(event, prior_scores, registry.peer_band, REF)
         for cohort, day in emitted:
             if cohort in registry.cohorts:
                 day_buckets[(event.author, event.network, event.content_type, event.action, cohort)][day] += 1
@@ -110,7 +112,7 @@ class TestConditionalEmit:
     def fired(self, prior, ts=REF - 10):
         # prior scores, compared with the small registry's peer_band of 5
         event = ev("author", actor="actor", ts=ts)
-        table = aggregate_dynamic(batch_of([event]), prior, make_small_registry())
+        table = aggregate_dynamic(columns_of([event]), REF, prior, make_small_registry())
         return sorted({key.split("/")[4] for _, key in as_dict(table)})
 
     def test_higher_actor(self):
@@ -121,7 +123,7 @@ class TestConditionalEmit:
 
     def test_bootstrap_emits_all_only(self):
         event = ev("author", actor="actor", ts=REF - 10)
-        table = aggregate_dynamic(batch_of([event]), {}, make_small_registry())
+        table = aggregate_dynamic(columns_of([event]), REF, {}, make_small_registry())
         # day 0: one count in every window of the all cohort, nothing else
         assert as_dict(table) == {
             ("author", dynamic_key("tw", "message", "like", "all", w)): 1.0 for w in WINDOW_DAYS
@@ -136,11 +138,11 @@ class TestConditionalEmit:
         registry = make_small_registry()
         key = dynamic_key("tw", "message", "like", "all", 7)
         day_5 = ev("a", ts=REF - 5 * SECONDS_PER_DAY - 1)
-        table = aggregate_dynamic(batch_of([day_5]), {}, registry)
+        table = aggregate_dynamic(columns_of([day_5]), REF, {}, registry)
         assert value_of(table, "a", key) == 1.0
         assert value_of(table, "a", dynamic_key("tw", "message", "like", "all", 3)) == 0.0
         for ts, inside in ((REF - 7 * SECONDS_PER_DAY, False), (REF - 7 * SECONDS_PER_DAY + 1, True)):
-            table = aggregate_dynamic(batch_of([ev("a", ts=ts)]), {}, registry)
+            table = aggregate_dynamic(columns_of([ev("a", ts=ts)]), REF, {}, registry)
             assert value_of(table, "a", key) == float(inside)
 
     def test_equal_scores_are_peers_not_higher(self):
@@ -157,7 +159,7 @@ def window_counts(days, windows=WINDOW_DAYS):
     """Window counts of one author's events, ``days`` whole days old."""
     registry = replace(make_small_registry(), windows=tuple(windows))
     events = [ev("a", actor=f"r{i}", ts=REF - d * SECONDS_PER_DAY - 1) for i, d in enumerate(days)]
-    table = aggregate_dynamic(batch_of(events), {}, registry)
+    table = aggregate_dynamic(columns_of(events), REF, {}, registry)
     return {w: value_of(table, "a", dynamic_key("tw", "message", "like", "all", w)) for w in windows}
 
 
@@ -223,9 +225,9 @@ def test_aggregate_dynamic_equals_per_event_reference(events, prior, peer_band, 
     registry = replace(
         make_small_registry(), cohorts=tuple(cohorts), windows=tuple(windows), peer_band=peer_band
     )
-    batch = batch_of(events)
-    assert as_dict(aggregate_dynamic(batch, prior, registry)) == reference_aggregate(
-        batch, prior, registry
+    columns = columns_of(events)
+    assert as_dict(aggregate_dynamic(columns, REF, prior, registry)) == reference_aggregate(
+        columns, prior, registry
     )
 
 
@@ -237,15 +239,15 @@ class TestAggregateDynamic:
                ts=REF - (i + 1) * SECONDS_PER_DAY)
             for i in range(4)
         ]
-        batch = batch_from(tmp_path, small_registry, events=events)
+        columns = columns_from(tmp_path, small_registry, events=events)
         scores = {"p": 50.0, "q0": 51.0, "q1": 49.0, "q2": 52.0, "q3": 48.0}
-        table = aggregate_dynamic(batch, scores, small_registry)
+        table = aggregate_dynamic(columns, REF, scores, small_registry)
         key = dynamic_key("fb", "photo", "comment", "peers", 7)
         assert value_of(table, "p", key) == 4.0
 
     def test_empty_batch(self, tmp_path, small_registry):
-        batch = batch_from(tmp_path, small_registry)
-        table = aggregate_dynamic(batch, {}, small_registry)
+        columns = columns_from(tmp_path, small_registry)
+        table = aggregate_dynamic(columns, REF, {}, small_registry)
         assert as_dict(table) == {}
 
     def test_order_permutation_invariance(self, tmp_path, small_registry):
@@ -259,10 +261,10 @@ class TestAggregateDynamic:
         ]
         shuffled = events[:]
         rng.shuffle(shuffled)
-        t1 = aggregate_dynamic(batch_from(tmp_path / "a", small_registry, events=events),
-                               {}, small_registry)
-        t2 = aggregate_dynamic(batch_from(tmp_path / "b", small_registry, events=shuffled),
-                               {}, small_registry)
+        t1 = aggregate_dynamic(columns_from(tmp_path / "a", small_registry, events=events),
+                               REF, {}, small_registry)
+        t2 = aggregate_dynamic(columns_from(tmp_path / "b", small_registry, events=shuffled),
+                               REF, {}, small_registry)
         assert as_dict(t1) == as_dict(t2)
 
     @given(shards=st.sampled_from([1, 2, 4, 8]))
@@ -277,12 +279,12 @@ class TestAggregateDynamic:
                ts=REF - rng.randrange(1, 90 * SECONDS_PER_DAY))
             for i in range(120)
         ]
-        batch = batch_from(tmp, small_registry, events=events)
-        base = aggregate_dynamic(batch, {}, small_registry)
+        columns = columns_from(tmp, small_registry, events=events)
+        base = aggregate_dynamic(columns, REF, {}, small_registry)
         other = {}
         for shard in range(shards):
-            part = [e for e in map(InteractionEvent, *batch.events) if zlib.crc32(e.author.encode()) % shards == shard]
-            other.update(as_dict(aggregate_dynamic(replace(batch, events=EventColumns.of(part)), {}, small_registry)))
+            part = [e for e in map(InteractionEvent, *columns) if zlib.crc32(e.author.encode()) % shards == shard]
+            other.update(as_dict(aggregate_dynamic(columns_of(part), REF, {}, small_registry)))
         assert as_dict(base) == other
 
     def test_window_nesting_on_aggregated_table(self, tmp_path, small_registry):
@@ -292,8 +294,8 @@ class TestAggregateDynamic:
                ts=REF - rng.randrange(1, 90 * SECONDS_PER_DAY))
             for i in range(80)
         ]
-        batch = batch_from(tmp_path, small_registry, events=events)
-        table = aggregate_dynamic(batch, {}, small_registry)
+        columns = columns_from(tmp_path, small_registry, events=events)
+        table = aggregate_dynamic(columns, REF, {}, small_registry)
         counts = [
             value_of(table, "a", dynamic_key("tw", "photo", "comment", "all", w))
             for w in WINDOW_DAYS
@@ -308,11 +310,11 @@ class TestAggregateDynamic:
             for i in range(10)
         ]
         smaller = aggregate_dynamic(
-            batch_from(tmp_path / "s", small_registry, events=events[:-1]),
-            {}, small_registry)
+            columns_from(tmp_path / "s", small_registry, events=events[:-1]),
+            REF, {}, small_registry)
         bigger = aggregate_dynamic(
-            batch_from(tmp_path / "b", small_registry, events=events),
-            {}, small_registry)
+            columns_from(tmp_path / "b", small_registry, events=events),
+            REF, {}, small_registry)
         for cell, value in as_dict(smaller).items():
             assert as_dict(bigger).get(cell, 0.0) >= value
 
@@ -330,7 +332,7 @@ class TestLonglasting:
 
     def test_numeric_pass_through_and_ordinal_mapping(self, tmp_path, small_registry):
         batch = batch_from(tmp_path, small_registry, profiles=self.profiles())
-        table, skipped = aggregate_longlasting(batch, small_registry)
+        table, skipped = aggregate_longlasting(batch.profiles.values(), batch.edges, small_registry)
         assert value_of(table, "a", longlasting_key("tw", "followers")) == 1500.0
         assert value_of(table, "a", longlasting_key("fb", "education_level")) == 4.0
         assert value_of(table, "b", longlasting_key("fb", "education_level")) == 0.0
@@ -343,7 +345,7 @@ class TestLonglasting:
             GraphEdge("hub", "x", "wk"),
         ]
         batch = batch_from(tmp_path, small_registry, edges=edges)
-        table, _ = aggregate_longlasting(batch, small_registry)
+        table, _ = aggregate_longlasting(batch.profiles.values(), batch.edges, small_registry)
         assert value_of(table, "hub", longlasting_key("wk", "inlinks")) == 2.0
         assert value_of(table, "hub", longlasting_key("wk", "inlink_outlink_ratio")) == 2.0
         pr = {
@@ -409,8 +411,8 @@ def normalize_in_place(table):
 class TestStoreAndDumps:
     def test_store_alignment_and_range(self, tmp_path, small_registry):
         events = [ev("a", actor=f"r{i}", network="tw", ts=REF - 50 - i) for i in range(5)]
-        batch = batch_from(tmp_path, small_registry, events=events)
-        table = aggregate_dynamic(batch, {}, small_registry)
+        columns = columns_from(tmp_path, small_registry, events=events)
+        table = aggregate_dynamic(columns, REF, {}, small_registry)
         normalize_in_place(table)
         dump_table(table, tmp_path / "normalized.txt")
         store = load_store(tmp_path / "normalized.txt", small_registry)
@@ -423,8 +425,8 @@ class TestStoreAndDumps:
 
     def test_table_dump_round_trip(self, tmp_path, small_registry):
         events = [ev("a", actor=f"r{i}", network="tw", ts=REF - 50 - i) for i in range(5)]
-        batch = batch_from(tmp_path, small_registry, events=events)
-        table = aggregate_dynamic(batch, {}, small_registry)
+        columns = columns_from(tmp_path, small_registry, events=events)
+        table = aggregate_dynamic(columns, REF, {}, small_registry)
         dump_table(table, tmp_path / "dump.txt")
         store = load_store(tmp_path / "dump.txt", small_registry)
         loaded = {

@@ -19,7 +19,6 @@ from influence_engine.hierarchy import (
     save_snapshot,
     score_population,
     score_user,
-    tree_to_dict,
 )
 from influence_engine.registry import FeatureRegistry, NetworkSpec
 from influence_engine.training import WeightVector
@@ -192,7 +191,6 @@ class TestTreeParsing:
             ],
         }
         tree = parse_tree(data)
-        assert tree_to_dict(tree) == data
         assert [n.level for n in tree.walk()] == [0, 1, 1, 2, 2]
         assert tree.leaf_networks() == ["tw", "c1", "c2"]
 

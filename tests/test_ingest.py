@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -14,12 +13,7 @@ from influence_engine.events import (
     PairwiseLabel,
     ProfileSnapshot,
 )
-from influence_engine.ingest import (
-    INPUT_FILES,
-    load_batch,
-    read_ingested,
-    read_ingested_labels,
-)
+from influence_engine.ingest import INPUT_FILES, load_batch, read_ingested_labels
 from influence_engine.pipeline import RunConfig, stage_ingest
 
 REF = 1_700_000_000
@@ -47,7 +41,7 @@ class TestLoadBatch:
         fresh = ev("a", ts=REF - 1)
         inputs = write_inputs(tmp_path, events=[old, fresh])
         batch, report = load_batch(inputs, REF, small_registry)
-        assert len(batch.events.actor) == 1
+        assert len(batch.events) == 1
         assert report.expired_events == 1
 
     def test_boundary_is_half_open(self, tmp_path, small_registry):
@@ -55,15 +49,35 @@ class TestLoadBatch:
         just_inside = ev("a", ts=REF - 90 * SECONDS_PER_DAY + 1)
         inputs = write_inputs(tmp_path, events=[exactly, just_inside])
         batch, report = load_batch(inputs, REF, small_registry)
-        assert len(batch.events.actor) == 1
+        assert len(batch.events) == 1
         assert report.expired_events == 1
 
     def test_byte_identical_lines_deduplicate(self, tmp_path, small_registry):
         event = ev("a")
         inputs = write_inputs(tmp_path, events=[event, event])
         batch, report = load_batch(inputs, REF, small_registry)
-        assert len(batch.events.actor) == 1
+        assert len(batch.events) == 1
         assert report.duplicate_events == 1
+
+    def test_four_spellings_of_one_event_deduplicate(self, tmp_path, small_registry):
+        # an event's canonical line is its dedup key, whatever spelling it came in
+        line = lineio.encode_event(*ev("b", actor="a"))
+        first, second, rest = line.split("\t", 2)
+        spellings = [
+            line,
+            line.replace("actor=a", "actor=%61"),
+            f"{second}\t{first}\t{rest}",
+            line + "\r",  # write_lines adds the "\n"
+        ]
+        raw = write_inputs(tmp_path / "raw", raw_event_lines=spellings)
+        small_registry.save(raw / "registry.json")
+        _, report = load_batch(raw, REF, small_registry)
+        assert (report.accepted_events, report.duplicate_events) == (1, 3)
+        cfg = RunConfig(
+            input_dir=raw, registry_path=raw / "registry.json", tree_path=raw / "tree.json", reference_time=REF
+        )
+        stage_ingest(cfg, tmp_path / "out")
+        assert (tmp_path / "out" / "ingest" / "events.txt").read_text() == line + "\n"
 
     def test_grouping_by_author(self, tmp_path, small_registry):
         events = [
@@ -75,14 +89,14 @@ class TestLoadBatch:
         ]
         inputs = write_inputs(tmp_path, events=events)
         batch, _ = load_batch(inputs, REF, small_registry)
-        assert Counter(batch.events.author) == {"x": 3, "y": 2}
+        assert Counter(lineio.decode_event(line).author for line in batch.events) == {"x": 3, "y": 2}
 
     def test_malformed_lines_skipped_and_counted(self, tmp_path, small_registry):
         inputs = write_inputs(
             tmp_path, events=[ev("a")], raw_event_lines=["not a record", "actor=only"]
         )
         batch, report = load_batch(inputs, REF, small_registry)
-        assert len(batch.events.actor) == 1
+        assert len(batch.events) == 1
         assert report.malformed_lines == 2
 
     def test_bytes_not_utf8_make_one_malformed_line_in_every_file(self, tmp_path, small_registry):
@@ -98,7 +112,7 @@ class TestLoadBatch:
             path.write_bytes(first + second.replace(b"=", b"=\xff\xfe", 1))
         batch, report = load_batch(inputs, REF, small_registry)
         assert report.malformed_lines == 4
-        assert len(batch.events.actor) == 1
+        assert len(batch.events) == 1
         assert (report.profiles, report.edges, report.labels) == (1, 1, 1)
 
     def test_rejections_counted_by_reason(self, tmp_path, small_registry):
@@ -224,7 +238,7 @@ def with_repeats(lines: list[str]) -> list[str]:
 def test_strict_reader_of_ingest_output_equals_load_batch(
     tmp_path_factory, events, profiles, edges, labels
 ):
-    from conftest import make_small_registry
+    from conftest import columns_of, make_small_registry
 
     registry = make_small_registry()
     raw = tmp_path_factory.mktemp("raw")
@@ -240,11 +254,16 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
     out = tmp_path_factory.mktemp("out")
     stage_ingest(cfg, out)
 
-    checked, report = load_batch(out / "ingest", REF, registry)
-    # features does not use labels, so its batch leaves them to train's reader
-    assert read_ingested(out / "ingest", REF, registry) == replace(checked, labels=())
-    assert read_ingested_labels(out / "ingest") == checked.labels
-    # what ingest wrote passes every check that the strict reader skips
-    assert report.accepted_events == len(checked.events.actor)
+    ingested = out / "ingest"
+    checked, report = load_batch(ingested, REF, registry)
+    # the strict readers that features and train use read what load_batch accepts
+    events = list(map(lineio.decode_event, checked.events))
+    assert lineio.read_event_columns(ingested / "events.txt") == columns_of(events)
+    profiles = map(lineio.decode_profile, lineio.read_lines(ingested / "profiles.txt"))
+    assert list(profiles) == list(checked.profiles.values())
+    assert lineio.read_edges(ingested / "edges.txt") == checked.edges
+    assert read_ingested_labels(ingested) == checked.labels
+    # what ingest wrote passes every check that the strict readers skip
+    assert report.accepted_events == len(checked.events)
     assert report.expired_events == report.duplicate_events == report.malformed_lines == 0
     assert report.stale_profiles == 0 and not report.rejected
