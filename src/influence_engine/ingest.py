@@ -61,27 +61,42 @@ class IngestBatch:
     labels: tuple[PairwiseLabel, ...]
 
 
-def _decoded(path: Path, decode, report: LoadReport):
-    """Decoded records in file order; a line that is not UTF-8 or does not
-    decode is counted as malformed and skipped."""
-    for line in lineio.read_lines(path, errors="surrogateescape"):
-        try:
-            if not line.isascii():
-                line.encode("utf-8")  # UnicodeEncodeError on an escaped byte
-            record = decode(line)
-        except (ValueError, KeyError):
-            report.malformed_lines += 1
-            continue
-        yield record
+def _decoded(line: str, decode, report: LoadReport):
+    """The record a raw line holds, or None, counted as malformed, when the
+    line is not UTF-8 or does not decode."""
+    try:
+        if not line.isascii():
+            line.encode("utf-8")  # UnicodeEncodeError on an escaped byte
+        return decode(line)
+    except (ValueError, KeyError):
+        report.malformed_lines += 1
+        return None
 
 
 def read_events(
     path: Path, window: TimeWindow, registry: FeatureRegistry, report: LoadReport
 ) -> list[str]:
-    """The canonical line of each valid, in-window event, once, sorted."""
+    """The canonical line of each valid, in-window event, once, sorted. A raw
+    line that already is one is taken as it is; every other line is decoded,
+    validated and encoded again, so that each reason to reject it counts."""
+    triples = {
+        (name, content, action)
+        for name, spec in registry.networks.items()
+        for content in spec.content_types
+        for action in spec.actions
+    }
     lines: set[str] = set()
     kept = 0
-    for event in _decoded(path, lineio.decode_event, report):
+    for line in lineio.read_lines(path, errors="surrogateescape"):
+        match = lineio.CANONICAL_EVENT.fullmatch(line)
+        if match:
+            actor, author, network, content, action, timestamp = match.groups()
+            if actor != author and (network, content, action) in triples and window.contains(int(timestamp)):
+                kept += 1
+                lines.add(line)
+                continue
+        if (event := _decoded(line, lineio.decode_event, report)) is None:
+            continue
         reason = validate_event(event, registry)
         if reason is not None:
             report.rejected[reason] += 1
@@ -102,7 +117,9 @@ def read_profiles(
 ) -> dict[tuple[str, str], ProfileSnapshot]:
     """The latest snapshot per (user, network) taken by ``ref_date``."""
     profiles: dict[tuple[str, str], ProfileSnapshot] = {}
-    for profile in _decoded(path, lineio.decode_profile, report):
+    for line in lineio.read_lines(path, errors="surrogateescape"):
+        if (profile := _decoded(line, lineio.decode_profile, report)) is None:
+            continue
         if profile.network not in registry.networks or profile.as_of > ref_date:
             report.stale_profiles += 1
             continue
@@ -117,7 +134,9 @@ def read_profiles(
 def _read_registered(path: Path, decode, registry: FeatureRegistry, report: LoadReport) -> tuple:
     """Decoded records whose network the registry knows, in file order."""
     records = []
-    for record in _decoded(path, decode, report):
+    for line in lineio.read_lines(path, errors="surrogateescape"):
+        if (record := _decoded(line, decode, report)) is None:
+            continue
         if record.network not in registry.networks:
             report.rejected["unknown-network"] += 1
             continue

@@ -15,6 +15,7 @@ require each line to hold exactly its encoder's fields in its order.
 from __future__ import annotations
 
 import math
+import re
 from datetime import date
 from itertools import repeat
 from pathlib import Path
@@ -26,6 +27,7 @@ from .events import EventColumns, GraphEdge, InteractionEvent, PairwiseLabel, Pr
 
 # the characters quote(..., safe="") leaves as they are
 _UNQUOTED = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~")
+_PLAIN = "[" + re.escape("".join(sorted(_UNQUOTED))) + "]"  # one character of them
 
 
 def encode_value(value: str) -> str:
@@ -68,6 +70,15 @@ def encode_event(
             f"timestamp={timestamp}",
         ]
     )
+
+
+# A line this matches in full is ``encode_event(*decode_event(line))``: no value
+# needs escaping, and the timestamp is a positive int's repr, short enough for
+# int() (a longer one is left to the decoder). Groups: the event's fields.
+CANONICAL_EVENT = re.compile(
+    f"actor=({_PLAIN}+)\tauthor=({_PLAIN}+)\tnetwork=({_PLAIN}*)"
+    f"\tcontent_type=({_PLAIN}*)\taction=({_PLAIN}*)\ttimestamp=([1-9][0-9]{{0,18}})"
+)
 
 
 def decode_event(line: str) -> InteractionEvent:

@@ -2,18 +2,27 @@ from collections import Counter
 from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from influence_engine import lineio
 from influence_engine.events import (
+    MAX_WINDOW_DAYS,
     SECONDS_PER_DAY,
     GraphEdge,
     InteractionEvent,
     PairwiseLabel,
     ProfileSnapshot,
+    TimeWindow,
+    validate_event,
 )
-from influence_engine.ingest import INPUT_FILES, load_batch, read_ingested_labels
+from influence_engine.ingest import (
+    INPUT_FILES,
+    IngestBatch,
+    LoadReport,
+    load_batch,
+    read_ingested_labels,
+)
 from influence_engine.pipeline import RunConfig, stage_ingest
 
 REF = 1_700_000_000
@@ -267,3 +276,150 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
     assert report.accepted_events == len(checked.events)
     assert report.expired_events == report.duplicate_events == report.malformed_lines == 0
     assert report.stale_profiles == 0 and not report.rejected
+
+
+@given(
+    events=st.lists(valid_lines, max_size=8),
+    profiles=st.lists(profile_lines, max_size=6),
+    edges=st.lists(edge_lines, max_size=6),
+    labels=st.lists(label_lines, max_size=6),
+)
+def test_crlf_files_read_like_lf_files(tmp_path_factory, events, profiles, edges, labels):
+    from conftest import make_small_registry
+
+    loaded = []
+    for ending in ("\n", "\r\n"):
+        directory = tmp_path_factory.mktemp("endings")
+        for name, lines in zip(INPUT_FILES, (events, profiles, edges, labels)):
+            (directory / name).write_bytes("".join(line + ending for line in lines).encode())
+        loaded.append(load_batch(directory, REF, make_small_registry()))
+    assert loaded[0] == loaded[1]
+
+
+# -- the canonical-line fast path against the per-line reference --------------
+
+def reference_records(path, decode, report):
+    """Every non-empty line decoded, as ingest did before its fast path."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                line.encode("utf-8")
+                yield decode(line)
+            except (ValueError, KeyError):
+                report.malformed_lines += 1
+
+
+def reference_load_batch(directory, registry):
+    """``load_batch`` of a directory without profiles or labels, one line at a
+    time: every event is decoded, validated and encoded again."""
+    report = LoadReport()
+    window = TimeWindow(REF, MAX_WINDOW_DAYS)
+    lines, kept = set(), 0
+    for event in reference_records(directory / "events.txt", lineio.decode_event, report):
+        reason = validate_event(event, registry)
+        if reason is not None:
+            report.rejected[reason] += 1
+        elif not window.contains(event.timestamp):
+            report.expired_events += 1
+        else:
+            kept += 1
+            lines.add(lineio.encode_event(*event))
+    report.accepted_events, report.duplicate_events = len(lines), kept - len(lines)
+    return IngestBatch(sorted(lines), {}, (), ()), report
+
+
+def respell(line, how):
+    """``line`` as it is, in another spelling of the same record, with a
+    timestamp that ``int()`` reads alike, or with bytes that are not UTF-8."""
+    tokens = line.split("\t")
+    key, value = tokens[0].split("=", 1)
+    timestamp = tokens[-1].removeprefix("timestamp=")
+    if how == "escape" and value[:1].isalnum():  # a plain character, %-escaped
+        tokens[0] = f"{key}=%{ord(value[0]):02X}{value[1:]}"
+    elif how == "swap":
+        tokens[0], tokens[1] = tokens[1], tokens[0]
+    elif how == "unescape":  # an "=" inside a value, as in "actor=a=b"
+        tokens = [token.replace("%3D", "=") for token in tokens]
+    elif how == "not utf-8":
+        tokens[0] = f"{key}=\udcff\udcfe{value}"
+    elif tokens[-1].startswith("timestamp=") and how in TIMESTAMPS:
+        tokens[-1] = "timestamp=" + TIMESTAMPS[how](timestamp)
+    return "\t".join(tokens)
+
+
+# spellings of a timestamp that int() reads as the same number
+TIMESTAMPS = {
+    "leading zero": lambda t: "0" + t,
+    "plus": lambda t: "+" + t,
+    "underscore": lambda t: t[:-1] + "_" + t[-1] if t[-2:].isdigit() else t,
+    "space": lambda t: " " + t,
+    "arabic-indic": lambda t: t.translate({ord("0") + i: 0x660 + i for i in range(10)}),
+}
+DAY = SECONDS_PER_DAY
+ids = st.sampled_from(["a", "b", "c", "a-b.c~_9", "a=b", "", "\u00e9"])
+spellings = st.sampled_from(["as is"] * 5 + ["escape", "swap", "unescape", "not utf-8", *TIMESTAMPS])
+in_window = st.integers(min_value=REF - 90 * DAY + 1, max_value=REF - 1)
+edges_of_window = st.sampled_from([REF - 90 * DAY, REF - 90 * DAY + 1, REF - 1, REF])
+# half of them valid but for the window, so that each spelling often meets an
+# event the fast path may take
+canonical_events = st.one_of(
+    st.builds(
+        InteractionEvent,
+        st.sampled_from(["a", "b", "a=b"]),
+        st.sampled_from(["b", "c"]),
+        st.just("tw"),
+        st.sampled_from(["message", "photo"]),
+        st.sampled_from(["like", "comment", "reshare"]),
+        st.one_of(in_window, in_window, edges_of_window),
+    ),
+    st.builds(
+        InteractionEvent,
+        actor=ids,
+        author=ids,
+        network=st.sampled_from(["tw", "fb", "wk", "nope", ""]),
+        content_type=st.sampled_from(["message", "photo", "video"]),
+        action=st.sampled_from(["like", "comment", "reshare", "superpoke"]),
+        timestamp=st.one_of(in_window, edges_of_window, st.sampled_from([0, -5])),
+    ),
+).map(lambda event: lineio.encode_event(*event))
+
+
+def raw_file(canonical_lines):
+    """The text of a raw file: respelt lines with LF or CRLF endings, some
+    repeated, and maybe no newline after the last."""
+    ending = st.sampled_from(["\n"] * 3 + ["\r\n"])
+    line = st.builds(lambda line, how, end: respell(line, how) + end, canonical_lines, spellings, ending)
+    text = st.lists(line, max_size=16).map(with_repeats).map("".join)
+    return st.builds(lambda text, cut: text.removesuffix("\n") if cut else text, text, st.booleans())
+
+
+def tricky_lines():
+    """Lines that look canonical but are not, or whose event the fast path
+    must leave to the decoder: each spelling, each reject reason, both ends of
+    the window, a timestamp too long for int(), a CRLF ending and a last line
+    without its newline."""
+    line = lineio.encode_event(*ev("b", actor="a"))
+    lines = [line] + [respell(line, how) for how in ("escape", "swap", "not utf-8", *TIMESTAMPS)]
+    lines.append(lineio.encode_event(*ev("b", actor="a=b")).replace("%3D", "="))
+    for event in (ev("a", actor="a"), ev("b", network=""), ev("b", action="superpoke"), ev("b", ts=0)):
+        lines.append(lineio.encode_event(*event))
+    for timestamp in (REF - 90 * DAY, REF - 90 * DAY + 1, REF - 1, REF):
+        lines.append(lineio.encode_event(*ev("c", ts=timestamp)))
+    lines.append(line.replace(f"={REF - 1000}", "=" + "1" * 5000))  # too long for int()
+    return "\n".join(lines) + "\r\n" + line
+
+
+@given(events=raw_file(canonical_events))
+@example(events=tricky_lines())
+# without the explain phase, like the other slow Hypothesis tests
+@settings(max_examples=200, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+def test_fast_path_equals_the_per_line_reference(tmp_path_factory, events):
+    from conftest import make_small_registry
+
+    registry = make_small_registry()
+    raw = write_inputs(tmp_path_factory.mktemp("mixed"))
+    (raw / "events.txt").write_text(events, encoding="utf-8", errors="surrogateescape", newline="")
+    assert load_batch(raw, REF, registry) == reference_load_batch(raw, registry)
