@@ -167,13 +167,13 @@ def aggregate_longlasting(
             key = longlasting_key(network, "pagerank")
             for user, score in result.scores.items():
                 cells[(user, key)] += score
-        if "inlink_outlink_ratio" in registered and pairs:
+        if ("inlinks" in registered or "inlink_outlink_ratio" in registered) and pairs:
             indeg, outdeg = degree_stats(pairs)
+        if "inlink_outlink_ratio" in registered and pairs:
             key = longlasting_key(network, "inlink_outlink_ratio")
             for user, ratio in inlink_outlink_ratio(indeg, outdeg).items():
                 cells[(user, key)] += ratio
         if "inlinks" in registered and pairs:
-            indeg, _ = degree_stats(pairs)
             key = longlasting_key(network, "inlinks")
             for user, deg in indeg.items():
                 cells[(user, key)] += float(deg)

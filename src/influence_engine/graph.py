@@ -6,6 +6,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .events import GraphEdge
 
 
@@ -30,36 +32,38 @@ def pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0,1)")
-    out_neighbors: dict[str, list[str]] = defaultdict(list)
-    node_set = set(nodes)
-    for src, dst in edges:
-        out_neighbors[src].append(dst)
-        node_set.add(src)
-        node_set.add(dst)
-    if not node_set:
+    pairs = list(edges)
+    order = sorted(set(nodes).union(*zip(*pairs)))
+    if not order:
         raise ValueError("pagerank needs a non-empty node set")
 
-    order = sorted(node_set)
+    # Codes follow the sorted names and the edges are stably sorted by source, so
+    # np.add.at adds to each node in a dict loop's order (Page et al. 1998). Sums
+    # are sequential cumsums, not np.sum (pairwise): the builtin sum of floats is
+    # sequential up to Python 3.11 and compensated (Neumaier) from 3.12, so cumsum
+    # matches such a loop on 3.10/3.11 and stays the same on later versions.
     n = len(order)
-    rank = {u: 1.0 / n for u in order}
+    code = {u: i for i, u in enumerate(order)}
+    src = np.array([code[s] for s, _ in pairs], dtype=np.intp)
+    dst = np.array([code[d] for _, d in pairs], dtype=np.intp)
+    by_source = np.argsort(src, kind="stable")
+    src, dst = src[by_source], dst[by_source]
+    outdeg = np.bincount(src, minlength=n)
+    dangling_nodes = outdeg == 0
+    rank = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        dangling = sum(rank[u] for u in order if not out_neighbors[u])
-        nxt = {u: base + damping * dangling / n for u in order}
-        for u in order:
-            outs = out_neighbors[u]
-            if outs:
-                share = damping * rank[u] / len(outs)
-                for v in outs:
-                    nxt[v] += share
-        delta = sum(abs(nxt[u] - rank[u]) for u in order)
+        dangling = np.cumsum(rank[dangling_nodes])[-1] if dangling_nodes.any() else 0.0
+        nxt = np.full(n, base + damping * dangling / n)
+        np.add.at(nxt, dst, (damping * rank / np.maximum(outdeg, 1))[src])
+        delta = np.cumsum(np.abs(nxt - rank))[-1]
         rank = nxt
         if delta < tol:
             converged = True
             break
-    return PageRankResult(scores=rank, iterations=iterations, converged=converged)
+    return PageRankResult(dict(zip(order, rank.tolist())), iterations, converged)
 
 
 def edges_by_network(edges: Iterable[GraphEdge]) -> dict[str, list[tuple[str, str]]]:

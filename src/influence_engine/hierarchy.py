@@ -172,9 +172,12 @@ def score_user(
     store: FeatureStore,
     models: Mapping[str, WeightVector],
     stats: Mapping[str, Mapping[str, float]],
+    weights: dict[str, np.ndarray] | None = None,
 ) -> ScoreEntry | None:
-    """Bottom-up evaluation for one user; None when the user is on no leaf."""
+    """Bottom-up evaluation for one user; None when the user is on no leaf.
+    ``weights`` caches ``node_weights`` by node id from one call to the next."""
     node_scores: dict[str, float] = {}
+    weights = {} if weights is None else weights
 
     def visit(node: ScoreNode) -> float | None:
         if node.is_leaf:
@@ -195,7 +198,9 @@ def score_user(
         if not present:
             return None
         f = child_vector(node, node_scores)
-        w = node_weights(node, stats)
+        w = weights.get(node.node_id)
+        if w is None:
+            w = weights[node.node_id] = node_weights(node, stats)
         if node.combiner == COMBINER_SUPERVISED:
             score = leaf_score(f, w)
         else:
@@ -221,8 +226,9 @@ def score_population(
     as_of: date,
 ) -> ScoreSnapshot:
     snapshot = ScoreSnapshot(as_of=as_of)
+    weights: dict[str, np.ndarray] = {}
     for user in store.users():
-        entry = score_user(user, tree, store, models, stats)
+        entry = score_user(user, tree, store, models, stats, weights)
         if entry is not None:
             snapshot.entries[user] = entry
     return snapshot

@@ -158,9 +158,12 @@ def load_batch(
     batch = IngestBatch(
         events=read_events(events, window, registry, report),
         profiles=read_profiles(profiles, window.reference_date(), registry, report),
-        edges=_read_registered(edges, lineio.decode_edge, registry, report),
+        # the first copy of each edge; label votes are merged later instead
+        edges=tuple(dict.fromkeys(read := _read_registered(edges, lineio.decode_edge, registry, report))),
         labels=_read_registered(labels, lineio.decode_label, registry, report),
     )
+    if duplicate_edges := len(read) - len(batch.edges):
+        report.rejected["duplicate-edge"] = duplicate_edges
     report.edges, report.labels = len(batch.edges), len(batch.labels)
     return batch, report
 

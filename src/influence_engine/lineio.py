@@ -251,9 +251,10 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 def read_lines(path: str | Path, errors: str = "strict") -> Iterator[str]:
     """Non-empty lines of a UTF-8 file, without their line ending; with
     ``errors="surrogateescape"`` a byte that is not UTF-8 reads as a lone
-    surrogate instead of raising."""
-    with Path(path).open("r", encoding="utf-8", errors=errors) as fh:
+    surrogate instead of raising. Lines end at LF only: a CR right before
+    the LF is dropped, and a bare CR stays inside its line."""
+    with Path(path).open("r", encoding="utf-8", errors=errors, newline="\n") as fh:
         for line in fh:
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if line:
                 yield line

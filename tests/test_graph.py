@@ -1,7 +1,10 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from influence_engine.graph import (
     degree_stats,
@@ -72,6 +75,89 @@ class TestPageRank:
         result = pagerank([(f"a{i}", f"a{i+1}") for i in range(20)], max_iter=2)
         assert not result.converged
         assert len(result.scores) == 21
+
+
+def reference_pagerank(edges, nodes=(), damping=0.85, tol=1e-9, max_iter=200):
+    """The dict loop that ``pagerank`` ran before it used integer codes,
+    verbatim but for its two sums, written out as additions left to right
+    (the builtin ``sum`` of floats is compensated from Python 3.12 on). It
+    also returns each iteration's delta."""
+    out_neighbors = defaultdict(list)
+    node_set = set(nodes)
+    for src, dst in edges:
+        out_neighbors[src].append(dst)
+        node_set.add(src)
+        node_set.add(dst)
+
+    order = sorted(node_set)
+    n = len(order)
+    rank = {u: 1.0 / n for u in order}
+    base = (1.0 - damping) / n
+    converged = False
+    iterations = 0
+    deltas = []
+    for iterations in range(1, max_iter + 1):
+        dangling = 0.0
+        for u in order:
+            if not out_neighbors[u]:
+                dangling += rank[u]
+        nxt = {u: base + damping * dangling / n for u in order}
+        for u in order:
+            outs = out_neighbors[u]
+            if outs:
+                share = damping * rank[u] / len(outs)
+                for v in outs:
+                    nxt[v] += share
+        delta = 0.0
+        for u in order:
+            delta += abs(nxt[u] - rank[u])
+        deltas.append(delta)
+        rank = nxt
+        if delta < tol:
+            converged = True
+            break
+    return rank, iterations, converged, deltas
+
+
+# the default phases but the explain phase, which takes minutes to report a failure here
+NO_EXPLAIN = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
+
+# graphs over few names, so that repeated edges and self-loops are common, and
+# with often more than 8 dangling nodes, where np.sum would stop being
+# sequential; isolated nodes (and a few linked ones) come in through ``nodes``
+names = st.sampled_from([f"n{i}" for i in range(16)])
+edge_lists = st.lists(st.tuples(names, names), max_size=40)
+node_lists = st.lists(st.sampled_from([f"{c}{i}" for c in "nx" for i in range(12)]), max_size=16)
+
+
+def assert_pagerank_equals_reference(edges, nodes, **kwargs):
+    result = pagerank(edges, nodes=nodes or ["only"], **kwargs)
+    scores, iterations, converged, _ = reference_pagerank(edges, nodes or ["only"], **kwargs)
+    assert result.scores == scores
+    assert list(result.scores) == list(scores)
+    assert (result.iterations, result.converged) == (iterations, converged)
+
+
+@given(
+    edges=edge_lists,
+    nodes=node_lists,
+    max_iter=st.sampled_from([1, 2, 5, 200]),
+    tol=st.sampled_from([1e-9, 1e-13, 0.0]),
+)
+@settings(max_examples=200, phases=NO_EXPLAIN)
+def test_pagerank_equals_the_dict_loop_reference_exactly(edges, nodes, max_iter, tol):
+    assert_pagerank_equals_reference(edges, nodes, tol=tol, max_iter=max_iter)
+
+
+@given(edges=edge_lists, nodes=node_lists)
+@settings(phases=NO_EXPLAIN)
+def test_pagerank_stops_where_the_reference_does_at_a_tie(edges, nodes):
+    # a tolerance equal to the reference's delta at one iteration, or the next
+    # float above it, makes stopping there depend on that delta's last bit
+    _, _, _, deltas = reference_pagerank(edges, nodes or ["only"], tol=0.0, max_iter=20)
+    for delta in deltas:
+        for tol in (delta, math.nextafter(delta, math.inf)):
+            assert_pagerank_equals_reference(edges, nodes, tol=tol)
 
 
 class TestDegrees:

@@ -147,6 +147,25 @@ class TestLoadBatch:
         assert batch.profiles[("a", "tw")].numeric_attrs == (("followers", 7.0),)
         assert report.stale_profiles == 1
 
+    def test_duplicate_edges_keep_the_first_copy(self, tmp_path, small_registry):
+        a_b, c_b = GraphEdge("a", "b", "wk"), GraphEdge("c", "b", "wk")
+        inputs = write_inputs(tmp_path, edges=[a_b, c_b, a_b])
+        batch, report = load_batch(inputs, REF, small_registry)
+        assert batch.edges == (a_b, c_b)
+        assert report.edges == 2
+        assert report.rejected == {"duplicate-edge": 1}
+        assert "rejected.duplicate-edge=1" in report.summary_line()
+        _, clean = load_batch(write_inputs(tmp_path / "clean", edges=[a_b, c_b]), REF, small_registry)
+        assert "duplicate-edge" not in clean.summary_line()
+
+    def test_bare_carriage_return_does_not_end_a_line(self, tmp_path, small_registry):
+        inputs = write_inputs(tmp_path)
+        line = lineio.encode_event(*ev("a"))
+        (inputs / "events.txt").write_bytes(b"junk\r" + line.encode() + b"\n")
+        batch, report = load_batch(inputs, REF, small_registry)
+        assert (report.malformed_lines, report.accepted_events) == (1, 0)
+        assert batch.events == []
+
     def test_missing_file_is_fatal(self, tmp_path, small_registry):
         with pytest.raises(FileNotFoundError):
             load_batch(tmp_path, REF, small_registry)
