@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping
 
@@ -18,13 +19,8 @@ import numpy as np
 
 from . import lineio
 from .events import SECONDS_PER_DAY, EventColumns, GraphEdge, ProfileSnapshot
-from .graph import (
-    degree_stats,
-    edges_by_network,
-    inlink_outlink_ratio,
-    pagerank,
-)
-from .registry import FeatureRegistry, dynamic_key, longlasting_key
+from .graph import degree_signals, edges_by_network, pagerank
+from .registry import GRAPH_ATTRS, FeatureRegistry, dynamic_key, longlasting_key
 
 COHORT_ALL = "all"
 COHORT_HIGHER = "higher"
@@ -132,52 +128,40 @@ def aggregate_longlasting(
     profiles: Iterable[ProfileSnapshot],
     edges: Iterable[GraphEdge],
     registry: FeatureRegistry,
-    unconverged: list[str] | None = None,
-) -> tuple[RawFeatureTable, int]:
-    """Profile and graph signals; returns (table, skipped attr count).
+) -> tuple[RawFeatureTable, int, list[str]]:
+    """Profile and graph signals; returns (table, skipped attr count,
+    networks whose PageRank stopped at its iteration cap).
 
     ``profiles`` holds at most one snapshot per (user, network), as ingest
     keeps them. Categorical attributes are mapped to 1-based ordinal ranks;
-    unknown category values map to 0. PageRank and the inlink/outlink ratio
-    are derived from the edge set for networks that register those attrs.
-    Networks whose PageRank stopped at its iteration cap are appended to
-    ``unconverged``.
+    unknown category values map to 0. The ``GRAPH_ATTRS`` a network
+    registers are derived from its edges, after every profile value.
     """
     cells: defaultdict[tuple[str, str], float] = defaultdict(float)
     skipped = 0
     for user, network, _, numeric_attrs, categorical_attrs in profiles:
         registered = registry.networks[network].longlasting_attrs
-        for name, value in numeric_attrs:
+        ordinals = ((name, registry.ordinal_value(name, c)) for name, c in categorical_attrs)
+        for name, value in chain(numeric_attrs, ordinals):
             if name in registered:
                 cells[(user, longlasting_key(network, name))] += value
             else:
                 skipped += 1
-        for name, category in categorical_attrs:
-            if name in registered:
-                cells[(user, longlasting_key(network, name))] += registry.ordinal_value(name, category)
-            else:
-                skipped += 1
 
+    unconverged = []
     for network, pairs in sorted(edges_by_network(edges).items()):
-        registered = registry.networks[network].longlasting_attrs
-        if "pagerank" in registered and pairs:
+        registered = GRAPH_ATTRS.intersection(registry.networks[network].longlasting_attrs)
+        signals = degree_signals(pairs) if registered - {"pagerank"} else {}
+        if "pagerank" in registered:
             result = pagerank(pairs)
-            if not result.converged and unconverged is not None:
+            signals["pagerank"] = result.scores
+            if not result.converged:
                 unconverged.append(network)
-            key = longlasting_key(network, "pagerank")
-            for user, score in result.scores.items():
-                cells[(user, key)] += score
-        if ("inlinks" in registered or "inlink_outlink_ratio" in registered) and pairs:
-            indeg, outdeg = degree_stats(pairs)
-        if "inlink_outlink_ratio" in registered and pairs:
-            key = longlasting_key(network, "inlink_outlink_ratio")
-            for user, ratio in inlink_outlink_ratio(indeg, outdeg).items():
-                cells[(user, key)] += ratio
-        if "inlinks" in registered and pairs:
-            key = longlasting_key(network, "inlinks")
-            for user, deg in indeg.items():
-                cells[(user, key)] += float(deg)
-    return RawFeatureTable.from_cells(cells), skipped
+        for attr in sorted(registered):
+            key = longlasting_key(network, attr)
+            for user, value in signals[attr].items():
+                cells[(user, key)] += value
+    return RawFeatureTable.from_cells(cells), skipped, unconverged
 
 
 def compute_global_maxima(table: RawFeatureTable) -> dict[str, float]:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,20 +73,16 @@ def edges_by_network(edges: Iterable[GraphEdge]) -> dict[str, list[tuple[str, st
     return grouped
 
 
-def degree_stats(edge_pairs: Iterable[tuple[str, str]]) -> tuple[dict[str, int], dict[str, int]]:
-    """In-degree and out-degree per node."""
-    indeg: dict[str, int] = defaultdict(int)
-    outdeg: dict[str, int] = defaultdict(int)
-    for src, dst in edge_pairs:
-        outdeg[src] += 1
-        indeg[dst] += 1
-    return dict(indeg), dict(outdeg)
-
-
-def inlink_outlink_ratio(indeg: Mapping[str, int], outdeg: Mapping[str, int]) -> dict[str, float]:
-    # nodes with no outlinks keep their raw in-degree (ratio against 1)
-    users = set(indeg) | set(outdeg)
-    return {u: indeg.get(u, 0) / max(outdeg.get(u, 0), 1) for u in users}
+def degree_signals(pairs: Sequence[tuple[str, str]]) -> dict[str, dict[str, float]]:
+    """``inlinks`` (in-degree) of each node with an in-link and the
+    ``inlink_outlink_ratio`` of each node on an edge, keyed by those names."""
+    indeg = Counter(dst for _, dst in pairs)
+    outdeg = Counter(src for src, _ in pairs)
+    return {
+        "inlinks": {u: float(n) for u, n in indeg.items()},
+        # nodes with no outlinks keep their raw in-degree (ratio against 1)
+        "inlink_outlink_ratio": {u: indeg[u] / max(outdeg[u], 1) for u in indeg.keys() | outdeg.keys()},
+    }
 
 
 def graph_summary(edge_pairs: list[tuple[str, str]]) -> dict[str, float]:

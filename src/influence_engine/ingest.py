@@ -166,9 +166,3 @@ def load_batch(
         report.rejected["duplicate-edge"] = duplicate_edges
     report.edges, report.labels = len(batch.edges), len(batch.labels)
     return batch, report
-
-
-def read_ingested_labels(directory: str | Path) -> tuple[PairwiseLabel, ...]:
-    """The labels that the ingest stage wrote to ``directory``, read
-    strictly: a line that does not decode raises."""
-    return tuple(map(lineio.decode_label, lineio.read_lines(Path(directory) / "labels.txt")))

@@ -239,6 +239,19 @@ def read_edges(path: str | Path) -> tuple[GraphEdge, ...]:
     return tuple(map(GraphEdge, src, dst, network))
 
 
+def read_labels(path: str | Path) -> tuple[PairwiseLabel, ...]:
+    """The labels of a file of ``encode_label`` lines, read strictly; a vote
+    count that is not an integer >= 0, or a label that does not compare two
+    distinct, non-empty user ids, raises."""
+    network, user_a, user_b, votes_a, votes_b = _read_columns(path, PairwiseLabel._fields)
+    votes_a, votes_b = list(map(int, votes_a)), list(map(int, votes_b))
+    if not (all(user_a) and all(user_b)) or any(map(str.__eq__, user_a, user_b)):
+        raise ValueError(f"{path}: a label compares two distinct, non-empty user ids")
+    if min(votes_a + votes_b, default=0) < 0:
+        raise ValueError(f"{path}: vote counts must be >= 0")
+    return tuple(map(PairwiseLabel, network, user_a, user_b, votes_a, votes_b))
+
+
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

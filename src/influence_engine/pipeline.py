@@ -31,7 +31,7 @@ from .hierarchy import (
     save_snapshot,
     score_population,
 )
-from .ingest import INPUT_FILES, load_batch, read_ingested_labels
+from .ingest import INPUT_FILES, load_batch
 from .population import (
     CampaignParams,
     PopulationParams,
@@ -84,6 +84,9 @@ class RunConfig:
                 raise KeyError(key)
             return (base / data[key]).resolve() if data.get(key) else None
 
+        rankings = data.get("reference_rankings", [])
+        if type(rankings) is not list:  # a string would read as one path per character
+            raise ValueError(f"reference_rankings must be a list, not {rankings!r}")
         return cls(
             input_dir=resolve("input_dir", required=True),
             registry_path=resolve("registry", required=True),
@@ -92,9 +95,7 @@ class RunConfig:
             seed=integer("seed", 0),
             prior_snapshot=resolve("prior_snapshot"),
             latent_path=resolve("latent"),
-            reference_rankings=tuple(
-                (base / p).resolve() for p in data.get("reference_rankings", ())
-            ),
+            reference_rankings=tuple((base / p).resolve() for p in rankings),
             population_path=resolve("population"),
         )
 
@@ -183,8 +184,7 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     if cfg.prior_snapshot is not None:
         prior = load_snapshot(cfg.prior_snapshot).prior_scores()
     dynamic = feat.aggregate_dynamic(events, cfg.reference_time, prior, registry)
-    unconverged: list[str] = []
-    longlasting, unregistered = feat.aggregate_longlasting(profiles, edges, registry, unconverged)
+    longlasting, unregistered, unconverged = feat.aggregate_longlasting(profiles, edges, registry)
     table = dynamic.concat(longlasting)
     maxima = feat.compute_global_maxima(table)
     for network in unconverged:
@@ -208,7 +208,7 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
     registry = FeatureRegistry.load(cfg.registry_path)
-    labels = read_ingested_labels(out / "ingest")
+    labels = lineio.read_labels(out / "ingest" / "labels.txt")
     store = load_store(_normalized_path(out), registry)
     pairs = preprocess_labels(labels)
 

@@ -136,6 +136,10 @@ class FeatureRegistry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureRegistry":
+        lowered = [name.lower() for name in data["networks"]]
+        if len(set(lowered)) < len(lowered):
+            clashing = sorted(n for n in data["networks"] if lowered.count(n.lower()) > 1)
+            raise ValueError(f"network names differ only in case: {clashing}")
         networks = {
             name.lower(): NetworkSpec(
                 name=name.lower(),

@@ -13,7 +13,7 @@ import numpy as np
 from . import lineio
 from .events import PairwiseLabel
 from .features import FeatureStore
-from .nnls import NNLSResult, nnls
+from .nnls import nnls
 from .registry import FeatureRegistry
 
 MIN_VOTE_MARGIN = 2
@@ -115,34 +115,6 @@ def build_design(
     return X, y, skipped
 
 
-def nnls_solve(
-    X: np.ndarray,
-    y: np.ndarray,
-    network: str,
-    registry_hash: str,
-    max_iter: int | None = None,
-) -> WeightVector:
-    if X.shape[0] < 1:
-        raise ValueError("cannot train on an empty design matrix")
-    result: NNLSResult = nnls(X, y, max_iter=max_iter)
-    return WeightVector(
-        network=network,
-        weights=result.x,
-        registry_hash=registry_hash,
-        converged=result.converged,
-        iterations=result.iterations,
-        residual_norm=result.residual_norm,
-    )
-
-
-def _pair_scores(w: WeightVector, pair: CleanPair, store: FeatureStore):
-    fw = store.get(pair.winner, w.network)
-    fl = store.get(pair.loser, w.network)
-    if fw is None or fl is None:
-        return None
-    return float(fw @ w.weights), float(fl @ w.weights)
-
-
 def evaluate_model(
     w: WeightVector,
     pairs: Sequence[CleanPair],
@@ -160,11 +132,12 @@ def evaluate_model(
     evaluated = 0
     tp = fp = fn = 0
     for pair in pairs:
-        scores = _pair_scores(w, pair, store)
-        if scores is None:
+        fw = store.get(pair.winner, w.network)
+        fl = store.get(pair.loser, w.network)
+        if fw is None or fl is None:
             skipped += 1
             continue
-        sw, sl = scores
+        sw, sl = float(fw @ w.weights), float(fl @ w.weights)
         evaluated += 1
         if sw > sl:
             correct += 1.0
@@ -211,7 +184,17 @@ def train_network(
     net_pairs = [p for p in pairs if p.network == network]
     train, holdout = split_pairs(net_pairs, holdout_fraction, seed)
     X, y, skipped = build_design(train, store, network)
-    w = nnls_solve(X, y, network, registry.registry_hash(network))
+    if X.shape[0] < 1:
+        raise ValueError("cannot train on an empty design matrix")
+    result = nnls(X, y)
+    w = WeightVector(
+        network=network,
+        weights=result.x,
+        registry_hash=registry.registry_hash(network),
+        converged=result.converged,
+        iterations=result.iterations,
+        residual_norm=result.residual_norm,
+    )
     report = evaluate_model(w, holdout, store, train_pairs=len(y), skipped=skipped)
     return w, report
 

@@ -263,6 +263,7 @@ class TestCodecFastPaths:
 
 LINE = lineio.encode_event("a", "b", "tw", "message", "like", 5) + "\n"
 EDGE = lineio.encode_edge(GraphEdge("a", "b", "wk")) + "\n"
+LABEL = lineio.encode_label(PairwiseLabel("tw", "a", "b", 3, 1)) + "\n"
 DAMAGED = {
     "reordered": (lineio.read_event_columns, LINE + LINE.replace("actor=a\tauthor=b", "author=b\tactor=a")),
     "missing-field": (lineio.read_event_columns, LINE + LINE.replace("network=tw\t", "")),
@@ -274,11 +275,18 @@ DAMAGED = {
     "self-loop-edge": (lineio.read_edges, EDGE + EDGE.replace("to=b", "to=a")),
     "edge-missing-field": (lineio.read_edges, EDGE + EDGE.replace("\tnetwork=wk", "")),
     "no-final-newline": (lineio.read_event_columns, LINE + LINE.rstrip("\n")),
+    "label-reordered": (lineio.read_labels, LABEL + LABEL.replace("user_a=a\tuser_b=b", "user_b=b\tuser_a=a")),
+    "label-extra-field": (lineio.read_labels, LABEL + LABEL.replace("\n", "\textra=1\n")),
+    "label-blank-line": (lineio.read_labels, LABEL + "\n" + LABEL),
+    "label-negative-votes": (lineio.read_labels, LABEL + LABEL.replace("votes_b=1", "votes_b=-1")),
+    "label-votes-not-an-integer": (lineio.read_labels, LABEL + LABEL.replace("votes_a=3", "votes_a=3.0")),
+    "label-one-user": (lineio.read_labels, LABEL + LABEL.replace("user_b=b", "user_b=a")),
+    "label-empty-id": (lineio.read_labels, LABEL + LABEL.replace("user_a=a", "user_a=")),
 }
 
 
 class TestColumnReaders:
-    """The strict readers of the event and edge files that ingest writes."""
+    """The strict readers of the event, edge and label files that ingest writes."""
 
     @given(
         events=st.lists(
@@ -287,15 +295,20 @@ class TestColumnReaders:
         edges=st.lists(
             st.builds(GraphEdge, codec_values, codec_values, codec_values), max_size=20
         ).map(lambda edges: [e for e in edges if e.src != e.dst]),
+        labels=st.lists(
+            st.builds(PairwiseLabel, *[codec_values] * 3, st.integers(0), st.integers(0)), max_size=20
+        ).map(lambda labels: [l for l in labels if l.user_a != l.user_b]),
     )
     # without the explain phase, which takes minutes to report a broken reader
     @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
-    def test_round_trip(self, tmp_path_factory, events, edges):
+    def test_round_trip(self, tmp_path_factory, events, edges, labels):
         directory = tmp_path_factory.mktemp("columns")
         lineio.write_lines(directory / "events.txt", (lineio.encode_event(*e) for e in events))
         lineio.write_lines(directory / "edges.txt", map(lineio.encode_edge, edges))
         assert lineio.read_event_columns(directory / "events.txt") == columns_of(events)
         assert lineio.read_edges(directory / "edges.txt") == tuple(edges)
+        lineio.write_lines(directory / "labels.txt", map(lineio.encode_label, labels))
+        assert lineio.read_labels(directory / "labels.txt") == tuple(labels)
 
     def test_a_file_of_several_chunks(self, tmp_path):
         # plain ids first, so that chunks with and without escapes both occur
@@ -324,3 +337,5 @@ class TestColumnReaders:
         (tmp_path / "edges.txt").write_text(EDGE * 2)
         assert lineio.read_event_columns(tmp_path / "events.txt") == columns_of([ev("a", "b", ts=5)] * 2)
         assert lineio.read_edges(tmp_path / "edges.txt") == (GraphEdge("a", "b", "wk"),) * 2
+        (tmp_path / "labels.txt").write_text(LABEL * 2)
+        assert lineio.read_labels(tmp_path / "labels.txt") == (PairwiseLabel("tw", "a", "b", 3, 1),) * 2

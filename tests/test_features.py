@@ -11,6 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from influence_engine import features
 from influence_engine.events import SECONDS_PER_DAY, WINDOW_DAYS
 from influence_engine.features import (
     COHORT_ALL,
@@ -24,6 +25,7 @@ from influence_engine.features import (
     load_store,
     normalize,
 )
+from influence_engine.graph import degree_signals
 from influence_engine.registry import FeatureRegistry, NetworkSpec, dynamic_key, longlasting_key
 
 from conftest import columns_of, make_small_registry
@@ -332,7 +334,7 @@ class TestLonglasting:
 
     def test_numeric_pass_through_and_ordinal_mapping(self, tmp_path, small_registry):
         batch = batch_from(tmp_path, small_registry, profiles=self.profiles())
-        table, skipped = aggregate_longlasting(batch.profiles.values(), batch.edges, small_registry)
+        table, skipped, _ = aggregate_longlasting(batch.profiles.values(), batch.edges, small_registry)
         assert value_of(table, "a", longlasting_key("tw", "followers")) == 1500.0
         assert value_of(table, "a", longlasting_key("fb", "education_level")) == 4.0
         assert value_of(table, "b", longlasting_key("fb", "education_level")) == 0.0
@@ -345,7 +347,7 @@ class TestLonglasting:
             GraphEdge("hub", "x", "wk"),
         ]
         batch = batch_from(tmp_path, small_registry, edges=edges)
-        table, _ = aggregate_longlasting(batch.profiles.values(), batch.edges, small_registry)
+        table, _, unconverged = aggregate_longlasting(batch.profiles.values(), batch.edges, small_registry)
         assert value_of(table, "hub", longlasting_key("wk", "inlinks")) == 2.0
         assert value_of(table, "hub", longlasting_key("wk", "inlink_outlink_ratio")) == 2.0
         pr = {
@@ -354,6 +356,24 @@ class TestLonglasting:
         }
         assert pr["hub"] > pr["x"] > 0
         assert math.isclose(sum(pr.values()), 1.0, abs_tol=1e-6)
+        assert unconverged == []
+
+    def test_a_degree_pass_only_where_a_degree_attr_is_registered(self, tmp_path, monkeypatch):
+        registry = make_small_registry()
+        registry.networks["wk"] = replace(registry.networks["wk"], longlasting_attrs=("pagerank",))
+        registry.networks["fb"] = replace(registry.networks["fb"], longlasting_attrs=("inlinks",))
+        edges = [GraphEdge(*pair, network) for network in ("fb", "tw", "wk") for pair in ("xy", "yz")]
+        batch = batch_from(tmp_path, registry, edges=edges)
+        passes = []
+        monkeypatch.setattr(
+            features, "degree_signals", lambda pairs: passes.append(pairs) or degree_signals(pairs)
+        )
+        table, _, _ = aggregate_longlasting(batch.profiles.values(), batch.edges, registry)
+        assert passes == [[("x", "y"), ("y", "z")]]  # fb's edges only
+        assert set(as_dict(table)) == {
+            ("y", "ll/fb/inlinks"), ("z", "ll/fb/inlinks"),
+            *((u, "ll/wk/pagerank") for u in "xyz"),
+        }
 
 
 class TestMaximaAndNormalize:
@@ -530,6 +550,13 @@ class TestRegistryKeySpace:
         spec = NetworkSpec(name="tw", content_types=("a", "a/x"), actions=("x/y", "y"))
         with pytest.raises(ValueError, match="'a/x'"):
             FeatureRegistry(networks={"tw": spec})
+
+    def test_names_that_differ_only_in_case_are_refused(self):
+        # both would load as "tw", and one spec would be dropped
+        data = {"networks": {"TW": {"actions": ["like"]}, "tw": {"actions": ["reply"]}}}
+        with pytest.raises(ValueError, match=re.escape("['TW', 'tw']")):
+            FeatureRegistry.from_dict(data)
+        assert list(FeatureRegistry.from_dict({"networks": {"TW": {}}}).networks) == ["tw"]
 
     @pytest.mark.parametrize("band", [0.0, -1.0, math.nan, math.inf])
     def test_peer_band_must_be_finite_and_above_zero(self, small_registry, band):

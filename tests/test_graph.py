@@ -1,17 +1,13 @@
 import math
 from collections import defaultdict
+from typing import Iterable, Mapping
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from influence_engine.graph import (
-    degree_stats,
-    graph_summary,
-    inlink_outlink_ratio,
-    pagerank,
-)
+from influence_engine.graph import degree_signals, graph_summary, pagerank
 
 from oracles import dense_pagerank
 
@@ -160,15 +156,47 @@ def test_pagerank_stops_where_the_reference_does_at_a_tie(edges, nodes):
             assert_pagerank_equals_reference(edges, nodes, tol=tol)
 
 
+# the two dict helpers that ``degree_signals`` replaced, verbatim
+def degree_stats(edge_pairs: Iterable[tuple[str, str]]) -> tuple[dict[str, int], dict[str, int]]:
+    """In-degree and out-degree per node."""
+    indeg: dict[str, int] = defaultdict(int)
+    outdeg: dict[str, int] = defaultdict(int)
+    for src, dst in edge_pairs:
+        outdeg[src] += 1
+        indeg[dst] += 1
+    return dict(indeg), dict(outdeg)
+
+
+def inlink_outlink_ratio(indeg: Mapping[str, int], outdeg: Mapping[str, int]) -> dict[str, float]:
+    # nodes with no outlinks keep their raw in-degree (ratio against 1)
+    users = set(indeg) | set(outdeg)
+    return {u: indeg.get(u, 0) / max(outdeg.get(u, 0), 1) for u in users}
+
+
+def typed(values):
+    return {key: (type(value), value) for key, value in values.items()}
+
+
+@given(edges=edge_lists)
+@settings(phases=NO_EXPLAIN)
+def test_degree_signals_equal_the_dict_helpers_exactly(edges):
+    # features added float(in-degree) for each key of degree_stats' in-degrees
+    indeg, outdeg = degree_stats(edges)
+    signals = degree_signals(edges)
+    assert list(signals) == ["inlinks", "inlink_outlink_ratio"]
+    assert typed(signals["inlinks"]) == typed({u: float(deg) for u, deg in indeg.items()})
+    assert typed(signals["inlink_outlink_ratio"]) == typed(inlink_outlink_ratio(indeg, outdeg))
+
+
 class TestDegrees:
     def test_degree_stats(self):
-        indeg, outdeg = degree_stats([("a", "b"), ("c", "b"), ("b", "a")])
-        assert indeg == {"b": 2, "a": 1}
-        assert outdeg == {"a": 1, "c": 1, "b": 1}
+        signals = degree_signals([("a", "b"), ("c", "b"), ("b", "a")])
+        assert signals["inlinks"] == {"b": 2.0, "a": 1.0}
+        assert signals["inlink_outlink_ratio"] == {"a": 1.0, "b": 2.0, "c": 0.0}
 
     def test_ratio_handles_zero_outlinks(self):
-        ratios = inlink_outlink_ratio({"x": 4}, {})
-        assert ratios == {"x": 4.0}
+        ratios = degree_signals([(u, "x") for u in "abcd"])["inlink_outlink_ratio"]
+        assert ratios["x"] == 4.0
 
     def test_graph_summary(self):
         stats = graph_summary([("a", "b"), ("b", "c")])

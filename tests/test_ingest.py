@@ -21,7 +21,6 @@ from influence_engine.ingest import (
     IngestBatch,
     LoadReport,
     load_batch,
-    read_ingested_labels,
 )
 from influence_engine.pipeline import RunConfig, stage_ingest
 
@@ -290,7 +289,7 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
     profiles = map(lineio.decode_profile, lineio.read_lines(ingested / "profiles.txt"))
     assert list(profiles) == list(checked.profiles.values())
     assert lineio.read_edges(ingested / "edges.txt") == checked.edges
-    assert read_ingested_labels(ingested) == checked.labels
+    assert lineio.read_labels(ingested / "labels.txt") == checked.labels
     # what ingest wrote passes every check that the strict readers skip
     assert report.accepted_events == len(checked.events)
     assert report.expired_events == report.duplicate_events == report.malformed_lines == 0

@@ -386,9 +386,7 @@ class TestTrainStage:
 
         out = tmp_path / "out"
         shutil.copytree(first, out)
-        monkeypatch.setattr(
-            training, "nnls", lambda X, y, max_iter: nnls.nnls(X, y, max_iter=1)
-        )
+        monkeypatch.setattr(training, "nnls", functools.partial(nnls.nnls, max_iter=1))
         run_pipeline(cfg, out, mode="train")
         manifest = (out / "manifest.txt").read_text().splitlines()
         scorable = FeatureRegistry.load(cfg.registry_path).scorable_networks()
@@ -489,6 +487,7 @@ class TestCLI:
             lambda data: {**data, "seed": 2.9},
             lambda data: {**data, "seed": True},
             lambda data: {**data, "reference_time": 1_700_000_000.9},
+            lambda data: {**data, "reference_rankings": "ref.txt"},
         ],
         ids=[
             "empty",
@@ -498,6 +497,7 @@ class TestCLI:
             "float-seed",
             "bool-seed",
             "float-reference-time",
+            "string-reference-rankings",
         ],
     )
     def test_bad_config_exits_one(self, dataset, tmp_path, capsys, edit):
@@ -527,6 +527,15 @@ class TestCLI:
         code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "peer_band" in capsys.readouterr().err
+
+    def test_network_names_that_differ_only_in_case_fail_ingest(self, dataset, tmp_path, capsys):
+        registry = edited_registry(
+            dataset, tmp_path / "registry.json", lambda data: data["networks"].update(TW={})
+        )
+        config = make_config(dataset, tmp_path / "config.json", registry=str(registry))
+        code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "differ only in case" in capsys.readouterr().err
 
     def test_stage_failure_maps_to_stage_exit_code(self, dataset, tmp_path, capsys):
         config = make_config(dataset, tmp_path / "config.json")

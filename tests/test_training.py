@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from influence_engine import nnls, training
 from influence_engine.events import PairwiseLabel
 from influence_engine.features import FeatureStore
 from influence_engine.registry import FeatureRegistry, NetworkSpec
@@ -10,7 +13,6 @@ from influence_engine.training import (
     build_design,
     evaluate_model,
     load_model,
-    nnls_solve,
     preprocess_labels,
     save_model,
     split_pairs,
@@ -88,9 +90,9 @@ class TestBuildDesign:
         assert np.array_equal(X, [[0.0, 0.0]])
 
     def test_empty_system_refuses_training(self):
-        X, y, _ = build_design([], store_with({}, tiny_registry(2)), "tw")
-        with pytest.raises(ValueError):
-            nnls_solve(X, y, "tw", "hash")
+        registry = tiny_registry(2)
+        with pytest.raises(ValueError, match="empty design matrix"):
+            train_network([], store_with({}, registry), registry, "tw")
 
 
 class TestEvaluateModel:
@@ -117,14 +119,15 @@ class TestEvaluateModel:
         assert report.pairwise_accuracy == 0.5
         assert report.f1 == 0.0
 
-    def test_solver_convergence_reaches_report_line(self):
+    def test_solver_convergence_reaches_report_line(self, monkeypatch):
         registry = tiny_registry(3)
-        store = store_with({"a": [1.0, 0.0, 0.0], "b": [0.0, 0.0, 0.0]}, registry)
-        pair = [CleanPair("tw", "a", "b", 2)]
-        X, y = np.eye(3), np.ones(3)  # one active-set step per coordinate
+        vectors = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "c": [0.0, 0.0, 1.0], "z": [0.0] * 3}
+        store = store_with(vectors, registry)
+        # with no holdout the design is eye(3) in some row order: one active-set step per coordinate
+        pairs = [CleanPair("tw", u, "z", 2) for u in "abc"]
         for max_iter, token in ((1, "converged=0"), (None, "converged=1")):
-            w = nnls_solve(X, y, "tw", registry.registry_hash("tw"), max_iter=max_iter)
-            report = evaluate_model(w, pair, store)
+            monkeypatch.setattr(training, "nnls", functools.partial(nnls.nnls, max_iter=max_iter))
+            w, report = train_network(pairs, store, registry, "tw", holdout_fraction=0.0)
             assert report.converged == w.converged
             assert token in report.summary_line().split("\t")
 
