@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import lineio
-from .hierarchy import load_snapshot
+from .hierarchy import load_snapshot, load_tree
 from .pipeline import STAGES, RunConfig, StageError, rank_cohort, run_pipeline
 
 STAGE_EXIT_CODES = {
@@ -62,6 +62,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = RunConfig.from_file(args.config)
+        load_tree(cfg.tree_path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 1

@@ -89,7 +89,7 @@ def rank_correlation(scores: Mapping[str, float], latent: Mapping[str, float]) -
 
 # -- fixture files ---------------------------------------------------------
 
-def load_reference(path: str | Path, name: str | None = None) -> ReferenceRanking:
+def load_reference(path: str | Path) -> ReferenceRanking:
     """Lines of ``rank<TAB>entity<TAB>external-score`` (score optional)."""
     entities = []
     scores = []
@@ -103,7 +103,7 @@ def load_reference(path: str | Path, name: str | None = None) -> ReferenceRankin
         entities.append(parts[1])
         scores.append(float(parts[2]) if len(parts) > 2 and parts[2] else None)
     return ReferenceRanking(
-        name=name or Path(path).stem,
+        name=Path(path).stem,
         ordered_entities=tuple(entities),
         external_scores=tuple(scores),
     )

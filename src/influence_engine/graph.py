@@ -10,6 +10,8 @@ import numpy as np
 
 from .events import GraphEdge
 
+GRAPH_STATS = ("graph_size", "avg_node_degree")  # graph_summary's keys, the heuristic bases
+
 
 @dataclass(frozen=True)
 class PageRankResult:
@@ -90,4 +92,4 @@ def graph_summary(edge_pairs: list[tuple[str, str]]) -> dict[str, float]:
     nodes = {u for pair in edge_pairs for u in pair}
     size = len(nodes)
     avg_degree = (2.0 * len(edge_pairs) / size) if size else 0.0
-    return {"graph_size": float(size), "avg_node_degree": avg_degree}
+    return dict(zip(GRAPH_STATS, (float(size), avg_degree)))

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import lineio
 from .features import FeatureStore
+from .graph import GRAPH_STATS
 from .training import WeightVector
 
 COMBINER_SUPERVISED = "supervised-dot"
@@ -27,7 +28,6 @@ COMBINER_L2 = "l2-norm"
 @dataclass(frozen=True)
 class ScoreNode:
     node_id: str
-    level: int
     combiner: str
     children: tuple["ScoreNode", ...] = ()
     network: str | None = None  # leaves only
@@ -40,14 +40,14 @@ class ScoreNode:
         if self.is_leaf:
             if not self.network:
                 raise ValueError(f"leaf node {self.node_id!r} needs a network")
-        else:
-            for child in self.children:
-                if child.level != self.level + 1:
-                    raise ValueError(
-                        f"child {child.node_id!r} level {child.level} != {self.level + 1}"
-                    )
-            if self.explicit_weights is not None and len(self.explicit_weights) != len(self.children):
+        elif self.explicit_weights is not None:
+            w = self.explicit_weights
+            if len(w) != len(self.children):
                 raise ValueError("explicit weights length must match children count")
+            if not (all(0 <= x < np.inf for x in w) and any(w)):  # refuses nan and inf too
+                raise ValueError(f"weights of {self.node_id!r} must be finite, >= 0, not all 0")
+        if self.heuristic_basis not in (None, *GRAPH_STATS):
+            raise ValueError(f"heuristic_basis {self.heuristic_basis!r} is not one of {GRAPH_STATS}")
 
     @property
     def is_leaf(self) -> bool:
@@ -67,20 +67,27 @@ class ScoreNode:
             yield from child.walk()
 
 
-def parse_tree(data: dict, level: int = 0) -> ScoreNode:
-    children = tuple(parse_tree(c, level + 1) for c in data.get("children", ()))
-    node = ScoreNode(
-        node_id=data["node_id"],
-        level=level,
-        combiner=data.get("combiner", COMBINER_L2 if children else COMBINER_SUPERVISED),
-        children=children,
-        network=data.get("network"),
-        heuristic_basis=data.get("heuristic_basis"),
-        explicit_weights=tuple(data["weights"]) if "weights" in data else None,
-    )
-    if level == 0 and node.node_id != "root":
+def parse_tree(data: dict) -> ScoreNode:
+    """The tree a JSON object describes; node ids are unique and the top one is "root"."""
+    def node(d: dict) -> ScoreNode:
+        children = tuple(map(node, d.get("children", ())))
+        return ScoreNode(
+            node_id=d["node_id"],
+            combiner=d.get("combiner", COMBINER_L2 if children else COMBINER_SUPERVISED),
+            children=children,
+            network=d.get("network"),
+            heuristic_basis=d.get("heuristic_basis"),
+            explicit_weights=tuple(d["weights"]) if "weights" in d else None,
+        )
+
+    tree = node(data)
+    if tree.node_id != "root":
         raise ValueError('top-level node must have node_id "root"')
-    return node
+    ids = [n.node_id for n in tree.walk()]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:  # child scores are keyed by node id: a node would read its namesake's
+        raise ValueError(f"node_id repeated in the tree: {repeated}")
+    return tree
 
 
 def load_tree(path: str | Path) -> ScoreNode:
@@ -184,10 +191,7 @@ def score_user(
             f = store.get(user, node.network)
             if f is None:
                 return None
-            model = models.get(node.network)
-            if model is None:
-                raise ValueError(f"no trained model for leaf network {node.network!r}")
-            score = leaf_score(f, model.weights)
+            score = leaf_score(f, models[node.network].weights)
             node_scores[node.node_id] = score
             return score
 

@@ -50,10 +50,6 @@ def _fields(line: str) -> dict[str, str]:
     return out
 
 
-def _num(value: float) -> str:
-    return repr(float(value))
-
-
 # -- events ----------------------------------------------------------------
 
 def encode_event(
@@ -103,7 +99,7 @@ def encode_profile(profile: ProfileSnapshot) -> str:
         f"network={encode_value(profile.network)}",
         f"as_of={profile.as_of.isoformat()}",
     ]
-    tokens += [f"n:{encode_value(k)}={_num(v)}" for k, v in profile.numeric_attrs]
+    tokens += [f"n:{encode_value(k)}={float(v)!r}" for k, v in profile.numeric_attrs]
     tokens += [f"c:{encode_value(k)}={encode_value(v)}" for k, v in profile.categorical_attrs]
     return "\t".join(tokens)
 

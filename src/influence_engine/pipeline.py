@@ -49,7 +49,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: str):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 @dataclass(frozen=True)

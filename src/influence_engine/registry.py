@@ -89,12 +89,10 @@ class FeatureRegistry:
             for w in self.windows
         )
 
-    def longlasting_keys(self, network: str) -> list[str]:
-        return sorted(longlasting_key(network, a) for a in self.networks[network].longlasting_attrs)
-
     def keys_for(self, network: str) -> tuple[str, ...]:
         """Frozen total ordering of the network's feature space."""
-        return tuple(sorted(self.dynamic_keys(network) + self.longlasting_keys(network)))
+        attrs = self.networks[network].longlasting_attrs
+        return tuple(sorted(self.dynamic_keys(network) + [longlasting_key(network, a) for a in attrs]))
 
     def registry_hash(self, network: str) -> str:
         payload = "\n".join(self.keys_for(network))
@@ -162,42 +160,3 @@ class FeatureRegistry:
     def load(cls, path: str | Path) -> "FeatureRegistry":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-
-def default_registry() -> FeatureRegistry:
-    """Registry mirroring the shipped multi-network configuration.
-
-    Wikipedia (wk) carries only graph and profile signals, never dynamic
-    interaction features.
-    """
-    content = ("message", "photo", "video")
-    actions = ("comment", "reply", "like", "mention", "reshare", "view")
-    social = {}
-    degree_attrs = {
-        "tw": ("followers", "friends"),
-        "fb": ("fans", "friends"),
-        "li": ("connections",),
-        "gp": ("followers",),
-        "fs": ("friends",),
-        "ig": ("followers",),
-        "yt": ("subscribers",),
-        "lt": ("community_badge", "posts"),
-    }
-    for name in ("tw", "fb", "li", "gp", "fs", "ig", "yt", "lt"):
-        social[name] = NetworkSpec(
-            name=name,
-            content_types=content,
-            actions=actions,
-            longlasting_attrs=degree_attrs[name],
-            dynamic=True,
-        )
-    social["wk"] = NetworkSpec(
-        name="wk",
-        longlasting_attrs=("inlinks", "pagerank", "inlink_outlink_ratio"),
-        dynamic=False,
-    )
-    return FeatureRegistry(
-        networks=social,
-        ordinal_maps={
-            "community_badge": ("member", "contributor", "expert", "moderator"),
-        },
-    )

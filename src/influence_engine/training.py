@@ -217,29 +217,28 @@ def save_model(w: WeightVector, registry: FeatureRegistry, path: str | Path) -> 
 
 
 def load_model(path: str | Path, registry: FeatureRegistry) -> WeightVector:
-    header: dict[str, str] = {}
-    weights: dict[str, float] = {}
+    fields: dict[str, str] = {}  # header name or feature key -> its value
     for line in lineio.read_lines(path):
-        if line.startswith("w\t"):
-            _, key, value = line.split("\t")
-            weights[key] = float(value)
-        else:
-            k, _, v = line.partition("=")
-            header[k] = v
-    network = header["network"]
+        key, value = line[2:].split("\t") if line.startswith("w\t") else line.split("=", 1)
+        fields[key] = value
+
+    def need(key: str) -> str:
+        if key not in fields:
+            raise ValueError(f"model file {path} has no {key!r} line")
+        return fields[key]
+
+    network = need("network")
     expected_hash = registry.registry_hash(network)
-    if header["registry_hash"] != expected_hash:
+    if need("registry_hash") != expected_hash:
         raise ValueError(
             f"model file {path} was trained against a different feature registry "
-            f"({header['registry_hash']} != {expected_hash})"
+            f"({fields['registry_hash']} != {expected_hash})"
         )
-    keys = registry.keys_for(network)
-    vector = np.array([weights.get(k, 0.0) for k in keys])
     return WeightVector(
         network=network,
-        weights=vector,
-        registry_hash=header["registry_hash"],
-        converged=bool(int(header.get("converged", "1"))),
-        iterations=int(header.get("iterations", "0")),
-        residual_norm=float(header.get("residual_norm", "0.0")),
+        weights=np.array([float(need(k)) for k in registry.keys_for(network)]),
+        registry_hash=expected_hash,
+        converged=bool(int(need("converged"))),
+        iterations=int(need("iterations")),
+        residual_norm=float(need("residual_norm")),
     )

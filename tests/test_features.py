@@ -5,6 +5,7 @@ import zlib
 from collections import Counter, defaultdict
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,12 +517,12 @@ class TestRegistryKeySpace:
         assert small_registry.dynamic_keys("wk") == []
 
     def test_default_registry_count(self):
-        from influence_engine.registry import default_registry
-
-        reg = default_registry()
+        reg = FeatureRegistry.load(Path(__file__).resolve().parent.parent / "configs" / "registry.json")
         # 3 cohorts x 7 windows x 3 content types x 6 actions per dynamic network
         assert all(len(reg.dynamic_keys(n)) == 378 for n in reg.scorable_networks())
         assert len(reg.scorable_networks()) == 8
+        # Wikipedia carries only graph and profile signals
+        assert reg.keys_for("wk") == ("ll/wk/inlink_outlink_ratio", "ll/wk/inlinks", "ll/wk/pagerank")
 
     def test_key_ordering_is_total_and_stable(self, small_registry):
         keys = list(small_registry.keys_for("tw"))

@@ -170,7 +170,7 @@ class TestTreeParsing:
 
     def test_leaf_needs_network(self):
         with pytest.raises(ValueError):
-            ScoreNode(node_id="x", level=1, combiner="supervised-dot")
+            ScoreNode(node_id="x", combiner="supervised-dot")
 
     def test_round_trip(self):
         data = {
@@ -191,7 +191,6 @@ class TestTreeParsing:
             ],
         }
         tree = parse_tree(data)
-        assert [n.level for n in tree.walk()] == [0, 1, 1, 2, 2]
         assert tree.leaf_networks() == ["tw", "c1", "c2"]
 
 

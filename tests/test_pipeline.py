@@ -518,6 +518,45 @@ class TestCLI:
         assert f"bad config: {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda root: root["children"][2].update(node_id=root["children"][1]["node_id"]),
+            lambda root: root.update(weights=[1.0, math.nan, 1.0]),
+            lambda root: root.update(weights=[1.0, math.inf, 1.0]),
+            lambda root: root.update(combiner="supervised-dot", weights=[1.0, -1.0, 1.0]),
+            lambda root: root.update(weights=[0.0, 0.0, 0.0]),
+            lambda root: root.update(heuristic_basis="pagerank"),
+        ],
+        ids=["repeated-node-id", "nan-weight", "inf-weight", "negative-weight",
+             "all-zero-weights", "unknown-heuristic-basis"],
+    )
+    def test_a_tree_that_would_score_wrongly_exits_one(self, dataset, tmp_path, capsys, edit):
+        root = json.loads((dataset / "tree.json").read_text())
+        assert len(root["children"]) == 3
+        edit(root)
+        (tmp_path / "tree.json").write_text(json.dumps(root))
+        config = make_config(dataset, tmp_path / "config.json", tree=str(tmp_path / "tree.json"))
+        code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "bad config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("drop", ["converged=", "w\t"])
+    def test_a_model_file_missing_a_line_fails_score(self, full_run, tmp_path, capsys, drop):
+        cfg, out = full_run
+        copy = tmp_path / "o"
+        shutil.copytree(out, copy)
+        model = copy / "models" / "tw.model"
+        lines = model.read_text().splitlines()
+        lost = next(line for line in lines if line.startswith(drop))
+        model.write_text("\n".join(line for line in lines if line != lost) + "\n")
+        config = make_config(cfg.input_dir, tmp_path / "config.json")
+        code = main(["score", "--config", str(config), "--out", str(copy)])
+        assert code == 5
+        missing = lost.split("\t")[1] if drop == "w\t" else "converged"
+        assert f"model file {model} has no {missing!r} line" in capsys.readouterr().err
+
     @pytest.mark.parametrize("band", [0.0, -1.0, math.nan, math.inf])
     def test_a_peer_band_not_finite_and_above_zero_fails_ingest(self, dataset, tmp_path, capsys, band):
         registry = edited_registry(
