@@ -9,6 +9,7 @@ from pathlib import Path
 from . import lineio
 from .hierarchy import load_snapshot, load_tree
 from .pipeline import STAGES, RunConfig, StageError, rank_cohort, run_pipeline
+from .registry import FeatureRegistry
 
 STAGE_EXIT_CODES = {
     "ingest": 2,
@@ -60,10 +61,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{lineio.encode_value(user)}\t{'unscored' if score is None else repr(score)}")
         return 0
 
+    # the config, tree and registry are checked before any stage runs; a JSON
+    # value of the wrong type in one of them raises AttributeError or TypeError
     try:
         cfg = RunConfig.from_file(args.config)
-        load_tree(cfg.tree_path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        leaves = load_tree(cfg.tree_path).leaf_networks()
+        unknown = sorted(set(leaves) - set(FeatureRegistry.load(cfg.registry_path).scorable_networks()))
+        if unknown:
+            raise ValueError(f"tree leaves on networks the registry cannot score: {unknown}")
+    except (AttributeError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 1
 

@@ -40,6 +40,8 @@ class ScoreNode:
         if self.is_leaf:
             if not self.network:
                 raise ValueError(f"leaf node {self.node_id!r} needs a network")
+            if self.combiner != COMBINER_SUPERVISED:  # a leaf is always scored with leaf_score
+                raise ValueError(f"leaf node {self.node_id!r} must use {COMBINER_SUPERVISED!r}")
         elif self.explicit_weights is not None:
             w = self.explicit_weights
             if len(w) != len(self.children):
@@ -256,11 +258,8 @@ def load_snapshot(path: str | Path) -> ScoreSnapshot:
     snapshot = ScoreSnapshot(as_of=date.fromisoformat(lines[0].split("=", 1)[1]))
     for line in lines[1:]:
         user, overall, raw, nodes = line.split("\t")
-        node_scores = tuple(
-            (token.split("=", 1)[0], float(token.split("=", 1)[1]))
-            for token in nodes.split(" ")
-            if token
-        )
+        tokens = (token.partition("=") for token in nodes.split(" ") if token)
+        node_scores = tuple((node_id, float(score)) for node_id, _, score in tokens)
         snapshot.entries[lineio.decode_value(user)] = ScoreEntry(
             overall=float(overall), raw_root=float(raw), node_scores=node_scores
         )

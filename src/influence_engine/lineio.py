@@ -3,13 +3,17 @@
 One record per line, tab-separated ``key=value`` tokens, values
 percent-encoded so that arbitrary strings round-trip bit-exactly.
 Numeric attribute values use ``repr(float)`` which round-trips exactly.
-A decoder raises ``ValueError`` or ``KeyError`` on a line that breaks the
-data model: an empty user id, a self-loop edge, a label comparing one user
-with itself, a negative vote count, or a numeric attribute that is negative
-or not finite.
 
-The column readers of ingest's own files, unlike the per-line decoders, also
-require each line to hold exactly its encoder's fields in its order.
+Events, edges and labels each have one key list, in the order their encoder
+writes (``InteractionEvent._fields``, ``EDGE_KEYS``, ``PairwiseLabel._fields``),
+and one data-model check that both of their readers apply: the per-line
+decoder, which takes the tokens of a raw line in any order, and the strict
+column reader of ingest's own files, which requires exactly the keys in their
+order. The data model forbids an empty user id, a self-loop edge, a label
+comparing one user with itself, a timestamp or vote count that is not an
+integer, a negative vote count, and a numeric profile attribute that is
+negative or not finite. A decoder raises ``ValueError`` or ``KeyError`` on a
+line that breaks it, a strict reader ``ValueError`` naming the file.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from urllib.parse import quote, unquote
 
 from .events import EventColumns, GraphEdge, InteractionEvent, PairwiseLabel, ProfileSnapshot
 
+EDGE_KEYS = ("from", "to", "network")  # a GraphEdge's src, dst and network
 
 # the characters quote(..., safe="") leaves as they are
 _UNQUOTED = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~")
@@ -38,57 +43,79 @@ def decode_value(value: str) -> str:
     return unquote(value) if "%" in value else value
 
 
-def _fields(line: str) -> dict[str, str]:
-    out = {}
+def _tokens(line: str) -> Iterator[tuple[str, str]]:
+    """The ``(key, value)`` pairs of a line, values still escaped."""
     for token in line.rstrip("\n").split("\t"):
         key, sep, value = token.partition("=")
         if not sep or not key:
             raise ValueError(f"malformed token {token!r}")
-        out[key] = value
-    if "%" in line:  # only an escaped value needs decoding
-        out = {key: decode_value(value) for key, value in out.items()}
-    return out
+        yield key, value
 
 
-# -- events ----------------------------------------------------------------
-
-def encode_event(
-    actor: str, author: str, network: str, content_type: str, action: str, timestamp: int
-) -> str:
-    """One event's canonical line: ``encode_event(*event)``."""
-    return "\t".join(
-        [
-            f"actor={encode_value(actor)}",
-            f"author={encode_value(author)}",
-            f"network={encode_value(network)}",
-            f"content_type={encode_value(content_type)}",
-            f"action={encode_value(action)}",
-            f"timestamp={timestamp}",
-        ]
-    )
-
+# the str.format templates of the lines that hold each record's keys in order
+_EVENT_LINE, _EDGE_LINE, _LABEL_LINE = (
+    "\t".join(f"{key}={{}}" for key in keys)
+    for keys in (InteractionEvent._fields, EDGE_KEYS, PairwiseLabel._fields)
+)
 
 # A line this matches in full is ``encode_event(*decode_event(line))``: no value
 # needs escaping, and the timestamp is a positive int's repr, short enough for
 # int() (a longer one is left to the decoder). Groups: the event's fields.
 CANONICAL_EVENT = re.compile(
-    f"actor=({_PLAIN}+)\tauthor=({_PLAIN}+)\tnetwork=({_PLAIN}*)"
-    f"\tcontent_type=({_PLAIN}*)\taction=({_PLAIN}*)\ttimestamp=([1-9][0-9]{{0,18}})"
+    _EVENT_LINE.format(*[f"({_PLAIN}+)"] * 2, *[f"({_PLAIN}*)"] * 3, "([1-9][0-9]{0,18})")
 )
 
 
-def decode_event(line: str) -> InteractionEvent:
-    f = _fields(line)
-    if not (f["actor"] and f["author"]):
+# -- the data model --------------------------------------------------------
+
+# One check per record type, on the shape its strict reader returns: events
+# as columns (the features stage takes them so), an edge or a label as one
+# record. It types the decoded values, or raises ValueError.
+
+def _user_pair(a: str, b: str, what: str) -> None:
+    if not (a and b) or a == b:
+        raise ValueError(f"{what} two distinct, non-empty user ids")
+
+
+def _event_columns(actor, author, network, content_type, action, timestamp) -> EventColumns:
+    if not (all(actor) and all(author)):
         raise ValueError("empty user id")
-    return InteractionEvent(
-        actor=f["actor"],
-        author=f["author"],
-        network=f["network"],
-        content_type=f["content_type"],
-        action=f["action"],
-        timestamp=int(f["timestamp"]),
-    )
+    return EventColumns(actor, author, network, content_type, action, list(map(int, timestamp)))
+
+
+def _edge(src: str, dst: str, network: str) -> GraphEdge:
+    _user_pair(src, dst, "an edge joins")
+    return GraphEdge(src, dst, network)
+
+
+def _label(network: str, user_a: str, user_b: str, votes_a: str, votes_b: str) -> PairwiseLabel:
+    _user_pair(user_a, user_b, "a label compares")
+    votes_a, votes_b = int(votes_a), int(votes_b)
+    if votes_a < 0 or votes_b < 0:
+        raise ValueError("vote counts must be >= 0")
+    return PairwiseLabel(network, user_a, user_b, votes_a, votes_b)
+
+
+def _values(line: str, keys: tuple[str, ...]) -> list[str]:
+    """The decoded values of ``keys`` on a line that holds them in any order;
+    a missing key raises ``KeyError``."""
+    fields = dict(_tokens(line))
+    if "%" in line:  # only an escaped value needs decoding
+        fields = {key: decode_value(value) for key, value in fields.items()}
+    return [fields[key] for key in keys]
+
+
+# -- events ----------------------------------------------------------------
+
+def encode_event(*fields) -> str:
+    """One event's canonical line: ``encode_event(*event)``."""
+    return _EVENT_LINE.format(*map(encode_value, fields[:5]), fields[5])
+
+
+def decode_event(line: str) -> InteractionEvent:
+    # the event check takes columns: here, columns of one value each
+    columns = _event_columns(*([value] for value in _values(line, InteractionEvent._fields)))
+    return InteractionEvent(*(column[0] for column in columns))
 
 
 # -- profiles --------------------------------------------------------------
@@ -105,13 +132,8 @@ def encode_profile(profile: ProfileSnapshot) -> str:
 
 
 def decode_profile(line: str) -> ProfileSnapshot:
-    numeric = []
-    categorical = []
-    plain = {}
-    for token in line.rstrip("\n").split("\t"):
-        key, sep, value = token.partition("=")
-        if not sep or not key:
-            raise ValueError(f"malformed token {token!r}")
+    numeric, categorical, plain = [], [], {}
+    for key, value in _tokens(line):
         if key.startswith("n:"):
             number = float(value)
             if not 0 <= number < math.inf:  # nan fails both comparisons
@@ -132,53 +154,22 @@ def decode_profile(line: str) -> ProfileSnapshot:
     )
 
 
-# -- graph edges -----------------------------------------------------------
+# -- graph edges and pairwise labels ---------------------------------------
 
 def encode_edge(edge: GraphEdge) -> str:
-    return "\t".join(
-        [
-            f"from={encode_value(edge.src)}",
-            f"to={encode_value(edge.dst)}",
-            f"network={encode_value(edge.network)}",
-        ]
-    )
+    return _EDGE_LINE.format(encode_value(edge.src), encode_value(edge.dst), encode_value(edge.network))
 
 
 def decode_edge(line: str) -> GraphEdge:
-    f = _fields(line)
-    if not (f["from"] and f["to"]) or f["from"] == f["to"]:
-        raise ValueError("an edge joins two distinct, non-empty user ids")
-    return GraphEdge(src=f["from"], dst=f["to"], network=f["network"])
+    return _edge(*_values(line, EDGE_KEYS))
 
-
-# -- pairwise labels -------------------------------------------------------
 
 def encode_label(label: PairwiseLabel) -> str:
-    return "\t".join(
-        [
-            f"network={encode_value(label.network)}",
-            f"user_a={encode_value(label.user_a)}",
-            f"user_b={encode_value(label.user_b)}",
-            f"votes_a={label.votes_a}",
-            f"votes_b={label.votes_b}",
-        ]
-    )
+    return _LABEL_LINE.format(*map(encode_value, label[:3]), *label[3:])
 
 
 def decode_label(line: str) -> PairwiseLabel:
-    f = _fields(line)
-    label = PairwiseLabel(
-        network=f["network"],
-        user_a=f["user_a"],
-        user_b=f["user_b"],
-        votes_a=int(f["votes_a"]),
-        votes_b=int(f["votes_b"]),
-    )
-    if not (label.user_a and label.user_b) or label.user_a == label.user_b:
-        raise ValueError("a label compares two distinct, non-empty user ids")
-    if label.votes_a < 0 or label.votes_b < 0:
-        raise ValueError("vote counts must be >= 0")
-    return label
+    return _label(*_values(line, PairwiseLabel._fields))
 
 
 # -- files -----------------------------------------------------------------
@@ -188,64 +179,49 @@ def decode_label(line: str) -> PairwiseLabel:
 CHUNK_HINT = 1 << 16
 
 
-def _read_columns(path: str | Path, keys: tuple[str, ...]) -> list[list[str]]:
-    """One list of decoded values per key, in file order, from a file whose
-    every line holds exactly ``keys``, in that order, as ``key=value``
-    tokens. Any other line, or a last line without its newline, raises
-    ``ValueError``."""
-    prefixes = [f"{key}=" for key in keys]
+def _read_checked(path: str | Path, keys: tuple[str, ...], check):
+    """``check`` applied to one list of decoded values per key, from a file whose
+    every line holds exactly ``keys`` in that order. Any other line, a last line
+    without its newline, or a record ``check`` refuses raises ``ValueError``."""
     width = len(keys)
     columns: list[list[str]] = [[] for _ in keys]
-    with Path(path).open("r", encoding="utf-8") as fh:
-        while lines := fh.readlines(CHUNK_HINT):
-            # a line short of a field next to one with a field too many would
-            # still line up by position, so each line's tabs are counted
-            tabs = set(map(str.count, lines, repeat("\t")))
-            if tabs != {width - 1} or not lines[-1].endswith("\n"):
-                raise ValueError(f"{path}: a line does not hold {width} fields and a newline")
-            text = "".join(lines)
-            tokens = text.replace("\n", "\t").split("\t")
-            tokens.pop()  # the empty string after the last newline
-            escaped = "%" in text
-            for start, (column, prefix) in enumerate(zip(columns, prefixes)):
-                values = tokens[start::width]
-                if not all(map(str.startswith, values, repeat(prefix))):
-                    raise ValueError(f"{path}: a line does not hold {keys} in that order")
-                values = map(str.removeprefix, values, repeat(prefix))
-                column.extend(map(decode_value, values) if escaped else values)
-    return columns
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            while lines := fh.readlines(CHUNK_HINT):
+                # a line short of a field next to one with a field too many would
+                # still line up by position, so each line's tabs are counted
+                tabs = set(map(str.count, lines, repeat("\t")))
+                if tabs != {width - 1} or not lines[-1].endswith("\n"):
+                    raise ValueError(f"a line does not hold {width} fields and a newline")
+                text = "".join(lines)
+                tokens = text.replace("\n", "\t").split("\t")
+                tokens.pop()  # the empty string after the last newline
+                escaped = "%" in text
+                for start, (column, key) in enumerate(zip(columns, keys)):
+                    values = tokens[start::width]
+                    prefix = f"{key}="
+                    if not all(map(str.startswith, values, repeat(prefix))):
+                        raise ValueError(f"a line does not hold {keys} in that order")
+                    values = map(str.removeprefix, values, repeat(prefix))
+                    column.extend(map(decode_value, values) if escaped else values)
+        return check(*columns)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_event_columns(path: str | Path) -> EventColumns:
-    """The events of a file of ``encode_event`` lines, read strictly; an
-    empty user id or a timestamp that is not an integer raises."""
-    actor, author, network, content_type, action, timestamp = _read_columns(
-        path, InteractionEvent._fields  # the keys encode_event writes
-    )
-    if not (all(actor) and all(author)):
-        raise ValueError(f"{path}: empty user id")
-    return EventColumns(actor, author, network, content_type, action, list(map(int, timestamp)))
+    """The events of a file of ``encode_event`` lines, read strictly."""
+    return _read_checked(path, InteractionEvent._fields, _event_columns)
 
 
 def read_edges(path: str | Path) -> tuple[GraphEdge, ...]:
     """The edges of a file of ``encode_edge`` lines, read strictly."""
-    src, dst, network = _read_columns(path, ("from", "to", "network"))
-    if not (all(src) and all(dst)) or any(map(str.__eq__, src, dst)):
-        raise ValueError(f"{path}: an edge joins two distinct, non-empty user ids")
-    return tuple(map(GraphEdge, src, dst, network))
+    return _read_checked(path, EDGE_KEYS, lambda *columns: tuple(map(_edge, *columns)))
 
 
 def read_labels(path: str | Path) -> tuple[PairwiseLabel, ...]:
-    """The labels of a file of ``encode_label`` lines, read strictly; a vote
-    count that is not an integer >= 0, or a label that does not compare two
-    distinct, non-empty user ids, raises."""
-    network, user_a, user_b, votes_a, votes_b = _read_columns(path, PairwiseLabel._fields)
-    votes_a, votes_b = list(map(int, votes_a)), list(map(int, votes_b))
-    if not (all(user_a) and all(user_b)) or any(map(str.__eq__, user_a, user_b)):
-        raise ValueError(f"{path}: a label compares two distinct, non-empty user ids")
-    if min(votes_a + votes_b, default=0) < 0:
-        raise ValueError(f"{path}: vote counts must be >= 0")
-    return tuple(map(PairwiseLabel, network, user_a, user_b, votes_a, votes_b))
+    """The labels of a file of ``encode_label`` lines, read strictly."""
+    return _read_checked(path, PairwiseLabel._fields, lambda *columns: tuple(map(_label, *columns)))
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import features as feat
 from . import lineio
 from .evaluation import (
@@ -40,7 +42,7 @@ from .population import (
     run_campaign,
 )
 from .registry import GRAPH_ATTRS, FeatureRegistry
-from .training import load_model, preprocess_labels, save_model, train_network
+from .training import EmptyDesign, WeightVector, load_model, preprocess_labels, save_model, train_network
 
 STAGES = ("ingest", "features", "train", "score", "evaluate", "simulate")
 
@@ -216,16 +218,20 @@ def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
     trained = unconverged = 0
     for network in registry.scorable_networks():
         net_pairs = [p for p in pairs if p.network == network]
-        if not net_pairs:
-            report_lines.append(f"model\tnetwork={network}\tskipped=no-pairs")
-            continue
-        w, report = train_network(net_pairs, store, registry, network, seed=cfg.seed)
+        try:
+            w, report = train_network(net_pairs, store, registry, network, seed=cfg.seed)
+        except EmptyDesign:  # thin labels: a zero-weight model scores 0 on this network
+            reason = "no-design-rows" if net_pairs else "no-pairs"
+            w = WeightVector(network, np.zeros(len(registry.keys_for(network))), registry.registry_hash(network))
+            report_lines.append(f"model\tnetwork={network}\tskipped={reason}")
+            print(f"warning\t{reason}\tnetwork={network}")
+        else:
+            report_lines.append(report.summary_line())
+            trained += 1
+            if not w.converged:
+                unconverged += 1
+                print(f"warning\tnnls-unconverged\tnetwork={network}")
         save_model(w, registry, models_dir / f"{network}.model")
-        report_lines.append(report.summary_line())
-        trained += 1
-        if not w.converged:
-            unconverged += 1
-            print(f"warning\tnnls-unconverged\tnetwork={network}")
     lineio.write_lines(out / "model_report.txt", report_lines)
     for line in report_lines:
         print(line)

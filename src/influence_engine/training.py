@@ -19,6 +19,10 @@ from .registry import FeatureRegistry
 MIN_VOTE_MARGIN = 2
 
 
+class EmptyDesign(ValueError):
+    """No training pair of a network has both users' feature vectors."""
+
+
 @dataclass(frozen=True)
 class CleanPair:
     network: str
@@ -185,7 +189,7 @@ def train_network(
     train, holdout = split_pairs(net_pairs, holdout_fraction, seed)
     X, y, skipped = build_design(train, store, network)
     if X.shape[0] < 1:
-        raise ValueError("cannot train on an empty design matrix")
+        raise EmptyDesign("cannot train on an empty design matrix")
     result = nnls(X, y)
     w = WeightVector(
         network=network,

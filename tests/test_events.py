@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import date
 from urllib.parse import quote
 
@@ -15,6 +16,8 @@ from influence_engine.events import (
     TimeWindow,
     validate_event,
 )
+
+from influence_engine.ingest import INPUT_FILES, load_batch
 
 from conftest import columns_of
 
@@ -339,3 +342,39 @@ class TestColumnReaders:
         assert lineio.read_edges(tmp_path / "edges.txt") == (GraphEdge("a", "b", "wk"),) * 2
         (tmp_path / "labels.txt").write_text(LABEL * 2)
         assert lineio.read_labels(tmp_path / "labels.txt") == (PairwiseLabel("tw", "a", "b", 3, 1),) * 2
+
+
+# one line per data-model violation, and the input file it would sit in
+VIOLATIONS = {
+    "empty-actor": ("events.txt", LINE.replace("actor=a", "actor=")),
+    "empty-author": ("events.txt", LINE.replace("author=b", "author=")),
+    "timestamp-not-an-integer": ("events.txt", LINE.replace("timestamp=5", "timestamp=5.0")),
+    "empty-edge-source": ("edges.txt", EDGE.replace("from=a", "from=")),
+    "empty-edge-target": ("edges.txt", EDGE.replace("to=b", "to=")),
+    "self-loop-edge": ("edges.txt", EDGE.replace("to=b", "to=a")),
+    "label-one-user": ("labels.txt", LABEL.replace("user_b=b", "user_b=a")),
+    "label-empty-user": ("labels.txt", LABEL.replace("user_a=a", "user_a=")),
+    "negative-vote": ("labels.txt", LABEL.replace("votes_b=1", "votes_b=-1")),
+    "vote-not-an-integer": ("labels.txt", LABEL.replace("votes_a=3", "votes_a=3.0")),
+}
+READERS = {
+    "events.txt": (lineio.decode_event, lineio.read_event_columns),
+    "edges.txt": (lineio.decode_edge, lineio.read_edges),
+    "labels.txt": (lineio.decode_label, lineio.read_labels),
+}
+
+
+@pytest.mark.parametrize("violation", list(VIOLATIONS))
+def test_both_readers_refuse_the_same_records(tmp_path, small_registry, violation):
+    """What the per-line decoder refuses on raw input, the strict reader
+    refuses in ingest's own files, and ingest counts it as malformed."""
+    name, line = VIOLATIONS[violation]
+    decode, read = READERS[name]
+    with pytest.raises(ValueError):
+        decode(line)
+    for other in INPUT_FILES:
+        (tmp_path / other).write_text(line if other == name else "")
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path / name))):
+        read(tmp_path / name)
+    _, report = load_batch(tmp_path, REF, small_registry)
+    assert report.malformed_lines == 1

@@ -527,15 +527,21 @@ class TestCLI:
             lambda root: root.update(combiner="supervised-dot", weights=[1.0, -1.0, 1.0]),
             lambda root: root.update(weights=[0.0, 0.0, 0.0]),
             lambda root: root.update(heuristic_basis="pagerank"),
+            # scored with leaf_score all the same: f=[0.8, 0.4], w=[1, 3] gives 0.5, not 0.456
+            lambda root: root["children"][1].update(combiner="l2-norm"),
+            lambda root: root["children"][1].update(network="zz"),
+            lambda root: [root],
+            lambda root: root["children"].append(["fb"]),
         ],
         ids=["repeated-node-id", "nan-weight", "inf-weight", "negative-weight",
-             "all-zero-weights", "unknown-heuristic-basis"],
+             "all-zero-weights", "unknown-heuristic-basis", "l2-norm-leaf",
+             "leaf-on-an-unregistered-network", "top-level-not-an-object", "child-not-an-object"],
     )
     def test_a_tree_that_would_score_wrongly_exits_one(self, dataset, tmp_path, capsys, edit):
         root = json.loads((dataset / "tree.json").read_text())
         assert len(root["children"]) == 3
-        edit(root)
-        (tmp_path / "tree.json").write_text(json.dumps(root))
+        replaced = edit(root)  # None when the edit changed root in place
+        (tmp_path / "tree.json").write_text(json.dumps(root if replaced is None else replaced))
         config = make_config(dataset, tmp_path / "config.json", tree=str(tmp_path / "tree.json"))
         code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
@@ -564,8 +570,9 @@ class TestCLI:
         )
         config = make_config(dataset, tmp_path / "config.json", registry=str(registry))
         code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "peer_band" in capsys.readouterr().err
+        assert code == 1
+        assert "bad config: peer_band" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_network_names_that_differ_only_in_case_fail_ingest(self, dataset, tmp_path, capsys):
         registry = edited_registry(
@@ -573,8 +580,50 @@ class TestCLI:
         )
         config = make_config(dataset, tmp_path / "config.json", registry=str(registry))
         code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "differ only in case" in capsys.readouterr().err
+        assert code == 1
+        assert "bad config: network names differ only in case" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data["networks"].update(tw=5),
+            lambda data: data.update(networks=["tw", "fb", "ig"]),
+            lambda data: data.update(ordinal_maps=[]),
+        ],
+        ids=["network-not-an-object", "networks-not-an-object", "ordinal-maps-not-an-object"],
+    )
+    def test_a_registry_that_does_not_load_exits_one(self, dataset, tmp_path, capsys, edit):
+        registry = edited_registry(dataset, tmp_path / "registry.json", edit)
+        config = make_config(dataset, tmp_path / "config.json", registry=str(registry))
+        code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "bad config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "fb_labels",
+        [[], ["network=fb\tuser_a=ghost1\tuser_b=ghost2\tvotes_a=5\tvotes_b=0"]],
+        ids=["no-fb-labels", "fb-labels-on-users-without-features"],
+    )
+    def test_a_network_with_thin_labels_is_skipped(self, dataset, tmp_path, capsys, fb_labels):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(dataset, inputs)
+        labels = [l for l in lineio.read_lines(inputs / "labels.txt") if not l.startswith("network=fb\t")]
+        lineio.write_lines(inputs / "labels.txt", labels + fb_labels)
+        config = make_config(inputs, tmp_path / "config.json")
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+        reason = "no-design-rows" if fb_labels else "no-pairs"
+        assert f"warning\t{reason}\tnetwork=fb" in capsys.readouterr().out
+        assert f"model\tnetwork=fb\tskipped={reason}" in (out / "model_report.txt").read_text()
+        registry = FeatureRegistry.load(inputs / "registry.json")
+        assert not training.load_model(out / "models" / "fb.model", registry).weights.any()
+        assert "stage.train.models=2" in (out / "manifest.txt").read_text().splitlines()
+        # an all-zero weight vector scores 0 on fb, so no user's fb score is above 0
+        entries = load_snapshot(out / "snapshot.txt").entries.values()
+        assert {s for e in entries for node, s in e.node_scores if node == "fb"} == {0.0}
+        assert any(e.overall > 0 for e in entries)
 
     def test_stage_failure_maps_to_stage_exit_code(self, dataset, tmp_path, capsys):
         config = make_config(dataset, tmp_path / "config.json")
@@ -619,6 +668,25 @@ class TestCLI:
         users_file = tmp_path / "users.txt"
         users_file.write_text("a\n")
         code = main(["rank", "--snapshot", str(tmp_path / "missing.txt"), "--users", str(users_file)])
+        assert code == 1
+        assert "bad snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda line: line.replace("fb=", "fb", 1),
+            lambda line: line.replace("fb=", "fb=x", 1),
+            lambda line: line.rsplit("\t", 1)[0],
+        ],
+        ids=["node-token-without-equals", "node-score-not-a-number", "line-short-of-a-field"],
+    )
+    def test_rank_with_a_damaged_snapshot_exits_one(self, full_run, tmp_path, capsys, damage):
+        _, out = full_run
+        lines = (out / "snapshot.txt").read_text().splitlines()
+        (tmp_path / "snapshot.txt").write_text("\n".join([lines[0], damage(lines[1]), *lines[2:]]) + "\n")
+        users_file = tmp_path / "users.txt"
+        users_file.write_text("a\n")
+        code = main(["rank", "--snapshot", str(tmp_path / "snapshot.txt"), "--users", str(users_file)])
         assert code == 1
         assert "bad snapshot" in capsys.readouterr().err
 
