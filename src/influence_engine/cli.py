@@ -7,18 +7,8 @@ import sys
 from pathlib import Path
 
 from . import lineio
-from .hierarchy import load_snapshot, load_tree
+from .hierarchy import load_snapshot
 from .pipeline import STAGES, RunConfig, StageError, rank_cohort, run_pipeline
-from .registry import FeatureRegistry
-
-STAGE_EXIT_CODES = {
-    "ingest": 2,
-    "features": 3,
-    "train": 4,
-    "score": 5,
-    "evaluate": 6,
-    "simulate": 7,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,14 +51,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{lineio.encode_value(user)}\t{'unscored' if score is None else repr(score)}")
         return 0
 
-    # the config, tree and registry are checked before any stage runs; a JSON
-    # value of the wrong type in one of them raises AttributeError or TypeError
+    # a JSON value of the wrong type in the tree raises AttributeError or TypeError
     try:
         cfg = RunConfig.from_file(args.config)
-        leaves = load_tree(cfg.tree_path).leaf_networks()
-        unknown = sorted(set(leaves) - set(FeatureRegistry.load(cfg.registry_path).scorable_networks()))
-        if unknown:
-            raise ValueError(f"tree leaves on networks the registry cannot score: {unknown}")
     except (AttributeError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 1
@@ -77,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         manifest = run_pipeline(cfg, args.out, mode=args.command)
     except StageError as exc:
         print(str(exc), file=sys.stderr)
-        return STAGE_EXIT_CODES.get(exc.stage, 1)
+        return 2 + STAGES.index(exc.stage)  # config errors exit 1
     print(f"manifest: {manifest}")
     return 0
 

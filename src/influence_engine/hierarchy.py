@@ -56,12 +56,7 @@ class ScoreNode:
         return not self.children
 
     def leaf_networks(self) -> list[str]:
-        if self.is_leaf:
-            return [self.network]
-        out = []
-        for child in self.children:
-            out.extend(child.leaf_networks())
-        return out
+        return [node.network for node in self.walk() if node.is_leaf]
 
     def walk(self):
         yield self

@@ -2,7 +2,8 @@
 
 Stages communicate only through files in the output directory, so any
 stage can be re-run in isolation and reproduces its outputs bit-exactly
-from the upstream artifacts.
+from the upstream artifacts. ``RunConfig.from_file`` parses the registry
+and the score tree once, for every stage; ``_STAGE_FUNCS`` is the stage table.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from .events import MAX_WINDOW_DAYS, TimeWindow
 from .features import load_store
 from .graph import edges_by_network, graph_summary
 from .hierarchy import (
+    ScoreNode,
     ScoreSnapshot,
     load_snapshot,
     load_tree,
@@ -43,9 +46,6 @@ from .population import (
 )
 from .registry import GRAPH_ATTRS, FeatureRegistry
 from .training import EmptyDesign, WeightVector, load_model, preprocess_labels, save_model, train_network
-
-STAGES = ("ingest", "features", "train", "score", "evaluate", "simulate")
-
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: str):
@@ -88,7 +88,7 @@ class RunConfig:
         rankings = data.get("reference_rankings", [])
         if type(rankings) is not list:  # a string would read as one path per character
             raise ValueError(f"reference_rankings must be a list, not {rankings!r}")
-        return cls(
+        cfg = cls(
             input_dir=resolve("input_dir", required=True),
             registry_path=resolve("registry", required=True),
             tree_path=resolve("tree", required=True),
@@ -99,6 +99,19 @@ class RunConfig:
             reference_rankings=tuple((base / p).resolve() for p in rankings),
             population_path=resolve("population"),
         )
+        unknown = sorted(set(cfg.tree.leaf_networks()) - set(cfg.registry.scorable_networks()))
+        if unknown:
+            raise ValueError(f"tree leaves on networks the registry cannot score: {unknown}")
+        return cfg
+
+    # derived from the paths, so ``dataclasses.replace`` parses them afresh
+    @cached_property
+    def registry(self) -> FeatureRegistry:
+        return FeatureRegistry.load(self.registry_path)
+
+    @cached_property
+    def tree(self) -> ScoreNode:
+        return load_tree(self.tree_path)
 
     def config_digest(self) -> str:
         """Hash of the settings and of the contents of every file they name.
@@ -142,11 +155,16 @@ def _graph_stats_path(out: Path) -> Path:
     return out / "ingest" / "graph_stats.txt"
 
 
+def _report(path: Path, lines: list[str]) -> None:
+    lineio.write_lines(path, lines)
+    for line in lines:
+        print(line)
+
+
 # -- stages ----------------------------------------------------------------
 
 def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
-    registry = FeatureRegistry.load(cfg.registry_path)
-    batch, report = load_batch(cfg.input_dir, cfg.reference_time, registry)
+    batch, report = load_batch(cfg.input_dir, cfg.reference_time, cfg.registry)
     dest = out / "ingest"
     lineio.write_lines(dest / "events.txt", batch.events)
     lineio.write_lines(
@@ -157,12 +175,11 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
     lineio.write_lines(dest / "labels.txt", sorted(lineio.encode_label(l) for l in batch.labels))
     grouped = edges_by_network(batch.edges)
     stats_lines = []
-    for network in sorted(registry.networks):
+    for network in sorted(cfg.registry.networks):
         stats = sorted(graph_summary(grouped.get(network, [])).items())
         stats_lines.append("\t".join([network] + [f"{key}={value!r}" for key, value in stats]))
     lineio.write_lines(_graph_stats_path(out), stats_lines)
-    lineio.write_lines(dest / "load_report.txt", [report.summary_line()])
-    print(report.summary_line())
+    _report(dest / "load_report.txt", [report.summary_line()])
     return {
         "accepted_events": report.accepted_events,
         "profiles": report.profiles,
@@ -172,20 +189,19 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 
 def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
-    registry = FeatureRegistry.load(cfg.registry_path)
     # ingest wrote these files and left only valid, in-window, unique records
     # in them, so nothing is checked again; a line that does not decode, or
     # that does not hold its fields in ingest's order, is damage and raises
     ingested = out / "ingest"
     events = lineio.read_event_columns(ingested / "events.txt")
     profiles = tuple(map(lineio.decode_profile, lineio.read_lines(ingested / "profiles.txt")))
-    graph = any(GRAPH_ATTRS.intersection(s.longlasting_attrs) for s in registry.networks.values())
+    graph = any(GRAPH_ATTRS.intersection(s.longlasting_attrs) for s in cfg.registry.networks.values())
     edges = lineio.read_edges(ingested / "edges.txt") if graph else ()
     prior = {}
     if cfg.prior_snapshot is not None:
         prior = load_snapshot(cfg.prior_snapshot).prior_scores()
-    dynamic = feat.aggregate_dynamic(events, cfg.reference_time, prior, registry)
-    longlasting, unregistered, unconverged = feat.aggregate_longlasting(profiles, edges, registry)
+    dynamic = feat.aggregate_dynamic(events, cfg.reference_time, prior, cfg.registry)
+    longlasting, unregistered, unconverged = feat.aggregate_longlasting(profiles, edges, cfg.registry)
     table = dynamic.concat(longlasting)
     maxima = feat.compute_global_maxima(table)
     for network in unconverged:
@@ -208,90 +224,73 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 
 def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
-    registry = FeatureRegistry.load(cfg.registry_path)
+    registry = cfg.registry
     labels = lineio.read_labels(out / "ingest" / "labels.txt")
     store = load_store(_normalized_path(out), registry)
     pairs = preprocess_labels(labels)
 
-    models_dir = out / "models"
     report_lines = []
     trained = unconverged = 0
     for network in registry.scorable_networks():
-        net_pairs = [p for p in pairs if p.network == network]
         try:
-            w, report = train_network(net_pairs, store, registry, network, seed=cfg.seed)
-        except EmptyDesign:  # thin labels: a zero-weight model scores 0 on this network
-            reason = "no-design-rows" if net_pairs else "no-pairs"
+            w, report = train_network(pairs, store, registry, network, seed=cfg.seed)
+        except EmptyDesign as thin:  # a zero-weight model scores 0 on this network
             w = WeightVector(network, np.zeros(len(registry.keys_for(network))), registry.registry_hash(network))
-            report_lines.append(f"model\tnetwork={network}\tskipped={reason}")
-            print(f"warning\t{reason}\tnetwork={network}")
+            report_lines.append(f"model\tnetwork={network}\tunfitted={thin}")
+            print(f"warning\t{thin}\tnetwork={network}")
         else:
             report_lines.append(report.summary_line())
             trained += 1
             if not w.converged:
                 unconverged += 1
                 print(f"warning\tnnls-unconverged\tnetwork={network}")
-        save_model(w, registry, models_dir / f"{network}.model")
-    lineio.write_lines(out / "model_report.txt", report_lines)
-    for line in report_lines:
-        print(line)
+        save_model(w, registry, out / "models" / f"{network}.model")
+    _report(out / "model_report.txt", report_lines)
     return {"clean_pairs": len(pairs), "models": trained, "nnls_unconverged": unconverged}
 
 
 def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
-    registry = FeatureRegistry.load(cfg.registry_path)
-    store = load_store(_normalized_path(out), registry)
-    tree = load_tree(cfg.tree_path)
-
+    store = load_store(_normalized_path(out), cfg.registry)
     models = {}
-    for node in tree.walk():
-        if node.is_leaf and node.network not in models:
-            model_path = out / "models" / f"{node.network}.model"
-            if not model_path.exists():
-                raise StageError("score", f"missing model file {model_path}")
-            models[node.network] = load_model(model_path, registry)
+    for network in dict.fromkeys(cfg.tree.leaf_networks()):
+        model_path = out / "models" / f"{network}.model"
+        if not model_path.exists():
+            raise ValueError(f"missing model file {model_path}")
+        models[network] = load_model(model_path, cfg.registry)
 
     stats = {}
     for line in lineio.read_lines(_graph_stats_path(out)):
         network, *tokens = line.split("\t")
         stats[network] = {key: float(value) for key, value in (t.split("=") for t in tokens)}
     as_of = TimeWindow(cfg.reference_time, MAX_WINDOW_DAYS).reference_date()
-    snapshot = score_population(tree, store, models, stats, as_of=as_of)
+    snapshot = score_population(cfg.tree, store, models, stats, as_of=as_of)
     save_snapshot(snapshot, out / "snapshot.txt")
     return {"scored_users": len(snapshot.entries)}
 
 
 def stage_evaluate(cfg: RunConfig, out: Path) -> dict[str, int]:
     snapshot = load_snapshot(out / "snapshot.txt")
-    lines = []
-    checks = 0
+    lines = []  # one per check
     if cfg.latent_path is not None:
         rho = rank_correlation(snapshot.prior_scores(), load_latent(cfg.latent_path))
         lines.append(f"latent_spearman\trho={repr(rho)}")
-        checks += 1
     for path in cfg.reference_rankings:
         reference = load_reference(path)
         p = len(reference.ordered_entities)
-        evaluated = order_by_external_scores(reference)
-        value = ndcg(reference, evaluated, p)
+        value = ndcg(reference, order_by_external_scores(reference), p)
         lines.append(f"ndcg\treference={reference.name}\tp={p}\tvalue={repr(value)}")
-        checks += 1
-    lineio.write_lines(out / "eval_report.txt", lines)
-    for line in lines:
-        print(line)
-    return {"evaluations": checks}
+    _report(out / "eval_report.txt", lines)
+    return {"evaluations": len(lines)}
 
 
 def stage_simulate(cfg: RunConfig, out: Path) -> dict[str, int]:
     if cfg.population_path is None:
-        raise StageError("simulate", "config has no population descriptor")
+        raise ValueError("config has no population descriptor")
     data = json.loads(Path(cfg.population_path).read_text())
     pop = generate_population(PopulationParams.from_dict(data["params"]), data["seed"])
     snapshot = load_snapshot(out / "snapshot.txt")
     result = run_campaign(pop, snapshot, CampaignParams(), cfg.seed)
-    lineio.write_lines(out / "campaign_report.txt", result.report_lines())
-    for line in result.report_lines():
-        print(line)
+    _report(out / "campaign_report.txt", result.report_lines())
     return {"targeted": len(result.records)}
 
 
@@ -303,16 +302,16 @@ _STAGE_FUNCS = {
     "evaluate": stage_evaluate,
     "simulate": stage_simulate,
 }
+STAGES = tuple(_STAGE_FUNCS)
 
 
 def stages_for_mode(cfg: RunConfig, mode: str) -> list[str]:
-    if mode == "all":
-        stages = ["ingest", "features", "train", "score"]
-        if cfg.latent_path is not None or cfg.reference_rankings:
-            stages.append("evaluate")
-        if cfg.population_path is not None:
-            stages.append("simulate")
-        return stages
+    if mode == "all":  # every stage but one the config names no input for
+        wanted = {
+            "evaluate": cfg.latent_path is not None or bool(cfg.reference_rankings),
+            "simulate": cfg.population_path is not None,
+        }
+        return [stage for stage in STAGES if wanted.get(stage, True)]
     if mode not in STAGES:
         raise ValueError(f"unknown mode {mode!r}")
     return [mode]
@@ -332,8 +331,6 @@ def run_pipeline(cfg: RunConfig, out: str | Path, mode: str = "all") -> Path:
         started = time.monotonic()
         try:
             counts[stage] = _STAGE_FUNCS[stage](cfg, out)
-        except StageError:
-            raise
         except Exception as exc:  # noqa: BLE001 - rewrap with the stage name
             raise StageError(stage, str(exc)) from exc
         timings.append(f"{stage}\t{time.monotonic() - started:.3f}s")

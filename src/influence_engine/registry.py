@@ -134,29 +134,48 @@ class FeatureRegistry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureRegistry":
-        lowered = [name.lower() for name in data["networks"]]
+        # a value of the wrong JSON type raises rather than being read another
+        # way: a string as a list of characters, "false" as true
+        lowered = [name.lower() for name in _typed("networks", data["networks"], dict)]
         if len(set(lowered)) < len(lowered):
             clashing = sorted(n for n in data["networks"] if lowered.count(n.lower()) > 1)
             raise ValueError(f"network names differ only in case: {clashing}")
-        networks = {
-            name.lower(): NetworkSpec(
+        networks = {}
+        for name, nd in data["networks"].items():
+            key = f"networks.{name}"
+            networks[name.lower()] = NetworkSpec(
                 name=name.lower(),
-                content_types=tuple(nd.get("content_types", ())),
-                actions=tuple(nd.get("actions", ())),
-                longlasting_attrs=tuple(nd.get("longlasting_attrs", ())),
-                dynamic=bool(nd.get("dynamic", True)),
+                dynamic=_typed(f"{key}.dynamic", _typed(key, nd, dict).get("dynamic", True), bool),
+                **{k: _list(f"{key}.{k}", nd.get(k, []))
+                   for k in ("content_types", "actions", "longlasting_attrs")},
             )
-            for name, nd in data["networks"].items()
-        }
+        ordinal_maps = _typed("ordinal_maps", data.get("ordinal_maps", {}), dict)
         return cls(
             networks=networks,
-            cohorts=tuple(data.get("cohorts", DEFAULT_COHORTS)),
-            windows=tuple(data.get("windows", WINDOW_DAYS)),
-            ordinal_maps={k: tuple(v) for k, v in data.get("ordinal_maps", {}).items()},
-            peer_band=float(data.get("peer_band", DEFAULT_PEER_BAND)),
+            cohorts=_list("cohorts", data.get("cohorts", list(DEFAULT_COHORTS))),
+            windows=_list("windows", data.get("windows", list(WINDOW_DAYS)), int),
+            ordinal_maps={k: _list(f"ordinal_maps.{k}", v) for k, v in ordinal_maps.items()},
+            peer_band=float(_typed("peer_band", data.get("peer_band", DEFAULT_PEER_BAND), int, float)),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureRegistry":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except TypeError as exc:
+            raise TypeError(f"registry {path}: {exc}") from None
 
+
+_JSON_TYPES = {(dict,): "object", (list,): "list", (bool,): "bool", (str,): "string",
+               (int,): "integer", (int, float): "number"}
+
+
+def _typed(key: str, value, *kinds: type):
+    # type(), not isinstance(): a bool is an int to isinstance
+    if type(value) not in kinds:
+        raise TypeError(f"{key} must be a JSON {_JSON_TYPES[kinds]}, not {value!r}")
+    return value
+
+
+def _list(key: str, values, kind: type = str) -> tuple:
+    return tuple(_typed(f"{key} entry", v, kind) for v in _typed(key, values, list))

@@ -20,7 +20,7 @@ MIN_VOTE_MARGIN = 2
 
 
 class EmptyDesign(ValueError):
-    """No training pair of a network has both users' feature vectors."""
+    """A network has nothing to fit; the message says why: no-pairs or no-design-rows."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def train_network(
     train, holdout = split_pairs(net_pairs, holdout_fraction, seed)
     X, y, skipped = build_design(train, store, network)
     if X.shape[0] < 1:
-        raise EmptyDesign("cannot train on an empty design matrix")
+        raise EmptyDesign("no-design-rows" if net_pairs else "no-pairs")
     result = nnls(X, y)
     w = WeightVector(
         network=network,

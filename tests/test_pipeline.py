@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import influence_engine
-from influence_engine import features, graph, lineio, nnls, pipeline, training
+from influence_engine import features, graph, hierarchy, lineio, nnls, pipeline, training
 from influence_engine.cli import main
 from influence_engine.hierarchy import (
     ScoreEntry,
@@ -585,21 +585,47 @@ class TestCLI:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, key",
         [
-            lambda data: data["networks"].update(tw=5),
-            lambda data: data.update(networks=["tw", "fb", "ig"]),
-            lambda data: data.update(ordinal_maps=[]),
+            (lambda data: data["networks"].update(tw=5), "networks.tw "),
+            (lambda data: data.update(networks=["tw", "fb", "ig"]), "networks "),
+            (lambda data: data.update(ordinal_maps=[]), "ordinal_maps "),
+            # each of these used to load as something else
+            (lambda data: data["networks"]["tw"].update(actions="like"), "networks.tw.actions "),
+            (lambda data: data.update(cohorts="all"), "cohorts "),
+            (lambda data: data["networks"]["tw"].update(dynamic="false"), "networks.tw.dynamic "),
+            (lambda data: data["networks"]["tw"].update(actions=["like", 1]), "networks.tw.actions entry "),
+            (lambda data: data.update(windows=[7.0]), "windows entry "),
+            (lambda data: data.update(peer_band="5"), "peer_band "),
+            (lambda data: data["ordinal_maps"].update(community_badge="expert"), "ordinal_maps.community_badge "),
         ],
-        ids=["network-not-an-object", "networks-not-an-object", "ordinal-maps-not-an-object"],
+        ids=["network-not-an-object", "networks-not-an-object", "ordinal-maps-not-an-object",
+             "actions-a-string", "cohorts-a-string", "dynamic-a-string", "action-not-a-string",
+             "window-a-float", "peer-band-a-string", "ordinal-map-a-string"],
     )
-    def test_a_registry_that_does_not_load_exits_one(self, dataset, tmp_path, capsys, edit):
+    def test_a_registry_that_does_not_load_exits_one(self, dataset, tmp_path, capsys, edit, key):
         registry = edited_registry(dataset, tmp_path / "registry.json", edit)
         config = make_config(dataset, tmp_path / "config.json", registry=str(registry))
         code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "bad config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad config: registry {registry}: {key}must be a JSON ")
         assert not (tmp_path / "o").exists()
+
+    def test_an_all_run_parses_the_registry_and_tree_once(self, dataset, tmp_path, monkeypatch):
+        parsed = []
+
+        def counted(name, parse):
+            return lambda data: parsed.append(name) or parse(data)
+
+        monkeypatch.setattr(
+            FeatureRegistry, "from_dict", staticmethod(counted("registry", FeatureRegistry.from_dict))
+        )
+        monkeypatch.setattr(hierarchy, "parse_tree", counted("tree", hierarchy.parse_tree))
+        config = make_config(dataset, tmp_path / "config.json")
+        assert main(["all", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(parsed) == ["registry", "tree"]
+        assert "simulate" in (tmp_path / "o" / "timings.txt").read_text()
 
     @pytest.mark.parametrize(
         "fb_labels",
@@ -616,7 +642,7 @@ class TestCLI:
         assert main(["all", "--config", str(config), "--out", str(out)]) == 0
         reason = "no-design-rows" if fb_labels else "no-pairs"
         assert f"warning\t{reason}\tnetwork=fb" in capsys.readouterr().out
-        assert f"model\tnetwork=fb\tskipped={reason}" in (out / "model_report.txt").read_text()
+        assert f"model\tnetwork=fb\tunfitted={reason}" in (out / "model_report.txt").read_text()
         registry = FeatureRegistry.load(inputs / "registry.json")
         assert not training.load_model(out / "models" / "fb.model", registry).weights.any()
         assert "stage.train.models=2" in (out / "manifest.txt").read_text().splitlines()
@@ -629,6 +655,24 @@ class TestCLI:
         config = make_config(dataset, tmp_path / "config.json")
         code = main(["score", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 5
+
+    @pytest.mark.parametrize(
+        "stage, code",
+        [("ingest", 2), ("features", 3), ("train", 4), ("score", 5), ("evaluate", 6), ("simulate", 7)],
+    )
+    def test_each_stage_failure_exits_with_its_code(self, dataset, tmp_path, capsys, stage, code):
+        # a lone stage in a fresh output directory has no upstream files to read;
+        # ingest is given an input directory without its files
+        (tmp_path / "empty").mkdir()
+        config = make_config(
+            dataset, tmp_path / "config.json", population=None,
+            input_dir=str(tmp_path / "empty") if stage == "ingest" else str(dataset),
+        )
+        assert main([stage, "--config", str(config), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage {stage!r} failed: ")
+        if stage == "simulate":
+            assert "config has no population descriptor" in err
 
     def test_single_stage_success(self, dataset, tmp_path, capsys):
         config = make_config(dataset, tmp_path / "config.json")

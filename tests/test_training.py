@@ -9,6 +9,7 @@ from influence_engine.features import FeatureStore
 from influence_engine.registry import FeatureRegistry, NetworkSpec
 from influence_engine.training import (
     CleanPair,
+    EmptyDesign,
     WeightVector,
     build_design,
     evaluate_model,
@@ -91,8 +92,14 @@ class TestBuildDesign:
 
     def test_empty_system_refuses_training(self):
         registry = tiny_registry(2)
-        with pytest.raises(ValueError, match="empty design matrix"):
+        with pytest.raises(EmptyDesign, match="^no-pairs$"):
             train_network([], store_with({}, registry), registry, "tw")
+        # the network's own pairs are the ones that count
+        with pytest.raises(EmptyDesign, match="^no-pairs$"):
+            train_network([CleanPair("fb", "w", "l", 2)], store_with({}, registry), registry, "tw")
+        store = store_with({"w": [0.8, 0.2]}, registry)
+        with pytest.raises(EmptyDesign, match="^no-design-rows$"):
+            train_network([CleanPair("tw", "w", "ghost", 2)], store, registry, "tw")
 
 
 class TestEvaluateModel:
