@@ -51,10 +51,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{lineio.encode_value(user)}\t{'unscored' if score is None else repr(score)}")
         return 0
 
-    # a JSON value of the wrong type in the tree raises AttributeError or TypeError
     try:
         cfg = RunConfig.from_file(args.config)
-    except (AttributeError, OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 1
 

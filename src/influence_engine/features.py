@@ -3,7 +3,8 @@ long-lasting profile/graph signals, and global-max log normalization.
 
 A table is three aligned columns: user code, key code and value. Dynamic
 counts stay integers until the final float, so the table does not depend on
-event order or on how the events are grouped.
+event order or on how the events are grouped. Edge node names are coded
+once per run, so graph signals are integer counts and walks over codes.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 from . import lineio
-from .events import SECONDS_PER_DAY, EventColumns, GraphEdge, ProfileSnapshot
-from .graph import degree_signals, edges_by_network, pagerank
+from .events import SECONDS_PER_DAY, EventColumns, ProfileSnapshot
+from .graph import pagerank
 from .registry import GRAPH_ATTRS, FeatureRegistry, dynamic_key, longlasting_key
 
 COHORT_ALL = "all"
@@ -126,7 +127,7 @@ def aggregate_dynamic(
 
 def aggregate_longlasting(
     profiles: Iterable[ProfileSnapshot],
-    edges: Iterable[GraphEdge],
+    edges: tuple[list[str], list[str], list[str]],
     registry: FeatureRegistry,
 ) -> tuple[RawFeatureTable, int, list[str]]:
     """Profile and graph signals; returns (table, skipped attr count,
@@ -135,7 +136,8 @@ def aggregate_longlasting(
     ``profiles`` holds at most one snapshot per (user, network), as ingest
     keeps them. Categorical attributes are mapped to 1-based ordinal ranks;
     unknown category values map to 0. The ``GRAPH_ATTRS`` a network
-    registers are derived from its edges, after every profile value.
+    registers are derived from its edges, the columns ``lineio.read_edges``
+    returns, after every profile value.
     """
     cells: defaultdict[tuple[str, str], float] = defaultdict(float)
     skipped = 0
@@ -149,18 +151,34 @@ def aggregate_longlasting(
                 skipped += 1
 
     unconverged = []
-    for network, pairs in sorted(edges_by_network(edges).items()):
+    sources, targets, edge_networks = edges
+    names = sorted(set(sources).union(targets))  # so that codes order as names do
+    codes = {name: i for i, name in enumerate(names)}
+    src, dst = (np.array(list(map(codes.__getitem__, c)), dtype=np.intp) for c in (sources, targets))
+    networks: dict[str, int] = {}
+    net = _intern(edge_networks, networks)
+    for network, n in sorted(networks.items()):
         registered = GRAPH_ATTRS.intersection(registry.networks[network].longlasting_attrs)
-        signals = degree_signals(pairs) if registered - {"pagerank"} else {}
+        s, d = src[net == n], dst[net == n]
+        indeg, outdeg = (np.bincount(c, minlength=len(names)) for c in (d, s))
+        linked = indeg + outdeg > 0
+        signals = {  # (the nodes that have the signal, its value at every node)
+            "inlinks": (indeg > 0, indeg.astype(np.float64)),
+            # nodes with no outlinks keep their raw in-degree (ratio against 1)
+            "inlink_outlink_ratio": (linked, indeg / np.maximum(outdeg, 1)),
+        }
         if "pagerank" in registered:
-            result = pagerank(pairs)
-            signals["pagerank"] = result.scores
+            result = pagerank(zip(s.tolist(), d.tolist()))
+            rank = np.zeros(len(names))
+            rank[list(result.scores)] = list(result.scores.values())
+            signals["pagerank"] = (linked, rank)
             if not result.converged:
                 unconverged.append(network)
         for attr in sorted(registered):
             key = longlasting_key(network, attr)
-            for user, value in signals[attr].items():
-                cells[(user, key)] += value
+            on, values = signals[attr]
+            for node, value in zip(np.flatnonzero(on).tolist(), values[on].tolist()):
+                cells[(names[node], key)] += value
     return RawFeatureTable.from_cells(cells), skipped, unconverged
 
 

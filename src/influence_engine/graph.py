@@ -1,14 +1,12 @@
-"""Graph-derived long-lasting signals: PageRank and degree ratios."""
+"""Graph signals: PageRank over a directed graph, and the per-network
+statistics that heuristic combiner weights rest on."""
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-from .events import GraphEdge
 
 GRAPH_STATS = ("graph_size", "avg_node_degree")  # graph_summary's keys, the heuristic bases
 
@@ -66,25 +64,6 @@ def pagerank(
             converged = True
             break
     return PageRankResult(dict(zip(order, rank.tolist())), iterations, converged)
-
-
-def edges_by_network(edges: Iterable[GraphEdge]) -> dict[str, list[tuple[str, str]]]:
-    grouped: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    for e in edges:
-        grouped[e.network].append((e.src, e.dst))
-    return grouped
-
-
-def degree_signals(pairs: Sequence[tuple[str, str]]) -> dict[str, dict[str, float]]:
-    """``inlinks`` (in-degree) of each node with an in-link and the
-    ``inlink_outlink_ratio`` of each node on an edge, keyed by those names."""
-    indeg = Counter(dst for _, dst in pairs)
-    outdeg = Counter(src for src, _ in pairs)
-    return {
-        "inlinks": {u: float(n) for u, n in indeg.items()},
-        # nodes with no outlinks keep their raw in-degree (ratio against 1)
-        "inlink_outlink_ratio": {u: indeg[u] / max(outdeg[u], 1) for u in indeg.keys() | outdeg.keys()},
-    }
 
 
 def graph_summary(edge_pairs: list[tuple[str, str]]) -> dict[str, float]:

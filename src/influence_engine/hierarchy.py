@@ -19,6 +19,7 @@ import numpy as np
 from . import lineio
 from .features import FeatureStore
 from .graph import GRAPH_STATS
+from .registry import json_list, json_typed
 from .training import WeightVector
 
 COMBINER_SUPERVISED = "supervised-dot"
@@ -65,19 +66,27 @@ class ScoreNode:
 
 
 def parse_tree(data: dict) -> ScoreNode:
-    """The tree a JSON object describes; node ids are unique and the top one is "root"."""
-    def node(d: dict) -> ScoreNode:
-        children = tuple(map(node, d.get("children", ())))
+    """The tree a JSON object describes; node ids are unique and the top one is
+    "root". A value of the wrong JSON type raises ``TypeError`` naming its key,
+    such as ``children.0.node_id``."""
+    def node(d: dict, at: str) -> ScoreNode:
+        json_typed(at.rstrip(".") or "tree", d, dict)
+        kids = json_typed(at + "children", d.get("children", []), list)
+        children = tuple(node(kid, f"{at}children.{i}.") for i, kid in enumerate(kids))
+
+        def text(key, default=None):  # the default where the key is absent or null
+            return default if d.get(key) is None else json_typed(at + key, d[key], str)
+
         return ScoreNode(
-            node_id=d["node_id"],
-            combiner=d.get("combiner", COMBINER_L2 if children else COMBINER_SUPERVISED),
+            node_id=json_typed(at + "node_id", d["node_id"], str),
+            combiner=text("combiner", COMBINER_L2 if children else COMBINER_SUPERVISED),
             children=children,
-            network=d.get("network"),
-            heuristic_basis=d.get("heuristic_basis"),
-            explicit_weights=tuple(d["weights"]) if "weights" in d else None,
+            network=text("network"),
+            heuristic_basis=text("heuristic_basis"),
+            explicit_weights=json_list(at + "weights", d["weights"], int, float) if "weights" in d else None,
         )
 
-    tree = node(data)
+    tree = node(data, "")
     if tree.node_id != "root":
         raise ValueError('top-level node must have node_id "root"')
     ids = [n.node_id for n in tree.walk()]
@@ -88,16 +97,20 @@ def parse_tree(data: dict) -> ScoreNode:
 
 
 def load_tree(path: str | Path) -> ScoreNode:
-    return parse_tree(json.loads(Path(path).read_text()))
+    try:
+        return parse_tree(json.loads(Path(path).read_text()))
+    except TypeError as exc:
+        raise TypeError(f"tree {path}: {exc}") from None
 
 
 # -- combiners -------------------------------------------------------------
 
-def leaf_score(f: np.ndarray, w: np.ndarray) -> float:
-    """Weight-sum-normalized dot product, in [0,1] for f in [0,1]^n, w >= 0."""
+def leaf_score(f: np.ndarray, w: np.ndarray, total: float | None = None) -> float:
+    """Weight-sum-normalized dot product, in [0,1] for f in [0,1]^n, w >= 0;
+    ``total`` is ``float(np.sum(w))``, for a caller that has it already."""
     if f.shape != w.shape:
         raise ValueError("feature and weight vectors are misaligned")
-    total = float(np.sum(w))
+    total = float(np.sum(w)) if total is None else total
     if total == 0.0:
         return 0.0
     return float(f @ w) / total
@@ -176,36 +189,28 @@ def score_user(
     store: FeatureStore,
     models: Mapping[str, WeightVector],
     stats: Mapping[str, Mapping[str, float]],
-    weights: dict[str, np.ndarray] | None = None,
+    weights: dict[str, tuple[np.ndarray, float]] | None = None,
 ) -> ScoreEntry | None:
     """Bottom-up evaluation for one user; None when the user is on no leaf.
-    ``weights`` caches ``node_weights`` by node id from one call to the next."""
+    ``weights`` caches each node's weights and their sum by node id from one
+    call to the next."""
     node_scores: dict[str, float] = {}
     weights = {} if weights is None else weights
 
     def visit(node: ScoreNode) -> float | None:
         if node.is_leaf:
             f = store.get(user, node.network)
-            if f is None:
-                return None
-            score = leaf_score(f, models[node.network].weights)
-            node_scores[node.node_id] = score
-            return score
-
-        present = False
-        for child in node.children:
-            if visit(child) is not None:
-                present = True
-        if not present:
-            return None
-        f = child_vector(node, node_scores)
-        w = weights.get(node.node_id)
-        if w is None:
-            w = weights[node.node_id] = node_weights(node, stats)
-        if node.combiner == COMBINER_SUPERVISED:
-            score = leaf_score(f, w)
+        elif any([visit(child) is not None for child in node.children]):  # every child, then any
+            f = child_vector(node, node_scores)
         else:
-            score = l2_combine(f, w)
+            f = None
+        if f is None:
+            return None
+        if node.node_id not in weights:
+            w = models[node.network].weights if node.is_leaf else node_weights(node, stats)
+            weights[node.node_id] = (w, float(np.sum(w)))
+        w, total = weights[node.node_id]
+        score = leaf_score(f, w, total) if node.combiner == COMBINER_SUPERVISED else l2_combine(f, w)
         node_scores[node.node_id] = score
         return score
 
@@ -227,7 +232,7 @@ def score_population(
     as_of: date,
 ) -> ScoreSnapshot:
     snapshot = ScoreSnapshot(as_of=as_of)
-    weights: dict[str, np.ndarray] = {}
+    weights: dict[str, tuple[np.ndarray, float]] = {}
     for user in store.users():
         entry = score_user(user, tree, store, models, stats, weights)
         if entry is not None:

@@ -1,4 +1,10 @@
-"""Batch loading: validation, trailing-window filtering and dedup."""
+"""Batch loading: validation, trailing-window filtering and dedup.
+
+Events and edges are kept as canonical lines, which are their dedup keys. A
+raw line that already is one (``lineio.CANONICAL_EVENT``/``CANONICAL_EDGE``)
+and passes its checks is kept as it is; any other is decoded, checked and
+encoded again, so that each reason to reject it counts.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +16,6 @@ from pathlib import Path
 from . import lineio
 from .events import (
     MAX_WINDOW_DAYS,
-    GraphEdge,
     PairwiseLabel,
     ProfileSnapshot,
     TimeWindow,
@@ -57,7 +62,7 @@ class IngestBatch:
 
     events: list[str]  # canonical ``encode_event`` lines, sorted
     profiles: dict[tuple[str, str], ProfileSnapshot]  # (user, network)
-    edges: tuple[GraphEdge, ...]
+    edges: list[str]  # canonical ``encode_edge`` lines, sorted
     labels: tuple[PairwiseLabel, ...]
 
 
@@ -76,9 +81,7 @@ def _decoded(line: str, decode, report: LoadReport):
 def read_events(
     path: Path, window: TimeWindow, registry: FeatureRegistry, report: LoadReport
 ) -> list[str]:
-    """The canonical line of each valid, in-window event, once, sorted. A raw
-    line that already is one is taken as it is; every other line is decoded,
-    validated and encoded again, so that each reason to reject it counts."""
+    """The canonical line of each valid, in-window event, once, sorted."""
     triples = {
         (name, content, action)
         for name, spec in registry.networks.items()
@@ -105,7 +108,6 @@ def read_events(
             report.expired_events += 1
             continue
         kept += 1
-        # the encoding is canonical and injective, so a line is its event's dedup key
         lines.add(lineio.encode_event(*event))
     report.accepted_events = len(lines)
     report.duplicate_events = kept - len(lines)
@@ -131,17 +133,30 @@ def read_profiles(
     return profiles
 
 
-def _read_registered(path: Path, decode, registry: FeatureRegistry, report: LoadReport) -> tuple:
-    """Decoded records whose network the registry knows, in file order."""
-    records = []
-    for line in lineio.read_lines(path, errors="surrogateescape"):
+def _registered(lines, decode, registry: FeatureRegistry, report: LoadReport):
+    """The decoded records of ``lines`` whose network the registry knows."""
+    for line in lines:
         if (record := _decoded(line, decode, report)) is None:
             continue
         if record.network not in registry.networks:
             report.rejected["unknown-network"] += 1
             continue
-        records.append(record)
-    return tuple(records)
+        yield record
+
+
+def read_edges(path: Path, registry: FeatureRegistry, report: LoadReport) -> list[str]:
+    """The canonical line of each edge on a registered network, once, sorted."""
+    lines, others = [], []
+    for line in lineio.read_lines(path, errors="surrogateescape"):
+        match = lineio.CANONICAL_EDGE.fullmatch(line)
+        taken = match and match[1] != match[2] and match[3] in registry.networks
+        (lines if taken else others).append(line)
+    lines += map(lineio.encode_edge, _registered(others, lineio.decode_edge, registry, report))
+    unique = sorted(set(lines))
+    if len(lines) > len(unique):
+        report.rejected["duplicate-edge"] = len(lines) - len(unique)
+    report.edges = len(unique)
+    return unique
 
 
 def load_batch(
@@ -158,11 +173,10 @@ def load_batch(
     batch = IngestBatch(
         events=read_events(events, window, registry, report),
         profiles=read_profiles(profiles, window.reference_date(), registry, report),
-        # the first copy of each edge; label votes are merged later instead
-        edges=tuple(dict.fromkeys(read := _read_registered(edges, lineio.decode_edge, registry, report))),
-        labels=_read_registered(labels, lineio.decode_label, registry, report),
+        edges=read_edges(edges, registry, report),
+        labels=tuple(_registered(  # repeated votes are merged later
+            lineio.read_lines(labels, errors="surrogateescape"), lineio.decode_label, registry, report
+        )),
     )
-    if duplicate_edges := len(read) - len(batch.edges):
-        report.rejected["duplicate-edge"] = duplicate_edges
-    report.edges, report.labels = len(batch.edges), len(batch.labels)
+    report.labels = len(batch.labels)
     return batch, report

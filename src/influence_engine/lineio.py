@@ -9,7 +9,10 @@ writes (``InteractionEvent._fields``, ``EDGE_KEYS``, ``PairwiseLabel._fields``),
 and one data-model check that both of their readers apply: the per-line
 decoder, which takes the tokens of a raw line in any order, and the strict
 column reader of ingest's own files, which requires exactly the keys in their
-order. The data model forbids an empty user id, a self-loop edge, a label
+order and returns aligned columns (events, edges) or records (labels).
+``CANONICAL_EVENT`` and ``CANONICAL_EDGE`` match a raw line that already is
+its record's encoding, so that ingest can keep it without decoding it. The
+data model forbids an empty user id, a self-loop edge, a label
 comparing one user with itself, a timestamp or vote count that is not an
 integer, a negative vote count, and a numeric profile attribute that is
 negative or not finite. A decoder raises ``ValueError`` or ``KeyError`` on a
@@ -64,18 +67,15 @@ _EVENT_LINE, _EDGE_LINE, _LABEL_LINE = (
 CANONICAL_EVENT = re.compile(
     _EVENT_LINE.format(*[f"({_PLAIN}+)"] * 2, *[f"({_PLAIN}*)"] * 3, "([1-9][0-9]{0,18})")
 )
+# Likewise ``encode_edge(decode_edge(line))`` when its ids differ. Groups: src, dst, network.
+CANONICAL_EDGE = re.compile(_EDGE_LINE.format(*[f"({_PLAIN}+)"] * 2, f"({_PLAIN}*)"))
 
 
 # -- the data model --------------------------------------------------------
 
 # One check per record type, on the shape its strict reader returns: events
-# as columns (the features stage takes them so), an edge or a label as one
+# and edges as columns (the features stage takes them so), a label as one
 # record. It types the decoded values, or raises ValueError.
-
-def _user_pair(a: str, b: str, what: str) -> None:
-    if not (a and b) or a == b:
-        raise ValueError(f"{what} two distinct, non-empty user ids")
-
 
 def _event_columns(actor, author, network, content_type, action, timestamp) -> EventColumns:
     if not (all(actor) and all(author)):
@@ -83,13 +83,15 @@ def _event_columns(actor, author, network, content_type, action, timestamp) -> E
     return EventColumns(actor, author, network, content_type, action, list(map(int, timestamp)))
 
 
-def _edge(src: str, dst: str, network: str) -> GraphEdge:
-    _user_pair(src, dst, "an edge joins")
-    return GraphEdge(src, dst, network)
+def _edge_columns(src: list[str], dst: list[str], network: list[str]) -> tuple[list[str], ...]:
+    if not (all(src) and all(dst)) or any(map(str.__eq__, src, dst)):
+        raise ValueError("an edge joins two distinct, non-empty user ids")
+    return src, dst, network
 
 
 def _label(network: str, user_a: str, user_b: str, votes_a: str, votes_b: str) -> PairwiseLabel:
-    _user_pair(user_a, user_b, "a label compares")
+    if not (user_a and user_b) or user_a == user_b:
+        raise ValueError("a label compares two distinct, non-empty user ids")
     votes_a, votes_b = int(votes_a), int(votes_b)
     if votes_a < 0 or votes_b < 0:
         raise ValueError("vote counts must be >= 0")
@@ -161,7 +163,8 @@ def encode_edge(edge: GraphEdge) -> str:
 
 
 def decode_edge(line: str) -> GraphEdge:
-    return _edge(*_values(line, EDGE_KEYS))
+    (src,), (dst,), (network,) = _edge_columns(*([value] for value in _values(line, EDGE_KEYS)))
+    return GraphEdge(src, dst, network)
 
 
 def encode_label(label: PairwiseLabel) -> str:
@@ -214,9 +217,10 @@ def read_event_columns(path: str | Path) -> EventColumns:
     return _read_checked(path, InteractionEvent._fields, _event_columns)
 
 
-def read_edges(path: str | Path) -> tuple[GraphEdge, ...]:
-    """The edges of a file of ``encode_edge`` lines, read strictly."""
-    return _read_checked(path, EDGE_KEYS, lambda *columns: tuple(map(_edge, *columns)))
+def read_edges(path: str | Path) -> tuple[list[str], ...]:
+    """The ``src``, ``dst`` and ``network`` columns of a file of ``encode_edge``
+    lines, read strictly."""
+    return _read_checked(path, EDGE_KEYS, _edge_columns)
 
 
 def read_labels(path: str | Path) -> tuple[PairwiseLabel, ...]:

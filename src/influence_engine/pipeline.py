@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -27,7 +28,7 @@ from .evaluation import (
 )
 from .events import MAX_WINDOW_DAYS, TimeWindow
 from .features import load_store
-from .graph import edges_by_network, graph_summary
+from .graph import graph_summary
 from .hierarchy import (
     ScoreNode,
     ScoreSnapshot,
@@ -171,12 +172,15 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
         dest / "profiles.txt",
         sorted(lineio.encode_profile(p) for p in batch.profiles.values()),
     )
-    lineio.write_lines(dest / "edges.txt", sorted(lineio.encode_edge(e) for e in batch.edges))
+    lineio.write_lines(dest / "edges.txt", batch.edges)
     lineio.write_lines(dest / "labels.txt", sorted(lineio.encode_label(l) for l in batch.labels))
-    grouped = edges_by_network(batch.edges)
+    src, dst, networks = lineio.read_edges(dest / "edges.txt")
+    pairs = defaultdict(list)
+    for network, pair in zip(networks, zip(src, dst)):
+        pairs[network].append(pair)
     stats_lines = []
     for network in sorted(cfg.registry.networks):
-        stats = sorted(graph_summary(grouped.get(network, [])).items())
+        stats = sorted(graph_summary(pairs[network]).items())
         stats_lines.append("\t".join([network] + [f"{key}={value!r}" for key, value in stats]))
     lineio.write_lines(_graph_stats_path(out), stats_lines)
     _report(dest / "load_report.txt", [report.summary_line()])
@@ -196,7 +200,7 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     events = lineio.read_event_columns(ingested / "events.txt")
     profiles = tuple(map(lineio.decode_profile, lineio.read_lines(ingested / "profiles.txt")))
     graph = any(GRAPH_ATTRS.intersection(s.longlasting_attrs) for s in cfg.registry.networks.values())
-    edges = lineio.read_edges(ingested / "edges.txt") if graph else ()
+    edges = lineio.read_edges(ingested / "edges.txt") if graph else ([], [], [])
     prior = {}
     if cfg.prior_snapshot is not None:
         prior = load_snapshot(cfg.prior_snapshot).prior_scores()

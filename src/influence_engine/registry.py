@@ -136,7 +136,7 @@ class FeatureRegistry:
     def from_dict(cls, data: dict) -> "FeatureRegistry":
         # a value of the wrong JSON type raises rather than being read another
         # way: a string as a list of characters, "false" as true
-        lowered = [name.lower() for name in _typed("networks", data["networks"], dict)]
+        lowered = [name.lower() for name in json_typed("networks", data["networks"], dict)]
         if len(set(lowered)) < len(lowered):
             clashing = sorted(n for n in data["networks"] if lowered.count(n.lower()) > 1)
             raise ValueError(f"network names differ only in case: {clashing}")
@@ -145,17 +145,17 @@ class FeatureRegistry:
             key = f"networks.{name}"
             networks[name.lower()] = NetworkSpec(
                 name=name.lower(),
-                dynamic=_typed(f"{key}.dynamic", _typed(key, nd, dict).get("dynamic", True), bool),
-                **{k: _list(f"{key}.{k}", nd.get(k, []))
+                dynamic=json_typed(f"{key}.dynamic", json_typed(key, nd, dict).get("dynamic", True), bool),
+                **{k: json_list(f"{key}.{k}", nd.get(k, []))
                    for k in ("content_types", "actions", "longlasting_attrs")},
             )
-        ordinal_maps = _typed("ordinal_maps", data.get("ordinal_maps", {}), dict)
+        ordinal_maps = json_typed("ordinal_maps", data.get("ordinal_maps", {}), dict)
         return cls(
             networks=networks,
-            cohorts=_list("cohorts", data.get("cohorts", list(DEFAULT_COHORTS))),
-            windows=_list("windows", data.get("windows", list(WINDOW_DAYS)), int),
-            ordinal_maps={k: _list(f"ordinal_maps.{k}", v) for k, v in ordinal_maps.items()},
-            peer_band=float(_typed("peer_band", data.get("peer_band", DEFAULT_PEER_BAND), int, float)),
+            cohorts=json_list("cohorts", data.get("cohorts", list(DEFAULT_COHORTS))),
+            windows=json_list("windows", data.get("windows", list(WINDOW_DAYS)), int),
+            ordinal_maps={k: json_list(f"ordinal_maps.{k}", v) for k, v in ordinal_maps.items()},
+            peer_band=float(json_typed("peer_band", data.get("peer_band", DEFAULT_PEER_BAND), int, float)),
         )
 
     @classmethod
@@ -170,12 +170,14 @@ _JSON_TYPES = {(dict,): "object", (list,): "list", (bool,): "bool", (str,): "str
                (int,): "integer", (int, float): "number"}
 
 
-def _typed(key: str, value, *kinds: type):
+def json_typed(key: str, value, *kinds: type):
+    """``value`` if its type is one of ``kinds``, else a ``TypeError`` naming ``key``."""
     # type(), not isinstance(): a bool is an int to isinstance
     if type(value) not in kinds:
         raise TypeError(f"{key} must be a JSON {_JSON_TYPES[kinds]}, not {value!r}")
     return value
 
 
-def _list(key: str, values, kind: type = str) -> tuple:
-    return tuple(_typed(f"{key} entry", v, kind) for v in _typed(key, values, list))
+def json_list(key: str, values, *kinds: type) -> tuple:
+    """A JSON list of values of ``kinds`` (strings by default), as a tuple."""
+    return tuple(json_typed(f"{key} entry", v, *kinds or (str,)) for v in json_typed(key, values, list))

@@ -28,6 +28,11 @@ def columns_of(events) -> EventColumns:
     return EventColumns._make(list(map(itemgetter(i), events)) for i in range(len(EventColumns._fields)))
 
 
+def edge_columns_of(edges) -> tuple[list[str], ...]:
+    """A list of edges as the aligned columns that ``lineio.read_edges`` returns."""
+    return tuple(list(map(itemgetter(i), edges)) for i in range(3))
+
+
 def make_small_registry() -> FeatureRegistry:
     """Two dynamic networks plus a graph-only one, tiny dimension sets."""
     return FeatureRegistry(

@@ -19,7 +19,7 @@ from influence_engine.events import (
 
 from influence_engine.ingest import INPUT_FILES, load_batch
 
-from conftest import columns_of
+from conftest import columns_of, edge_columns_of
 
 REF = 1_700_000_000
 
@@ -309,7 +309,7 @@ class TestColumnReaders:
         lineio.write_lines(directory / "events.txt", (lineio.encode_event(*e) for e in events))
         lineio.write_lines(directory / "edges.txt", map(lineio.encode_edge, edges))
         assert lineio.read_event_columns(directory / "events.txt") == columns_of(events)
-        assert lineio.read_edges(directory / "edges.txt") == tuple(edges)
+        assert lineio.read_edges(directory / "edges.txt") == edge_columns_of(edges)
         lineio.write_lines(directory / "labels.txt", map(lineio.encode_label, labels))
         assert lineio.read_labels(directory / "labels.txt") == tuple(labels)
 
@@ -339,7 +339,7 @@ class TestColumnReaders:
         (tmp_path / "events.txt").write_text(LINE * 2)
         (tmp_path / "edges.txt").write_text(EDGE * 2)
         assert lineio.read_event_columns(tmp_path / "events.txt") == columns_of([ev("a", "b", ts=5)] * 2)
-        assert lineio.read_edges(tmp_path / "edges.txt") == (GraphEdge("a", "b", "wk"),) * 2
+        assert lineio.read_edges(tmp_path / "edges.txt") == (["a"] * 2, ["b"] * 2, ["wk"] * 2)
         (tmp_path / "labels.txt").write_text(LABEL * 2)
         assert lineio.read_labels(tmp_path / "labels.txt") == (PairwiseLabel("tw", "a", "b", 3, 1),) * 2
 

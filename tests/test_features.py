@@ -12,7 +12,6 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from influence_engine import features
 from influence_engine.events import SECONDS_PER_DAY, WINDOW_DAYS
 from influence_engine.features import (
     COHORT_ALL,
@@ -26,10 +25,9 @@ from influence_engine.features import (
     load_store,
     normalize,
 )
-from influence_engine.graph import degree_signals
 from influence_engine.registry import FeatureRegistry, NetworkSpec, dynamic_key, longlasting_key
 
-from conftest import columns_of, make_small_registry
+from conftest import columns_of, edge_columns_of, make_small_registry
 from oracles import brute_window_counts
 from test_ingest import REF, ev, write_inputs
 from influence_engine import lineio
@@ -41,6 +39,11 @@ def batch_from(tmp_path, small_registry, events=(), profiles=(), edges=()):
     inputs = write_inputs(tmp_path, events=events, profiles=profiles, edges=edges)
     batch, _ = load_batch(inputs, REF, small_registry)
     return batch
+
+
+def edge_columns(batch):
+    """The edges that ingest accepts, as the columns features reads."""
+    return edge_columns_of(list(map(lineio.decode_edge, batch.edges)))
 
 
 def columns_from(tmp_path, small_registry, events=()):
@@ -335,7 +338,7 @@ class TestLonglasting:
 
     def test_numeric_pass_through_and_ordinal_mapping(self, tmp_path, small_registry):
         batch = batch_from(tmp_path, small_registry, profiles=self.profiles())
-        table, skipped, _ = aggregate_longlasting(batch.profiles.values(), batch.edges, small_registry)
+        table, skipped, _ = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), small_registry)
         assert value_of(table, "a", longlasting_key("tw", "followers")) == 1500.0
         assert value_of(table, "a", longlasting_key("fb", "education_level")) == 4.0
         assert value_of(table, "b", longlasting_key("fb", "education_level")) == 0.0
@@ -348,7 +351,7 @@ class TestLonglasting:
             GraphEdge("hub", "x", "wk"),
         ]
         batch = batch_from(tmp_path, small_registry, edges=edges)
-        table, _, unconverged = aggregate_longlasting(batch.profiles.values(), batch.edges, small_registry)
+        table, _, unconverged = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), small_registry)
         assert value_of(table, "hub", longlasting_key("wk", "inlinks")) == 2.0
         assert value_of(table, "hub", longlasting_key("wk", "inlink_outlink_ratio")) == 2.0
         pr = {
@@ -359,18 +362,13 @@ class TestLonglasting:
         assert math.isclose(sum(pr.values()), 1.0, abs_tol=1e-6)
         assert unconverged == []
 
-    def test_a_degree_pass_only_where_a_degree_attr_is_registered(self, tmp_path, monkeypatch):
+    def test_graph_cells_only_for_the_graph_attrs_a_network_registers(self, tmp_path):
         registry = make_small_registry()
         registry.networks["wk"] = replace(registry.networks["wk"], longlasting_attrs=("pagerank",))
         registry.networks["fb"] = replace(registry.networks["fb"], longlasting_attrs=("inlinks",))
         edges = [GraphEdge(*pair, network) for network in ("fb", "tw", "wk") for pair in ("xy", "yz")]
         batch = batch_from(tmp_path, registry, edges=edges)
-        passes = []
-        monkeypatch.setattr(
-            features, "degree_signals", lambda pairs: passes.append(pairs) or degree_signals(pairs)
-        )
-        table, _, _ = aggregate_longlasting(batch.profiles.values(), batch.edges, registry)
-        assert passes == [[("x", "y"), ("y", "z")]]  # fb's edges only
+        table, _, _ = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), registry)
         assert set(as_dict(table)) == {
             ("y", "ll/fb/inlinks"), ("z", "ll/fb/inlinks"),
             *((u, "ll/wk/pagerank") for u in "xyz"),

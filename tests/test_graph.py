@@ -7,7 +7,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from influence_engine.graph import degree_signals, graph_summary, pagerank
+from influence_engine.features import aggregate_longlasting
+from influence_engine.graph import graph_summary, pagerank
+from influence_engine.registry import FeatureRegistry, NetworkSpec
 
 from oracles import dense_pagerank
 
@@ -156,7 +158,24 @@ def test_pagerank_stops_where_the_reference_does_at_a_tie(edges, nodes):
             assert_pagerank_equals_reference(edges, nodes, tol=tol)
 
 
-# the two dict helpers that ``degree_signals`` replaced, verbatim
+DEGREES = ("inlinks", "inlink_outlink_ratio")
+DEGREE_REGISTRY = FeatureRegistry(
+    networks={"wk": NetworkSpec(name="wk", longlasting_attrs=DEGREES, dynamic=False)}
+)
+
+
+def degree_signals(pairs):
+    """The degree signals that the features stage derives from one network's
+    edges, by attribute and node name."""
+    src, dst = ([pair[i] for pair in pairs] for i in (0, 1))
+    table, _, _ = aggregate_longlasting((), (src, dst, ["wk"] * len(pairs)), DEGREE_REGISTRY)
+    signals = {attr: {} for attr in DEGREES}
+    for user, key, value in zip(table.user.tolist(), table.key.tolist(), table.value.tolist()):
+        signals[table.keys[key].rsplit("/", 1)[1]][table.users[user]] = value
+    return signals
+
+
+# the two dict helpers that the coded degree pass of the features stage replaced, verbatim
 def degree_stats(edge_pairs: Iterable[tuple[str, str]]) -> tuple[dict[str, int], dict[str, int]]:
     """In-degree and out-degree per node."""
     indeg: dict[str, int] = defaultdict(int)

@@ -66,6 +66,11 @@ class TestLeafScore:
     def test_zero_weight_sum_scores_zero(self):
         assert leaf_score(np.ones(2), np.zeros(2)) == 0.0
 
+    def test_a_given_weight_sum_scores_as_the_computed_one(self):
+        f, w = np.array([0.3, 0.7, 0.1]), np.array([0.1, 0.2, 0.4])
+        assert leaf_score(f, w, float(np.sum(w))) == leaf_score(f, w)
+        assert leaf_score(f, w, 0.0) == 0.0
+
     def test_misalignment_fatal(self):
         with pytest.raises(ValueError):
             leaf_score(np.ones(2), np.ones(3))
@@ -262,6 +267,17 @@ class TestScoreTree:
         entry = score_user("u", self.two_network_tree(third=True), store, models, {})
         assert math.isclose(entry.overall, 100.0 * math.sqrt(1.0 / 3.0), rel_tol=1e-9)
         assert abs(entry.overall - 57.735) < 1e-2
+
+    def test_a_shared_cache_holds_each_nodes_weights_and_their_sum(self):
+        _, store, models = self.setup_two_networks()
+        tree, cache = self.two_network_tree(), {}
+        first = score_user("u", tree, store, models, {}, cache)
+        assert {node: (w.tolist(), total) for node, (w, total) in cache.items()} == {
+            "tw": ([1.0, 1.0], 2.0), "fb": ([1.0, 1.0], 2.0), "root": ([1.0, 1.0], 2.0)
+        }
+        assert score_user("u", tree, store, models, {}, cache) == first
+        cache["tw"] = (cache["tw"][0], 4.0)  # the cached sum is the one a leaf divides by
+        assert score_user("u", tree, store, models, {}, cache).node_scores != first.node_scores
 
     def test_user_on_no_network_is_unscored(self):
         registry, store, models = self.setup_two_networks()

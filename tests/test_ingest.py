@@ -150,7 +150,7 @@ class TestLoadBatch:
         a_b, c_b = GraphEdge("a", "b", "wk"), GraphEdge("c", "b", "wk")
         inputs = write_inputs(tmp_path, edges=[a_b, c_b, a_b])
         batch, report = load_batch(inputs, REF, small_registry)
-        assert batch.edges == (a_b, c_b)
+        assert batch.edges == [lineio.encode_edge(a_b), lineio.encode_edge(c_b)]
         assert report.edges == 2
         assert report.rejected == {"duplicate-edge": 1}
         assert "rejected.duplicate-edge=1" in report.summary_line()
@@ -265,7 +265,7 @@ def with_repeats(lines: list[str]) -> list[str]:
 def test_strict_reader_of_ingest_output_equals_load_batch(
     tmp_path_factory, events, profiles, edges, labels
 ):
-    from conftest import columns_of, make_small_registry
+    from conftest import columns_of, edge_columns_of, make_small_registry
 
     registry = make_small_registry()
     raw = tmp_path_factory.mktemp("raw")
@@ -288,7 +288,8 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
     assert lineio.read_event_columns(ingested / "events.txt") == columns_of(events)
     profiles = map(lineio.decode_profile, lineio.read_lines(ingested / "profiles.txt"))
     assert list(profiles) == list(checked.profiles.values())
-    assert lineio.read_edges(ingested / "edges.txt") == checked.edges
+    edges = list(map(lineio.decode_edge, checked.edges))
+    assert lineio.read_edges(ingested / "edges.txt") == edge_columns_of(edges)
     assert lineio.read_labels(ingested / "labels.txt") == checked.labels
     # what ingest wrote passes every check that the strict readers skip
     assert report.accepted_events == len(checked.events)
@@ -346,7 +347,7 @@ def reference_load_batch(directory, registry):
             kept += 1
             lines.add(lineio.encode_event(*event))
     report.accepted_events, report.duplicate_events = len(lines), kept - len(lines)
-    return IngestBatch(sorted(lines), {}, (), ()), report
+    return IngestBatch(sorted(lines), {}, [], ()), report
 
 
 def respell(line, how):
@@ -441,3 +442,69 @@ def test_fast_path_equals_the_per_line_reference(tmp_path_factory, events):
     raw = write_inputs(tmp_path_factory.mktemp("mixed"))
     (raw / "events.txt").write_text(events, encoding="utf-8", errors="surrogateescape", newline="")
     assert load_batch(raw, REF, registry) == reference_load_batch(raw, registry)
+
+
+# -- the edge fast path against the per-line reference ------------------------
+
+def reference_edge_batch(directory, registry):
+    """``load_batch`` of a directory that holds only edges, one line at a time:
+    every edge is decoded, checked against the registry and encoded again."""
+    report = LoadReport()
+    lines = []
+    for line in lineio.read_lines(directory / "edges.txt", errors="surrogateescape"):
+        try:
+            line.encode("utf-8")
+            edge = lineio.decode_edge(line)
+        except (ValueError, KeyError):
+            report.malformed_lines += 1
+            continue
+        if edge.network in registry.networks:
+            lines.append(lineio.encode_edge(edge))
+        else:
+            report.rejected["unknown-network"] += 1
+    unique = sorted(set(lines))
+    if len(lines) > len(unique):
+        report.rejected["duplicate-edge"] = len(lines) - len(unique)
+    report.edges = len(unique)
+    return IngestBatch([], {}, unique, ()), report
+
+
+# mostly canonical edges between distinct ids on a registered network, and
+# self-loops, empty ids, ids that need escaping and unknown or empty networks
+canonical_edges = st.one_of(
+    st.builds(GraphEdge, st.sampled_from("abc"), st.sampled_from("bcd"), st.sampled_from(["tw", "wk"])),
+    st.builds(GraphEdge, ids, ids, st.sampled_from(["tw", "fb", "wk", "nope", ""])),
+).map(lineio.encode_edge)
+edge_spellings = st.sampled_from(["as is"] * 5 + ["escape", "swap", "unescape", "not utf-8"])
+
+
+def raw_edge_file(canonical_lines):
+    """The text of a raw edge file: respelt lines ending in LF, CRLF or a bare
+    CR (which joins a line to the next), some repeated, maybe no last newline."""
+    ending = st.sampled_from(["\n"] * 4 + ["\r\n", "\r"])
+    line = st.builds(lambda line, how, end: respell(line, how) + end, canonical_lines, edge_spellings, ending)
+    text = st.lists(line, max_size=16).map(with_repeats).map("".join)
+    return st.builds(lambda text, cut: text.removesuffix("\n") if cut else text, text, st.booleans())
+
+
+def tricky_edge_lines():
+    """Canonical-looking edge lines that the fast path must leave to the decoder,
+    next to ones it may take, each kind at least once."""
+    line = lineio.encode_edge(GraphEdge("a", "b", "wk"))
+    lines = [line] + [respell(line, how) for how in ("escape", "swap", "unescape", "not utf-8")]
+    for edge in (("a", "a", "wk"), ("", "b", "wk"), ("a", "", "wk"), ("a", "b", "nope"), ("a", "b", "")):
+        lines.append(lineio.encode_edge(GraphEdge(*edge)))
+    lines.append(line.replace("to=b", "to=b\rc"))  # a bare CR inside a value
+    return "\n".join(lines + lines[:3]) + "\r\n" + line
+
+
+@given(edges=raw_edge_file(canonical_edges))
+@example(edges=tricky_edge_lines())
+@settings(max_examples=200, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+def test_edge_fast_path_equals_the_per_line_reference(tmp_path_factory, edges):
+    from conftest import make_small_registry
+
+    registry = make_small_registry()
+    raw = write_inputs(tmp_path_factory.mktemp("edges"))
+    (raw / "edges.txt").write_text(edges, encoding="utf-8", errors="surrogateescape", newline="")
+    assert load_batch(raw, REF, registry) == reference_edge_batch(raw, registry)

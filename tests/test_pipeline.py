@@ -548,6 +548,33 @@ class TestCLI:
         assert "bad config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            # each of these used to fail score with exit 5, or exit 1 naming no key
+            (lambda root: root["children"][0].update(node_id=7), "children.0.node_id "),
+            (lambda root: root.update(children="tw"), "children "),
+            (lambda root: root.update(weights="123"), "weights "),
+            (lambda root: root.update(weights=[1.0, "2", 1.0]), "weights entry "),
+            (lambda root: root.update(weights=[1.0, True, 1.0]), "weights entry "),
+            (lambda root: root["children"][1].update(network=["tw"]), "children.1.network "),
+            (lambda root: root.update(heuristic_basis=1), "heuristic_basis "),
+            (lambda root: root.update(node_id=None), "node_id "),
+        ],
+        ids=["node-id-a-number", "children-a-string", "weights-a-string", "weight-a-string",
+             "weight-a-bool", "network-a-list", "basis-a-number", "node-id-null"],
+    )
+    def test_a_tree_value_of_the_wrong_json_type_exits_one(self, dataset, tmp_path, capsys, edit, key):
+        root = json.loads((dataset / "tree.json").read_text())
+        edit(root)
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(root))
+        config = make_config(dataset, tmp_path / "config.json", tree=str(tree))
+        code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"bad config: tree {tree}: {key}must be a JSON ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("drop", ["converged=", "w\t"])
     def test_a_model_file_missing_a_line_fails_score(self, full_run, tmp_path, capsys, drop):
         cfg, out = full_run
