@@ -231,13 +231,18 @@ def dump_table(table: RawFeatureTable, path: str | Path) -> None:
     """One ``user<TAB>key<TAB>repr(value)`` line per cell, in (user, key) order."""
     order = np.lexsort((_ranks(table.keys)[table.key], _ranks(table.users)[table.user]))
     users = [lineio.encode_value(user) for user in table.users]
-    cells = zip(table.user[order].tolist(), table.key[order].tolist(), table.value[order].tolist())
-    lineio.write_lines(path, (f"{users[u]}\t{table.keys[k]}\t{v!r}" for u, k, v in cells))
+    # one repr per distinct value, grouped by bits so that -0.0 keeps its own
+    bits, value = np.unique(table.value[order].view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    cells = zip(table.user[order].tolist(), table.key[order].tolist(), value.tolist())
+    lineio.write_lines(path, (f"{users[u]}\t{table.keys[k]}\t{texts[v]}" for u, k, v in cells))
 
 
 def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
     """Read a ``dump_table`` file into vectors aligned to ``keys_for``; a
-    (user, network) pair gets a vector iff the file has a line for it."""
+    (user, network) pair gets a vector iff the file has a line for it. A line
+    not of 3 fields, a key outside the registry, a value not finite and >= 0,
+    or a repeated (user, key) raises ``ValueError`` naming the file."""
     slots: dict[str, tuple[str, int, int]] = {}
     for network in registry.networks:
         keys = registry.keys_for(network)
@@ -245,16 +250,30 @@ def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
             slots[key] = (network, index, len(keys))
 
     store = FeatureStore(registry=registry)
-    for line in lineio.read_lines(path):
-        user, key, value = line.split("\t")
-        if key not in slots:
-            raise ValueError(f"feature key {key!r} in {path} is not in the registry")
-        network, index, size = slots[key]
-        user = lineio.decode_value(user)
-        vec = store.vectors.get((user, network))
-        if vec is None:
-            vec = store.vectors[(user, network)] = np.zeros(size)
-        vec[index] = float(value)
+    cells = 0
+    try:
+        for cells, line in enumerate(lineio.read_lines(path), 1):
+            user, key, value = line.split("\t")  # or ValueError: not 3 fields
+            if key not in slots:
+                raise ValueError(f"feature key {key!r} is not in the registry")
+            network, index, size = slots[key]
+            number = float(value)
+            if not 0 <= number < math.inf:  # nan fails both comparisons
+                raise ValueError(f"feature value {value!r} must be finite and >= 0")
+            user = lineio.decode_value(user)
+            vec = store.vectors.get((user, network))
+            if vec is None:  # nan marks a slot that no line has filled
+                vec = store.vectors[(user, network)] = np.full(size, math.nan)
+            vec[index] = number
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    filled = 0
+    for vec in store.vectors.values():
+        unfilled = np.isnan(vec)
+        filled += vec.size - np.count_nonzero(unfilled)
+        vec[unfilled] = 0.0
+    if filled != cells:
+        raise ValueError(f"{path}: a (user, key) pair has more than one line")
     return store
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from datetime import date
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
@@ -180,14 +180,23 @@ def decode_label(line: str) -> PairwiseLabel:
 # bytes of whole lines that a column reader takes at a time: enough that each
 # chunk costs a few passes in C, few enough that a chunk's strings stay small
 CHUNK_HINT = 1 << 16
+# the keys whose values a record check turns into ints, each its own object
+_INT_KEYS = frozenset({"timestamp", "votes_a", "votes_b"})
 
 
 def _read_checked(path: str | Path, keys: tuple[str, ...], check):
     """``check`` applied to one list of decoded values per key, from a file whose
     every line holds exactly ``keys`` in that order. Any other line, a last line
-    without its newline, or a record ``check`` refuses raises ``ValueError``."""
+    without its newline, or a record ``check`` refuses raises ``ValueError``.
+
+    Equal values of the read, in any of its columns except those that ``check``
+    turns into ints, are one shared object, and each distinct token of such a
+    column is checked and decoded once."""
     width = len(keys)
     columns: list[list[str]] = [[] for _ in keys]
+    shared: dict[str, str] = {}  # a value -> its one object in this read
+    # per column, each token seen -> its value; None for a column of ints
+    memos = [None if key in _INT_KEYS else {} for key in keys]
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             while lines := fh.readlines(CHUNK_HINT):
@@ -196,17 +205,21 @@ def _read_checked(path: str | Path, keys: tuple[str, ...], check):
                 tabs = set(map(str.count, lines, repeat("\t")))
                 if tabs != {width - 1} or not lines[-1].endswith("\n"):
                     raise ValueError(f"a line does not hold {width} fields and a newline")
-                text = "".join(lines)
-                tokens = text.replace("\n", "\t").split("\t")
+                tokens = "".join(lines).replace("\n", "\t").split("\t")
                 tokens.pop()  # the empty string after the last newline
-                escaped = "%" in text
-                for start, (column, key) in enumerate(zip(columns, keys)):
+                for start, (column, key, memo) in enumerate(zip(columns, keys, memos)):
                     values = tokens[start::width]
                     prefix = f"{key}="
-                    if not all(map(str.startswith, values, repeat(prefix))):
+                    new = values if memo is None else set(values).difference(memo)
+                    if not all(map(str.startswith, new, repeat(prefix))):
                         raise ValueError(f"a line does not hold {keys} in that order")
-                    values = map(str.removeprefix, values, repeat(prefix))
-                    column.extend(map(decode_value, values) if escaped else values)
+                    if memo is None:  # an int's digits, which are never escaped
+                        column.extend(map(str.removeprefix, values, repeat(prefix)))
+                    else:
+                        for token in new:
+                            value = decode_value(token.removeprefix(prefix))
+                            memo[token] = shared.setdefault(value, value)
+                        column.extend(map(memo.__getitem__, values))
         return check(*columns)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -231,10 +244,12 @@ def read_labels(path: str | Path) -> tuple[PairwiseLabel, ...]:
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    lines = iter(lines)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        # one write per bounded chunk of lines, each ending in its newline
+        while chunk := list(islice(lines, 4096)):
+            chunk.append("")
+            fh.write("\n".join(chunk))
 
 
 def read_lines(path: str | Path, errors: str = "strict") -> Iterator[str]:

@@ -327,6 +327,29 @@ class TestColumnReaders:
         assert path.stat().st_size > 3 * lineio.CHUNK_HINT
         assert lineio.read_event_columns(path) == columns_of(plain + escaped)
 
+    def test_equal_values_are_one_object_across_chunks(self, tmp_path):
+        # few distinct ids, some escaped, repeated over a file of several chunks
+        ids = [f"u{i}" for i in range(40)] + [f"\u00e9 %{i}=" for i in range(10)]
+        rng = random.Random(11)
+        events = [
+            ev(rng.choice(ids), rng.choice(ids), rng.choice(["tw", "fb", "g+ x"]), "photo", "like", i)
+            for i in range(3000)
+        ]
+        edges = [GraphEdge(*rng.sample(ids, 2), rng.choice(["tw", "fb"])) for _ in range(8000)]
+        lineio.write_lines(tmp_path / "events.txt", (lineio.encode_event(*e) for e in events))
+        lineio.write_lines(tmp_path / "edges.txt", map(lineio.encode_edge, edges))
+        assert (tmp_path / "events.txt").stat().st_size > 3 * lineio.CHUNK_HINT
+        assert (tmp_path / "edges.txt").stat().st_size > 3 * lineio.CHUNK_HINT
+
+        columns = lineio.read_event_columns(tmp_path / "events.txt")
+        assert columns == columns_of(events)  # so escaped values still decode
+        edge_columns = lineio.read_edges(tmp_path / "edges.txt")
+        assert edge_columns == edge_columns_of(edges)
+        for read in (columns[:5], edge_columns):
+            first = {}  # each value -> the object it first came as
+            for value in (value for column in read for value in column):
+                assert first.setdefault(value, value) is value
+
     @pytest.mark.parametrize("damage", list(DAMAGED))
     def test_a_damaged_file_raises(self, tmp_path, damage):
         reader, text = DAMAGED[damage]

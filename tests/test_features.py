@@ -462,6 +462,36 @@ class TestStoreAndDumps:
         with pytest.raises(ValueError, match="'dyn/tw/photo/like/peers/7d'"):
             load_store(path, all_only)
 
+    GOOD = "a\tdyn/tw/photo/like/all/7d\t0.5\n"
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("a\tdyn/tw/photo/like/all/7d\n", "not enough values"),
+            ("a\tdyn/tw/photo/like/all/7d\t0.5\t1\n", "too many values"),
+            ("b\tdyn/tw/photo/like/all/7d\tx\n", "could not convert"),
+            ("b\tdyn/tw/photo/like/all/7d\tnan\n", "'nan' must be finite"),
+            ("b\tdyn/tw/photo/like/all/7d\tinf\n", "'inf' must be finite"),
+            ("b\tdyn/tw/photo/like/all/7d\t-0.5\n", "'-0.5' must be finite and >= 0"),
+            ("a\tdyn/tw/photo/like/all/7d\t0.25\n", "more than one line"),
+        ],
+        ids=["two-fields", "four-fields", "not-a-float", "nan", "inf", "negative", "repeated-cell"],
+    )
+    def test_a_damaged_line_is_refused_with_the_file_named(self, tmp_path, small_registry, line, error):
+        path = tmp_path / "normalized.txt"
+        path.write_text(self.GOOD + line)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(error)}"):
+            load_store(path, small_registry)
+
+    def test_a_zero_value_is_a_cell(self, tmp_path, small_registry):
+        # a cell that holds 0.0 still fills its slot once
+        path = tmp_path / "normalized.txt"
+        path.write_text("a\tdyn/tw/photo/like/all/7d\t0.0\n")
+        assert not load_store(path, small_registry).get("a", "tw").any()
+        path.write_text("a\tdyn/tw/photo/like/all/7d\t0.0\n" * 2)
+        with pytest.raises(ValueError, match="more than one line"):
+            load_store(path, small_registry)
+
 
 _registry = make_small_registry()
 NETWORK_OF = {
@@ -497,6 +527,33 @@ def test_normalize_dump_and_load_are_one_path(tmp_path_factory, cells):
                 assert vec[i] == normalize(raw[(user, key)], maxima.get(key, 0.0))
             else:
                 assert vec[i] == 0.0
+
+
+def dump_lines(table):
+    """What ``dump_table`` writes, one cell and one repr at a time."""
+    order = sorted(range(len(table.value)), key=lambda i: (table.users[table.user[i]], table.keys[table.key[i]]))
+    return [
+        f"{lineio.encode_value(table.users[table.user[i]])}\t{table.keys[table.key[i]]}\t{table.value[i].item()!r}"
+        for i in order
+    ]
+
+
+@given(
+    cells=st.dictionaries(
+        st.tuples(st.sampled_from(["a", "b", "c%d", "\u00e9t\u00e9", "a\tb"]), st.sampled_from(sorted(NETWORK_OF))),
+        # subnormals included; the sampled values make repeats likely
+        st.floats(min_value=0) | st.sampled_from([0.0, 5e-324, 1 / 3, 1.0]),
+        max_size=40,
+    ),
+    negative_zero=st.booleans(),
+)
+def test_dump_table_writes_what_the_per_cell_loop_writes(tmp_path_factory, cells, negative_zero):
+    table = RawFeatureTable.from_cells(cells)
+    if negative_zero and len(table.value):
+        table.value[0] = -0.0  # which must not print as the 0.0 it equals
+    path = tmp_path_factory.mktemp("dump") / "table.txt"
+    dump_table(table, path)
+    assert path.read_text(encoding="utf-8").splitlines() == dump_lines(table)
 
 
 class TestRegistryKeySpace:
