@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lineio
 from .events import SECONDS_PER_DAY, EventColumns, ProfileSnapshot
-from .graph import pagerank
+from .graph import GRAPH_STATS, pagerank
 from .registry import GRAPH_ATTRS, FeatureRegistry, dynamic_key, longlasting_key
 
 COHORT_ALL = "all"
@@ -129,9 +129,9 @@ def aggregate_longlasting(
     profiles: Iterable[ProfileSnapshot],
     edges: tuple[list[str], list[str], list[str]],
     registry: FeatureRegistry,
-) -> tuple[RawFeatureTable, int, list[str]]:
-    """Profile and graph signals; returns (table, skipped attr count,
-    networks whose PageRank stopped at its iteration cap).
+) -> tuple[RawFeatureTable, int, list[str], dict[str, dict[str, float]]]:
+    """Profile and graph signals; returns (table, skipped attr count, networks
+    whose PageRank stopped at its iteration cap, ``GRAPH_STATS`` per registered network).
 
     ``profiles`` holds at most one snapshot per (user, network), as ingest
     keeps them. Categorical attributes are mapped to 1-based ordinal ranks;
@@ -151,6 +151,7 @@ def aggregate_longlasting(
                 skipped += 1
 
     unconverged = []
+    stats = {network: dict.fromkeys(GRAPH_STATS, 0.0) for network in sorted(registry.networks)}
     sources, targets, edge_networks = edges
     names = sorted(set(sources).union(targets))  # so that codes order as names do
     codes = {name: i for i, name in enumerate(names)}
@@ -162,6 +163,8 @@ def aggregate_longlasting(
         s, d = src[net == n], dst[net == n]
         indeg, outdeg = (np.bincount(c, minlength=len(names)) for c in (d, s))
         linked = indeg + outdeg > 0
+        size = float(np.count_nonzero(linked))
+        stats[network] = dict(zip(GRAPH_STATS, (size, 2.0 * len(s) / size)))
         signals = {  # (the nodes that have the signal, its value at every node)
             "inlinks": (indeg > 0, indeg.astype(np.float64)),
             # nodes with no outlinks keep their raw in-degree (ratio against 1)
@@ -179,7 +182,7 @@ def aggregate_longlasting(
             on, values = signals[attr]
             for node, value in zip(np.flatnonzero(on).tolist(), values[on].tolist()):
                 cells[(names[node], key)] += value
-    return RawFeatureTable.from_cells(cells), skipped, unconverged
+    return RawFeatureTable.from_cells(cells), skipped, unconverged, stats
 
 
 def compute_global_maxima(table: RawFeatureTable) -> dict[str, float]:

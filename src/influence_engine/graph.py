@@ -1,5 +1,5 @@
-"""Graph signals: PageRank over a directed graph, and the per-network
-statistics that heuristic combiner weights rest on."""
+"""Graph signals: PageRank over a directed graph, and the names of the
+per-network statistics that heuristic combiner weights rest on."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
-GRAPH_STATS = ("graph_size", "avg_node_degree")  # graph_summary's keys, the heuristic bases
+GRAPH_STATS = ("graph_size", "avg_node_degree")  # the heuristic bases, per network
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,3 @@ def pagerank(
             break
     return PageRankResult(dict(zip(order, rank.tolist())), iterations, converged)
 
-
-def graph_summary(edge_pairs: list[tuple[str, str]]) -> dict[str, float]:
-    """Per-network statistics used for heuristic combiner weights."""
-    nodes = {u for pair in edge_pairs for u in pair}
-    size = len(nodes)
-    avg_degree = (2.0 * len(edge_pairs) / size) if size else 0.0
-    return dict(zip(GRAPH_STATS, (float(size), avg_degree)))

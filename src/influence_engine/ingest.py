@@ -117,7 +117,8 @@ def read_events(
 def read_profiles(
     path: Path, ref_date: date, registry: FeatureRegistry, report: LoadReport
 ) -> dict[tuple[str, str], ProfileSnapshot]:
-    """The latest snapshot per (user, network) taken by ``ref_date``."""
+    """The latest snapshot per (user, network) taken by ``ref_date``; of two
+    taken on one day, the larger canonical line, whatever the line order."""
     profiles: dict[tuple[str, str], ProfileSnapshot] = {}
     for line in lineio.read_lines(path, errors="surrogateescape"):
         if (profile := _decoded(line, lineio.decode_profile, report)) is None:
@@ -127,7 +128,10 @@ def read_profiles(
             continue
         key = (profile.user, profile.network)
         current = profiles.get(key)
-        if current is None or profile.as_of > current.as_of:
+        if current is None or profile.as_of > current.as_of or (
+            profile.as_of == current.as_of
+            and lineio.encode_profile(profile) > lineio.encode_profile(current)
+        ):
             profiles[key] = profile
     report.profiles = len(profiles)
     return profiles

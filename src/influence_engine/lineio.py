@@ -14,8 +14,9 @@ order and returns aligned columns (events, edges) or records (labels).
 its record's encoding, so that ingest can keep it without decoding it. The
 data model forbids an empty user id, a self-loop edge, a label
 comparing one user with itself, a timestamp or vote count that is not an
-integer, a negative vote count, and a numeric profile attribute that is
-negative or not finite. A decoder raises ``ValueError`` or ``KeyError`` on a
+integer, a negative vote count, a numeric profile attribute that is
+negative or not finite, and a key given twice (a profile attribute may be:
+its values add up). A decoder raises ``ValueError`` or ``KeyError`` on a
 line that breaks it, a strict reader ``ValueError`` naming the file.
 """
 
@@ -100,8 +101,11 @@ def _label(network: str, user_a: str, user_b: str, votes_a: str, votes_b: str) -
 
 def _values(line: str, keys: tuple[str, ...]) -> list[str]:
     """The decoded values of ``keys`` on a line that holds them in any order;
-    a missing key raises ``KeyError``."""
-    fields = dict(_tokens(line))
+    a missing key raises ``KeyError``, a key given twice ``ValueError``."""
+    tokens = list(_tokens(line))
+    fields = dict(tokens)
+    if len(fields) < len(tokens):
+        raise ValueError("a key is given twice")
     if "%" in line:  # only an escaped value needs decoding
         fields = {key: decode_value(value) for key, value in fields.items()}
     return [fields[key] for key in keys]
@@ -143,6 +147,8 @@ def decode_profile(line: str) -> ProfileSnapshot:
             numeric.append((decode_value(key[2:]), number))
         elif key.startswith("c:"):
             categorical.append((decode_value(key[2:]), decode_value(value)))
+        elif key in plain:
+            raise ValueError(f"key {key!r} is given twice")
         else:
             plain[key] = decode_value(value)
     if not plain["user"]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -28,7 +27,6 @@ from .evaluation import (
 )
 from .events import MAX_WINDOW_DAYS, TimeWindow
 from .features import load_store
-from .graph import graph_summary
 from .hierarchy import (
     ScoreNode,
     ScoreSnapshot,
@@ -38,14 +36,7 @@ from .hierarchy import (
     score_population,
 )
 from .ingest import INPUT_FILES, load_batch
-from .population import (
-    CampaignParams,
-    PopulationParams,
-    generate_population,
-    load_latent,
-    run_campaign,
-)
-from .registry import GRAPH_ATTRS, FeatureRegistry
+from .registry import FeatureRegistry
 from .training import EmptyDesign, WeightVector, load_model, preprocess_labels, save_model, train_network
 
 class StageError(RuntimeError):
@@ -137,7 +128,11 @@ class RunConfig:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:  # by chunks: a whole output file would raise the run's peak RSS
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _sha256_or_none(path: Path | None) -> str | None:
@@ -150,10 +145,9 @@ def _normalized_path(out: Path) -> Path:
 
 
 def _graph_stats_path(out: Path) -> Path:
-    # one line per registered network: its name, then graph_summary's values as
-    # key=repr tokens (zeros for a network with no edges); ingest writes it so
-    # that score need not read the edges
-    return out / "ingest" / "graph_stats.txt"
+    # per registered network, its name and sorted GRAPH_STATS as key=repr tokens; features
+    # writes it outside features/, which holds feature dumps, so score need not read edges
+    return out / "graph_stats.txt"
 
 
 def _report(path: Path, lines: list[str]) -> None:
@@ -174,15 +168,6 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
     )
     lineio.write_lines(dest / "edges.txt", batch.edges)
     lineio.write_lines(dest / "labels.txt", sorted(lineio.encode_label(l) for l in batch.labels))
-    src, dst, networks = lineio.read_edges(dest / "edges.txt")
-    pairs = defaultdict(list)
-    for network, pair in zip(networks, zip(src, dst)):
-        pairs[network].append(pair)
-    stats_lines = []
-    for network in sorted(cfg.registry.networks):
-        stats = sorted(graph_summary(pairs[network]).items())
-        stats_lines.append("\t".join([network] + [f"{key}={value!r}" for key, value in stats]))
-    lineio.write_lines(_graph_stats_path(out), stats_lines)
     _report(dest / "load_report.txt", [report.summary_line()])
     return {
         "accepted_events": report.accepted_events,
@@ -197,15 +182,17 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     # in them, so nothing is checked again; a line that does not decode, or
     # that does not hold its fields in ingest's order, is damage and raises
     ingested = out / "ingest"
-    events = lineio.read_event_columns(ingested / "events.txt")
-    profiles = tuple(map(lineio.decode_profile, lineio.read_lines(ingested / "profiles.txt")))
-    graph = any(GRAPH_ATTRS.intersection(s.longlasting_attrs) for s in cfg.registry.networks.values())
-    edges = lineio.read_edges(ingested / "edges.txt") if graph else ([], [], [])
     prior = {}
     if cfg.prior_snapshot is not None:
         prior = load_snapshot(cfg.prior_snapshot).prior_scores()
-    dynamic = feat.aggregate_dynamic(events, cfg.reference_time, prior, cfg.registry)
-    longlasting, unregistered, unconverged = feat.aggregate_longlasting(profiles, edges, cfg.registry)
+    # each input goes straight into its call, so that no two are held at once
+    dynamic = feat.aggregate_dynamic(
+        lineio.read_event_columns(ingested / "events.txt"), cfg.reference_time, prior, cfg.registry
+    )
+    longlasting, unregistered, unconverged, stats = feat.aggregate_longlasting(
+        map(lineio.decode_profile, lineio.read_lines(ingested / "profiles.txt")),
+        lineio.read_edges(ingested / "edges.txt"), cfg.registry,
+    )
     table = dynamic.concat(longlasting)
     maxima = feat.compute_global_maxima(table)
     for network in unconverged:
@@ -219,6 +206,10 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     per_cell = map(maximum.__getitem__, table.key.tolist())
     table.value[:] = list(map(feat.normalize, table.value.tolist(), per_cell))
     feat.dump_table(table, _normalized_path(out))
+    lineio.write_lines(_graph_stats_path(out), (
+        "\t".join([network] + [f"{key}={value!r}" for key, value in sorted(values.items())])
+        for network, values in stats.items()
+    ))
     return {
         "raw_cells": len(table.value),
         "feature_keys": len(maxima),
@@ -276,6 +267,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> dict[str, int]:
     snapshot = load_snapshot(out / "snapshot.txt")
     lines = []  # one per check
     if cfg.latent_path is not None:
+        from .population import load_latent  # only where it is used, to keep start-up short
         rho = rank_correlation(snapshot.prior_scores(), load_latent(cfg.latent_path))
         lines.append(f"latent_spearman\trho={repr(rho)}")
     for path in cfg.reference_rankings:
@@ -290,6 +282,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> dict[str, int]:
 def stage_simulate(cfg: RunConfig, out: Path) -> dict[str, int]:
     if cfg.population_path is None:
         raise ValueError("config has no population descriptor")
+    from .population import CampaignParams, PopulationParams, generate_population, run_campaign
     data = json.loads(Path(cfg.population_path).read_text())
     pop = generate_population(PopulationParams.from_dict(data["params"]), data["seed"])
     snapshot = load_snapshot(out / "snapshot.txt")

@@ -338,11 +338,21 @@ class TestLonglasting:
 
     def test_numeric_pass_through_and_ordinal_mapping(self, tmp_path, small_registry):
         batch = batch_from(tmp_path, small_registry, profiles=self.profiles())
-        table, skipped, _ = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), small_registry)
+        table, skipped, _, _ = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), small_registry)
         assert value_of(table, "a", longlasting_key("tw", "followers")) == 1500.0
         assert value_of(table, "a", longlasting_key("fb", "education_level")) == 4.0
         assert value_of(table, "b", longlasting_key("fb", "education_level")) == 0.0
         assert skipped == 1
+
+    def test_a_repeated_attribute_sums(self, small_registry):
+        # a profile line may repeat an n: or c: attribute, and the values add up
+        line = ("user=a\tnetwork=fb\tas_of=2023-11-01\tn:fans=1.5\tn:fans=2.0"
+                "\tc:education_level=BS\tc:education_level=PhD")
+        profile = lineio.decode_profile(line)
+        assert lineio.encode_profile(profile) == line
+        table, skipped, _, _ = aggregate_longlasting([profile], ([], [], []), small_registry)
+        assert as_dict(table) == {("a", "ll/fb/fans"): 3.5, ("a", "ll/fb/education_level"): 2.0 + 4.0}
+        assert skipped == 0
 
     def test_graph_features(self, tmp_path, small_registry):
         edges = [
@@ -351,7 +361,7 @@ class TestLonglasting:
             GraphEdge("hub", "x", "wk"),
         ]
         batch = batch_from(tmp_path, small_registry, edges=edges)
-        table, _, unconverged = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), small_registry)
+        table, _, unconverged, _ = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), small_registry)
         assert value_of(table, "hub", longlasting_key("wk", "inlinks")) == 2.0
         assert value_of(table, "hub", longlasting_key("wk", "inlink_outlink_ratio")) == 2.0
         pr = {
@@ -368,7 +378,7 @@ class TestLonglasting:
         registry.networks["fb"] = replace(registry.networks["fb"], longlasting_attrs=("inlinks",))
         edges = [GraphEdge(*pair, network) for network in ("fb", "tw", "wk") for pair in ("xy", "yz")]
         batch = batch_from(tmp_path, registry, edges=edges)
-        table, _, _ = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), registry)
+        table, _, _, _ = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), registry)
         assert set(as_dict(table)) == {
             ("y", "ll/fb/inlinks"), ("z", "ll/fb/inlinks"),
             *((u, "ll/wk/pagerank") for u in "xyz"),

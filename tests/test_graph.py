@@ -8,9 +8,10 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from influence_engine.features import aggregate_longlasting
-from influence_engine.graph import graph_summary, pagerank
+from influence_engine.graph import GRAPH_STATS, pagerank
 from influence_engine.registry import FeatureRegistry, NetworkSpec
 
+from conftest import edge_columns_of
 from oracles import dense_pagerank
 
 
@@ -168,7 +169,7 @@ def degree_signals(pairs):
     """The degree signals that the features stage derives from one network's
     edges, by attribute and node name."""
     src, dst = ([pair[i] for pair in pairs] for i in (0, 1))
-    table, _, _ = aggregate_longlasting((), (src, dst, ["wk"] * len(pairs)), DEGREE_REGISTRY)
+    table, _, _, _ = aggregate_longlasting((), (src, dst, ["wk"] * len(pairs)), DEGREE_REGISTRY)
     signals = {attr: {} for attr in DEGREES}
     for user, key, value in zip(table.user.tolist(), table.key.tolist(), table.value.tolist()):
         signals[table.keys[key].rsplit("/", 1)[1]][table.users[user]] = value
@@ -217,8 +218,47 @@ class TestDegrees:
         ratios = degree_signals([(u, "x") for u in "abcd"])["inlink_outlink_ratio"]
         assert ratios["x"] == 4.0
 
-    def test_graph_summary(self):
-        stats = graph_summary([("a", "b"), ("b", "c")])
-        assert stats["graph_size"] == 3.0
-        assert math.isclose(stats["avg_node_degree"], 4.0 / 3.0)
-        assert graph_summary([]) == {"graph_size": 0.0, "avg_node_degree": 0.0}
+
+# statistics do not depend on the graph signals a network registers
+STATS_REGISTRY = FeatureRegistry(
+    networks={
+        "fb": NetworkSpec(name="fb", longlasting_attrs=("inlinks",), dynamic=False),
+        "tw": NetworkSpec(name="tw", dynamic=False),
+        "wk": NetworkSpec(name="wk", longlasting_attrs=("pagerank",), dynamic=False),
+    }
+)
+
+
+def graph_summary(edge_pairs: list[tuple[str, str]]) -> dict[str, float]:
+    """The set count that gave each network's statistics before the degree
+    pass of the features stage did, verbatim."""
+    nodes = {u for pair in edge_pairs for u in pair}
+    size = len(nodes)
+    avg_degree = (2.0 * len(edge_pairs) / size) if size else 0.0
+    return dict(zip(GRAPH_STATS, (float(size), avg_degree)))
+
+
+# edges as ingest keeps them: unique, between two distinct nodes, on a subset
+# of the registered networks, so that some networks have none
+edge_sets = st.lists(st.sampled_from(sorted(STATS_REGISTRY.networks)), min_size=1, unique=True).flatmap(
+    lambda networks: st.sets(
+        st.tuples(names, names, st.sampled_from(networks)).filter(lambda edge: edge[0] != edge[1]),
+        max_size=40,
+    )
+)
+
+
+@given(edges=edge_sets)
+@settings(phases=NO_EXPLAIN)
+def test_graph_stats_equal_the_set_count(edges):
+    # the oracle's own figures, which the test it replaced pinned
+    assert graph_summary([("a", "b"), ("b", "c")]) == {"graph_size": 3.0, "avg_node_degree": 4.0 / 3.0}
+    assert graph_summary([]) == {"graph_size": 0.0, "avg_node_degree": 0.0}
+    *_, stats = aggregate_longlasting((), edge_columns_of(sorted(edges)), STATS_REGISTRY)
+    pairs = defaultdict(list)
+    for src, dst, network in edges:
+        pairs[network].append((src, dst))
+    assert list(stats) == sorted(STATS_REGISTRY.networks)
+    assert {network: typed(values) for network, values in stats.items()} == {
+        network: typed(graph_summary(pairs[network])) for network in sorted(STATS_REGISTRY.networks)
+    }

@@ -81,6 +81,7 @@ class TestFullRun:
             "ingest/load_report.txt",
             "features/normalized_features.txt",
             "features/maxima.txt",
+            "graph_stats.txt",
             "model_report.txt",
             "snapshot.txt",
             "eval_report.txt",
@@ -133,9 +134,10 @@ class TestDeterminismAndIsolation:
         cfg, out = full_run
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
-        before = (copy / "features" / "normalized_features.txt").read_bytes()
+        names = ("features/normalized_features.txt", "graph_stats.txt")
+        before = {name: (copy / name).read_bytes() for name in names}
         run_pipeline(cfg, copy, mode="features")
-        assert (copy / "features" / "normalized_features.txt").read_bytes() == before
+        assert {name: (copy / name).read_bytes() for name in before} == before
         run_pipeline(cfg, copy, mode="train")
         assert model_bytes(copy) == model_bytes(out)
         run_pipeline(cfg, copy, mode="score")
@@ -158,7 +160,7 @@ class TestDeterminismAndIsolation:
         assert len(calls) == 1
 
         # train and score still reproduce their outputs without the event log
-        # and the edges: score reads the graph statistics that ingest wrote
+        # and the edges: score reads the graph statistics that features wrote
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
         (copy / "ingest" / "events.txt").unlink()
@@ -359,7 +361,9 @@ class TestFeatureStage:
         assert raw == expected
 
     @pytest.mark.parametrize("graph", [False, True])
-    def test_edges_are_read_only_for_graph_attributes(self, dataset, tmp_path, graph):
+    def test_features_needs_the_edges(self, dataset, tmp_path, graph):
+        # the graph statistics come from the edges, whether or not a network
+        # registers a graph attribute
         def edit(data):
             if graph:
                 data["networks"]["tw"]["longlasting_attrs"].append("inlinks")
@@ -368,15 +372,23 @@ class TestFeatureStage:
         cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json", registry=str(registry)))
         out = tmp_path / "out"
         run_pipeline(cfg, out, mode="ingest")
-        run_pipeline(cfg, out, mode="features")
-        dumps = {p.name: p.read_bytes() for p in (out / "features").iterdir()}
         (out / "ingest" / "edges.txt").unlink()
-        if graph:
-            with pytest.raises(StageError):
-                run_pipeline(cfg, out, mode="features")
-        else:
+        with pytest.raises(StageError, match="edges.txt"):
             run_pipeline(cfg, out, mode="features")
-            assert {p.name: p.read_bytes() for p in (out / "features").iterdir()} == dumps
+
+    def test_an_all_run_reads_the_edges_once_in_features(self, dataset, tmp_path, monkeypatch):
+        callers = []
+
+        def counted(path):
+            callers.append((sys._getframe(1).f_code.co_name, Path(path).relative_to(out).as_posix()))
+            return read_edges(path)
+
+        read_edges = lineio.read_edges
+        monkeypatch.setattr(lineio, "read_edges", counted)
+        cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
+        out = tmp_path / "out"
+        run_pipeline(cfg, out, mode="all")
+        assert callers == [("stage_features", "ingest/edges.txt")]
 
 
 class TestTrainStage:
@@ -410,7 +422,7 @@ class TestScoreStage:
         assert main(["all", "--config", str(config), "--out", str(out)]) == 0
 
         stats = {}
-        for line in lineio.read_lines(out / "ingest" / "graph_stats.txt"):
+        for line in lineio.read_lines(out / "graph_stats.txt"):
             network, *tokens = line.split("\t")
             stats[network] = dict(token.split("=") for token in tokens)
         assert stats["ig"] == {"avg_node_degree": "0.0", "graph_size": "0.0"}
@@ -707,6 +719,58 @@ class TestCLI:
         assert code == 0
         assert (tmp_path / "o" / "ingest" / "events.txt").is_file()
 
+    def test_a_raw_line_that_repeats_a_key_is_malformed(self, dataset, full_run, tmp_path):
+        # each appended line gives one key a second value; read by that value,
+        # each would be a new valid record
+        inputs = tmp_path / "inputs"
+        shutil.copytree(dataset, inputs)
+        repeats = [
+            ("events.txt", "actor=ghost"),
+            ("profiles.txt", "user=ghost"),
+            ("profiles.txt", "network=ig"),
+            ("profiles.txt", "as_of=2023-11-13"),
+            ("edges.txt", "from=ghost"),
+            ("labels.txt", "user_a=ghost"),
+        ]
+        for name, token in repeats:
+            line = (inputs / name).read_text().splitlines()[0]
+            assert f"\t{token.split('=')[0]}=" in f"\t{line}" and token not in line
+            with (inputs / name).open("a") as fh:
+                fh.write(f"{line}\t{token}\n")
+        config = make_config(inputs, tmp_path / "config.json")
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+        _, clean = full_run
+        reports = [
+            dict(t.split("=") for t in (o / "ingest" / "load_report.txt").read_text().split()[1:])
+            for o in (clean, tmp_path / "o")
+        ]
+        assert int(reports[1].pop("malformed")) == int(reports[0].pop("malformed")) + len(repeats)
+        assert reports[1] == reports[0]
+        for name in ("events.txt", "profiles.txt", "edges.txt", "labels.txt"):
+            assert (tmp_path / "o" / "ingest" / name).read_bytes() == (clean / "ingest" / name).read_bytes()
+
+    def test_a_same_day_profile_tie_does_not_depend_on_line_order(self, dataset, tmp_path):
+        lines = list(lineio.read_lines(dataset / "profiles.txt"))
+        first = lineio.decode_profile(lines[0])
+        tie = lineio.encode_profile(first._replace(numeric_attrs=(("followers", 12345.0),)))
+        outputs = []
+        for order, profiles in (("start", [tie, *lines]), ("end", [*lines, tie])):
+            inputs, out = tmp_path / order, tmp_path / f"{order}-out"
+            shutil.copytree(dataset, inputs)
+            lineio.write_lines(inputs / "profiles.txt", profiles)
+            config = make_config(inputs, tmp_path / f"{order}.json")
+            for stage in ("ingest", "features"):
+                assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+            outputs.append({
+                name: (out / name).read_bytes() for name in ("ingest/profiles.txt", "features/raw_features.txt")
+            })
+        assert outputs[0] == outputs[1]
+        # of two snapshots taken on one day, ingest keeps the larger canonical line
+        kept = set(lineio.read_lines(tmp_path / "end-out" / "ingest" / "profiles.txt"))
+        line = lineio.encode_profile(first)
+        assert max(line, tie) in kept and min(line, tie) not in kept
+
     def test_rank_command_output(self, full_run, tmp_path, capsys):
         _, out = full_run
         snapshot = load_snapshot(out / "snapshot.txt")
@@ -770,6 +834,18 @@ class TestCLI:
         code = main(["rank", "--snapshot", str(out / "snapshot.txt"), "--users", str(users_file)])
         assert code == 1
         assert "bad users file" in capsys.readouterr().err
+
+    def test_importing_the_cli_leaves_population_unloaded(self):
+        # every run pays for what the CLI imports at start-up, and only the
+        # evaluate and simulate stages use population
+        script = "import sys, influence_engine.cli\nprint('influence_engine.population' in sys.modules)"
+        src = Path(influence_engine.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_full_run_never_imports_scipy(self, dataset, tmp_path):
         # start-up cost is paid by every daily run; scipy.stats alone cost
