@@ -19,7 +19,7 @@ import numpy as np
 from . import lineio
 from .features import FeatureStore
 from .graph import GRAPH_STATS
-from .registry import json_list, json_typed
+from .registry import json_known, json_list, json_typed
 from .training import WeightVector
 
 COMBINER_SUPERVISED = "supervised-dot"
@@ -65,12 +65,16 @@ class ScoreNode:
             yield from child.walk()
 
 
+# the keys a node of a tree's JSON object may hold
+_NODE_KEYS = ("node_id", "combiner", "children", "network", "heuristic_basis", "weights")
+
+
 def parse_tree(data: dict) -> ScoreNode:
     """The tree a JSON object describes; node ids are unique and the top one is
-    "root". A value of the wrong JSON type raises ``TypeError`` naming its key,
-    such as ``children.0.node_id``."""
+    "root". A value of the wrong JSON type, or a key outside ``_NODE_KEYS``,
+    raises ``TypeError`` naming its key, such as ``children.0.node_id``."""
     def node(d: dict, at: str) -> ScoreNode:
-        json_typed(at.rstrip(".") or "tree", d, dict)
+        json_known(at, json_typed(at.rstrip(".") or "tree", d, dict), _NODE_KEYS)
         kids = json_typed(at + "children", d.get("children", []), list)
         children = tuple(node(kid, f"{at}children.{i}.") for i, kid in enumerate(kids))
 

@@ -1,9 +1,10 @@
 """Batch loading: validation, trailing-window filtering and dedup.
 
-Events and edges are kept as canonical lines, which are their dedup keys. A
-raw line that already is one (``lineio.CANONICAL_EVENT``/``CANONICAL_EDGE``)
-and passes its checks is kept as it is; any other is decoded, checked and
-encoded again, so that each reason to reject it counts.
+Every accepted record is kept as its canonical line. Those of events and
+edges are their dedup keys: a raw line that already is one
+(``lineio.CANONICAL_EVENT``/``CANONICAL_EDGE``) and passes its checks is kept
+as it is; any other is decoded, checked and encoded again, so that each
+reason to reject it counts.
 """
 
 from __future__ import annotations
@@ -12,15 +13,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 from . import lineio
-from .events import (
-    MAX_WINDOW_DAYS,
-    PairwiseLabel,
-    ProfileSnapshot,
-    TimeWindow,
-    validate_event,
-)
+from .events import MAX_WINDOW_DAYS, TimeWindow, validate_event
 from .registry import FeatureRegistry
 
 
@@ -55,15 +51,14 @@ class LoadReport:
         return "load_report\t" + "\t".join(parts)
 
 
-@dataclass(frozen=True)
-class IngestBatch:
-    """What ingest accepted: validated, deduplicated, window-filtered inputs
-    for one scoring run."""
+class IngestBatch(NamedTuple):
+    """What ingest accepted for one scoring run: the sorted canonical lines of
+    each input, in ``INPUT_FILES`` order."""
 
-    events: list[str]  # canonical ``encode_event`` lines, sorted
-    profiles: dict[tuple[str, str], ProfileSnapshot]  # (user, network)
-    edges: list[str]  # canonical ``encode_edge`` lines, sorted
-    labels: tuple[PairwiseLabel, ...]
+    events: list[str]  # valid, in the window, once
+    profiles: list[str]  # the latest snapshot per (user, network)
+    edges: list[str]  # on a registered network, once
+    labels: list[str]  # on a registered network; repeated votes are merged later
 
 
 def _decoded(line: str, decode, report: LoadReport):
@@ -114,12 +109,12 @@ def read_events(
     return sorted(lines)
 
 
-def read_profiles(
-    path: Path, ref_date: date, registry: FeatureRegistry, report: LoadReport
-) -> dict[tuple[str, str], ProfileSnapshot]:
-    """The latest snapshot per (user, network) taken by ``ref_date``; of two
-    taken on one day, the larger canonical line, whatever the line order."""
-    profiles: dict[tuple[str, str], ProfileSnapshot] = {}
+def read_profiles(path: Path, ref_date: date, registry: FeatureRegistry, report: LoadReport) -> list[str]:
+    """The canonical line of the latest snapshot per (user, network) taken by
+    ``ref_date``, sorted; of two taken on one day, the larger line, whatever
+    the line order. The kept day's other snapshots count as ``profile-tie``."""
+    latest: dict[tuple[str, str], tuple[date, str]] = {}
+    ties: Counter = Counter()  # (user, network) -> its kept day's snapshots beyond one
     for line in lineio.read_lines(path, errors="surrogateescape"):
         if (profile := _decoded(line, lineio.decode_profile, report)) is None:
             continue
@@ -127,14 +122,17 @@ def read_profiles(
             report.stale_profiles += 1
             continue
         key = (profile.user, profile.network)
-        current = profiles.get(key)
-        if current is None or profile.as_of > current.as_of or (
-            profile.as_of == current.as_of
-            and lineio.encode_profile(profile) > lineio.encode_profile(current)
-        ):
-            profiles[key] = profile
-    report.profiles = len(profiles)
-    return profiles
+        snapshot = (profile.as_of, lineio.encode_profile(profile))
+        kept = latest.get(key, snapshot)
+        if snapshot[0] > kept[0]:
+            del ties[key]  # a Counter ignores a key it does not hold
+        elif snapshot[0] == kept[0] and kept is not snapshot:
+            ties[key] += 1
+        latest[key] = max(kept, snapshot)
+    if ties:
+        report.rejected["profile-tie"] = sum(ties.values())
+    report.profiles = len(latest)
+    return sorted(line for _, line in latest.values())
 
 
 def _registered(lines, decode, registry: FeatureRegistry, report: LoadReport):
@@ -178,9 +176,9 @@ def load_batch(
         events=read_events(events, window, registry, report),
         profiles=read_profiles(profiles, window.reference_date(), registry, report),
         edges=read_edges(edges, registry, report),
-        labels=tuple(_registered(  # repeated votes are merged later
+        labels=sorted(map(lineio.encode_label, _registered(
             lineio.read_lines(labels, errors="surrogateescape"), lineio.decode_label, registry, report
-        )),
+        ))),
     )
     report.labels = len(batch.labels)
     return batch, report

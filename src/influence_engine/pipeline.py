@@ -36,13 +36,19 @@ from .hierarchy import (
     score_population,
 )
 from .ingest import INPUT_FILES, load_batch
-from .registry import FeatureRegistry
+from .registry import FeatureRegistry, json_known
 from .training import EmptyDesign, WeightVector, load_model, preprocess_labels, save_model, train_network
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: str):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
+
+
+# the keys of a run config, and those of older configs, which are accepted and ignored
+_CONFIG_KEYS = ("input_dir", "registry", "tree", "reference_time", "seed", "prior_snapshot",
+                "latent", "reference_rankings", "population")
+_RETIRED_KEYS = ("shards", "holdout_fraction", "nnls_tol", "campaign")
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,10 @@ class RunConfig:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise ValueError(f"{path}: not a JSON object")
+        try:
+            json_known("", data, (*_CONFIG_KEYS, *_RETIRED_KEYS))
+        except TypeError as exc:
+            raise TypeError(f"{path}: {exc}") from None
 
         def integer(key, default=None):
             value = data[key] if default is None else data.get(key, default)
@@ -161,13 +171,8 @@ def _report(path: Path, lines: list[str]) -> None:
 def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
     batch, report = load_batch(cfg.input_dir, cfg.reference_time, cfg.registry)
     dest = out / "ingest"
-    lineio.write_lines(dest / "events.txt", batch.events)
-    lineio.write_lines(
-        dest / "profiles.txt",
-        sorted(lineio.encode_profile(p) for p in batch.profiles.values()),
-    )
-    lineio.write_lines(dest / "edges.txt", batch.edges)
-    lineio.write_lines(dest / "labels.txt", sorted(lineio.encode_label(l) for l in batch.labels))
+    for name, lines in zip(INPUT_FILES, batch):
+        lineio.write_lines(dest / name, lines)
     _report(dest / "load_report.txt", [report.summary_line()])
     return {
         "accepted_events": report.accepted_events,

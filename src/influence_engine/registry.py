@@ -135,7 +135,10 @@ class FeatureRegistry:
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureRegistry":
         # a value of the wrong JSON type raises rather than being read another
-        # way: a string as a list of characters, "false" as true
+        # way: a string as a list of characters, "false" as true; a misspelt
+        # key raises rather than leaving its setting at the default
+        keys = ("networks", "cohorts", "windows", "ordinal_maps", "peer_band")
+        json_known("", json_typed("registry", data, dict), keys)
         lowered = [name.lower() for name in json_typed("networks", data["networks"], dict)]
         if len(set(lowered)) < len(lowered):
             clashing = sorted(n for n in data["networks"] if lowered.count(n.lower()) > 1)
@@ -143,11 +146,11 @@ class FeatureRegistry:
         networks = {}
         for name, nd in data["networks"].items():
             key = f"networks.{name}"
+            json_known(f"{key}.", json_typed(key, nd, dict), ("dynamic", *_NETWORK_LISTS))
             networks[name.lower()] = NetworkSpec(
                 name=name.lower(),
-                dynamic=json_typed(f"{key}.dynamic", json_typed(key, nd, dict).get("dynamic", True), bool),
-                **{k: json_list(f"{key}.{k}", nd.get(k, []))
-                   for k in ("content_types", "actions", "longlasting_attrs")},
+                dynamic=json_typed(f"{key}.dynamic", nd.get("dynamic", True), bool),
+                **{k: json_list(f"{key}.{k}", nd.get(k, [])) for k in _NETWORK_LISTS},
             )
         ordinal_maps = json_typed("ordinal_maps", data.get("ordinal_maps", {}), dict)
         return cls(
@@ -166,6 +169,9 @@ class FeatureRegistry:
             raise TypeError(f"registry {path}: {exc}") from None
 
 
+# the keys of a network's JSON object that hold a list of names
+_NETWORK_LISTS = ("content_types", "actions", "longlasting_attrs")
+
 _JSON_TYPES = {(dict,): "object", (list,): "list", (bool,): "bool", (str,): "string",
                (int,): "integer", (int, float): "number"}
 
@@ -181,3 +187,11 @@ def json_typed(key: str, value, *kinds: type):
 def json_list(key: str, values, *kinds: type) -> tuple:
     """A JSON list of values of ``kinds`` (strings by default), as a tuple."""
     return tuple(json_typed(f"{key} entry", v, *kinds or (str,)) for v in json_typed(key, values, list))
+
+
+def json_known(at: str, data: dict, known) -> None:
+    """A ``TypeError`` naming each key of ``data`` outside ``known``; ``at`` is
+    the key path of ``data`` with its trailing dot, "" at the top."""
+    unknown = sorted(set(data).difference(known))
+    if unknown:
+        raise TypeError(f"unknown key {', '.join(at + key for key in unknown)}")

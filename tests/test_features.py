@@ -41,6 +41,11 @@ def batch_from(tmp_path, small_registry, events=(), profiles=(), edges=()):
     return batch
 
 
+def profiles_of(batch):
+    """The profiles that ingest accepts, as features reads them."""
+    return map(lineio.decode_profile, batch.profiles)
+
+
 def edge_columns(batch):
     """The edges that ingest accepts, as the columns features reads."""
     return edge_columns_of(list(map(lineio.decode_edge, batch.edges)))
@@ -338,7 +343,7 @@ class TestLonglasting:
 
     def test_numeric_pass_through_and_ordinal_mapping(self, tmp_path, small_registry):
         batch = batch_from(tmp_path, small_registry, profiles=self.profiles())
-        table, skipped, _, _ = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), small_registry)
+        table, skipped, _, _ = aggregate_longlasting(profiles_of(batch), edge_columns(batch), small_registry)
         assert value_of(table, "a", longlasting_key("tw", "followers")) == 1500.0
         assert value_of(table, "a", longlasting_key("fb", "education_level")) == 4.0
         assert value_of(table, "b", longlasting_key("fb", "education_level")) == 0.0
@@ -361,7 +366,7 @@ class TestLonglasting:
             GraphEdge("hub", "x", "wk"),
         ]
         batch = batch_from(tmp_path, small_registry, edges=edges)
-        table, _, unconverged, _ = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), small_registry)
+        table, _, unconverged, _ = aggregate_longlasting(profiles_of(batch), edge_columns(batch), small_registry)
         assert value_of(table, "hub", longlasting_key("wk", "inlinks")) == 2.0
         assert value_of(table, "hub", longlasting_key("wk", "inlink_outlink_ratio")) == 2.0
         pr = {
@@ -378,7 +383,7 @@ class TestLonglasting:
         registry.networks["fb"] = replace(registry.networks["fb"], longlasting_attrs=("inlinks",))
         edges = [GraphEdge(*pair, network) for network in ("fb", "tw", "wk") for pair in ("xy", "yz")]
         batch = batch_from(tmp_path, registry, edges=edges)
-        table, _, _, _ = aggregate_longlasting(batch.profiles.values(), edge_columns(batch), registry)
+        table, _, _, _ = aggregate_longlasting(profiles_of(batch), edge_columns(batch), registry)
         assert set(as_dict(table)) == {
             ("y", "ll/fb/inlinks"), ("z", "ll/fb/inlinks"),
             *((u, "ll/wk/pagerank") for u in "xyz"),
@@ -623,6 +628,12 @@ class TestRegistryKeySpace:
         with pytest.raises(ValueError, match=re.escape("['TW', 'tw']")):
             FeatureRegistry.from_dict(data)
         assert list(FeatureRegistry.from_dict({"networks": {"TW": {}}}).networks) == ["tw"]
+
+    @pytest.mark.parametrize("data", [["networks"], [{"networks": {}}], "networks"])
+    def test_a_registry_that_is_not_an_object_is_refused(self, data):
+        # a list of strings would otherwise read as a list of unknown keys
+        with pytest.raises(TypeError, match="^registry must be a JSON object"):
+            FeatureRegistry.from_dict(data)
 
     @pytest.mark.parametrize("band", [0.0, -1.0, math.nan, math.inf])
     def test_peer_band_must_be_finite_and_above_zero(self, small_registry, band):

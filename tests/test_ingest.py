@@ -143,8 +143,56 @@ class TestLoadBatch:
         # reference date for REF is 2023-11-14 UTC
         inputs = write_inputs(tmp_path, profiles=[prof(1, 5.0), prof(10, 7.0), prof(20, 9.0)])
         batch, report = load_batch(inputs, REF, small_registry)
-        assert batch.profiles[("a", "tw")].numeric_attrs == (("followers", 7.0),)
+        assert batch.profiles == [lineio.encode_profile(prof(10, 7.0))]
+        assert lineio.decode_profile(batch.profiles[0]).numeric_attrs == (("followers", 7.0),)
         assert report.stale_profiles == 1
+        assert "profile-tie" not in report.rejected  # an older snapshot is no tie
+
+    def test_same_day_copies_beyond_the_kept_one_count_as_profile_ties(self, tmp_path, small_registry):
+        def prof(user, day, followers):
+            return ProfileSnapshot(user, "tw", date(2023, 11, day), numeric_attrs=(("followers", followers),))
+
+        # a: three on its kept day, one of them twice, and an older one;
+        # b: a tie on an older day only; c: one snapshot
+        profiles = [prof("a", 12, 1.0), prof("a", 13, 2.0), prof("a", 13, 4.0), prof("a", 13, 3.0),
+                    prof("a", 13, 3.0), prof("b", 10, 1.0), prof("b", 10, 2.0), prof("b", 11, 0.5),
+                    prof("c", 13, 1.0)]
+        loaded = [
+            load_batch(write_inputs(tmp_path / order, profiles=ordered), REF, small_registry)
+            for order, ordered in (("given", profiles), ("reversed", profiles[::-1]))
+        ]
+        assert loaded[0] == loaded[1]
+        batch, report = loaded[0]
+        assert batch.profiles == sorted(map(lineio.encode_profile, (prof("a", 13, 4.0), prof("b", 11, 0.5),
+                                                                    prof("c", 13, 1.0))))
+        assert report.rejected == {"profile-tie": 3}
+        assert "rejected.profile-tie=3" in report.summary_line()
+
+    def test_the_batch_is_four_sorted_lists_of_canonical_lines(self, tmp_path, small_registry):
+        raw = write_inputs(
+            tmp_path / "raw",
+            events=[ev("b"), ev("a"), ev("b")],
+            profiles=[ProfileSnapshot("b", "fb", date(2023, 11, 1)), ProfileSnapshot("a", "tw", date(2023, 11, 1))],
+            edges=[GraphEdge("c", "a", "wk"), GraphEdge("a", "b", "wk")],
+            labels=[PairwiseLabel("tw", "b", "a", 1, 5), PairwiseLabel("fb", "a", "b", 5, 1)] * 2,
+        )
+        with (raw / "labels.txt").open("a") as fh:  # a label in another spelling
+            fh.write("votes_b=1\tvotes_a=5\tuser_b=b\tuser_a=a\tnetwork=fb\n")
+        batch, report = load_batch(raw, REF, small_registry)
+        assert batch._fields == tuple(name.removesuffix(".txt") for name in INPUT_FILES)
+        decoders = (lineio.decode_event, lineio.decode_profile, lineio.decode_edge, lineio.decode_label)
+        encoders = (lambda e: lineio.encode_event(*e), lineio.encode_profile, lineio.encode_edge, lineio.encode_label)
+        for lines, decode, encode in zip(batch, decoders, encoders):
+            assert type(lines) is list and lines == sorted(lines)
+            assert [encode(decode(line)) for line in lines] == lines
+        assert list(map(len, batch)) == [2, 2, 2, 5]  # labels are not deduplicated
+        small_registry.save(raw / "registry.json")
+        cfg = RunConfig(
+            input_dir=raw, registry_path=raw / "registry.json", tree_path=raw / "tree.json", reference_time=REF
+        )
+        stage_ingest(cfg, tmp_path / "out")
+        for name, lines in zip(INPUT_FILES, batch):
+            assert (tmp_path / "out" / "ingest" / name).read_text() == "".join(line + "\n" for line in lines)
 
     def test_duplicate_edges_keep_the_first_copy(self, tmp_path, small_registry):
         a_b, c_b = GraphEdge("a", "b", "wk"), GraphEdge("c", "b", "wk")
@@ -287,10 +335,10 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
     events = list(map(lineio.decode_event, checked.events))
     assert lineio.read_event_columns(ingested / "events.txt") == columns_of(events)
     profiles = map(lineio.decode_profile, lineio.read_lines(ingested / "profiles.txt"))
-    assert list(profiles) == list(checked.profiles.values())
+    assert list(profiles) == list(map(lineio.decode_profile, checked.profiles))
     edges = list(map(lineio.decode_edge, checked.edges))
     assert lineio.read_edges(ingested / "edges.txt") == edge_columns_of(edges)
-    assert lineio.read_labels(ingested / "labels.txt") == checked.labels
+    assert lineio.read_labels(ingested / "labels.txt") == tuple(map(lineio.decode_label, checked.labels))
     # what ingest wrote passes every check that the strict readers skip
     assert report.accepted_events == len(checked.events)
     assert report.expired_events == report.duplicate_events == report.malformed_lines == 0
@@ -347,7 +395,7 @@ def reference_load_batch(directory, registry):
             kept += 1
             lines.add(lineio.encode_event(*event))
     report.accepted_events, report.duplicate_events = len(lines), kept - len(lines)
-    return IngestBatch(sorted(lines), {}, [], ()), report
+    return IngestBatch(sorted(lines), [], [], []), report
 
 
 def respell(line, how):
@@ -466,7 +514,7 @@ def reference_edge_batch(directory, registry):
     if len(lines) > len(unique):
         report.rejected["duplicate-edge"] = len(lines) - len(unique)
     report.edges = len(unique)
-    return IngestBatch([], {}, unique, ()), report
+    return IngestBatch([], [], unique, []), report
 
 
 # mostly canonical edges between distinct ids on a registered network, and

@@ -4,6 +4,7 @@ from dataclasses import replace
 import math
 from collections import defaultdict
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import influence_engine
 from influence_engine import features, graph, hierarchy, lineio, nnls, pipeline, training
@@ -24,7 +27,7 @@ from influence_engine.hierarchy import (
     load_tree,
     save_snapshot,
 )
-from influence_engine.ingest import load_batch
+from influence_engine.ingest import INPUT_FILES, load_batch
 from influence_engine.pipeline import RunConfig, StageError, rank_cohort, run_pipeline, stages_for_mode
 from influence_engine.population import PopulationParams, generate_population, write_dataset
 from influence_engine.registry import FeatureRegistry
@@ -244,6 +247,62 @@ def edited_registry(dataset: Path, path: Path, edit) -> Path:
     edit(data)
     path.write_text(json.dumps(data))
     return path
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    """30 users, with a same-day profile tie, a repeated event and a repeated edge."""
+    root = write_dataset(
+        generate_population(PopulationParams(n_users=30, label_pairs=60), seed=7), tmp_path_factory.mktemp("small")
+    )
+    profiles = list(lineio.read_lines(root / "profiles.txt"))
+    tie = lineio.decode_profile(profiles[0])._replace(numeric_attrs=(("followers", 12345.0),))
+    lineio.write_lines(root / "profiles.txt", [*profiles, lineio.encode_profile(tie)])
+    for name in ("events.txt", "edges.txt"):
+        lines = list(lineio.read_lines(root / name))
+        lineio.write_lines(root / name, [*lines, lines[0]])
+    return root
+
+
+def all_run_outputs(inputs: Path, root: Path) -> dict[str, bytes]:
+    """Every file an ``all`` run on ``inputs`` writes but timings.txt, its
+    manifest without the digests of the input files."""
+    out = root / "out"
+    run_pipeline(RunConfig.from_file(make_config(inputs, root / "config.json")), out, mode="all")
+    outputs = {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in out.rglob("*")
+        if path.is_file() and path.name != "timings.txt"
+    }
+    outputs["manifest.txt"] = b"".join(
+        line for line in outputs["manifest.txt"].splitlines(keepends=True) if not line.startswith(b"input.")
+    )
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def small_run(small_dataset, tmp_path_factory):
+    return all_run_outputs(small_dataset, tmp_path_factory.mktemp("small-run"))
+
+
+def test_the_small_dataset_holds_a_tie_and_repeats(small_run):
+    report = small_run["ingest/load_report.txt"].decode()
+    assert "\tduplicates=1\t" in report
+    assert "\trejected.duplicate-edge=1\t" in report and "\trejected.profile-tie=1" in report
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25)
+def test_the_line_order_of_the_inputs_changes_no_output(small_dataset, small_run, tmp_path_factory, seed):
+    # a seeded shuffle: Hypothesis cannot draw thousands of positions in one example
+    rng = random.Random(seed)
+    shuffled = tmp_path_factory.mktemp("shuffled")
+    inputs = shutil.copytree(small_dataset, shuffled / "inputs")
+    for name in INPUT_FILES:
+        lines = list(lineio.read_lines(inputs / name))
+        rng.shuffle(lines)
+        lineio.write_lines(inputs / name, lines)
+    assert all_run_outputs(inputs, shuffled) == small_run
 
 
 class TestFeatureStage:
@@ -649,6 +708,32 @@ class TestCLI:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"bad config: registry {registry}: {key}must be a JSON ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "name, edit, key",
+        [
+            # each of these used to run with exit 0, its setting left at the default
+            ("tree", lambda data: data.update(weight=[1, 0, 0]), "weight"),
+            ("tree", lambda data: data["children"][1].update(Network="tw"), "children.1.Network"),
+            ("config", lambda data: data.update(prior_snapshots="prior.txt"), "prior_snapshots"),
+            ("registry", lambda data: data.update(peer_bnad=2.0), "peer_bnad"),
+            ("registry", lambda data: data["networks"]["tw"].update(action=["like"]), "networks.tw.action"),
+        ],
+        ids=["tree-weight", "leaf-network-capitalised", "config-prior-snapshots", "registry-peer-bnad",
+             "registry-network-action"],
+    )
+    def test_an_unknown_key_exits_one(self, dataset, tmp_path, capsys, name, edit, key):
+        paths = {which: shutil.copy(dataset / f"{which}.json", tmp_path) for which in ("tree", "registry")}
+        config = make_config(dataset, tmp_path / "config.json", tree=paths["tree"], registry=paths["registry"])
+        path = Path(paths.get(name, config))
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        code = main(["all", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        where = "" if name == "config" else f"{name} "
+        assert capsys.readouterr().err == f"bad config: {where}{path}: unknown key {key}\n"
         assert not (tmp_path / "o").exists()
 
     def test_an_all_run_parses_the_registry_and_tree_once(self, dataset, tmp_path, monkeypatch):
