@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping
 
@@ -241,42 +241,92 @@ def dump_table(table: RawFeatureTable, path: str | Path) -> None:
     lineio.write_lines(path, (f"{users[u]}\t{table.keys[k]}\t{texts[v]}" for u, k, v in cells))
 
 
+class _PerToken(dict):
+    """Each token looked up -> ``convert(token)``, called once per distinct token."""
+
+    def __init__(self, convert, known=()):
+        super().__init__(known)
+        self.convert = convert
+
+    def __missing__(self, token: str):
+        value = self[token] = self.convert(token)
+        return value
+
+
+def _read_cells(path: str | Path, keys: Iterable[str]) -> tuple[list[str], np.ndarray, ...]:
+    """The users and values of a ``dump_table`` file, and per line the codes of
+    its user, its key (its index in ``keys``) and its value. Each distinct
+    token is decoded or checked once; nothing of a chunk's text outlives it."""
+    names: dict[str, int] = {}  # each user -> its code
+    numbers: list[float] = []  # each value code -> its value
+
+    def unknown(key):
+        raise ValueError(f"feature key {key!r} is not in the registry")
+
+    def number(token):
+        numbers.append(float(token))
+        if not 0 <= numbers[-1] < math.inf:  # nan fails both comparisons
+            raise ValueError(f"feature value {token!r} must be finite and >= 0")
+        return len(numbers) - 1
+
+    columns = [  # per field: each token's code, and the codes of its cells
+        (_PerToken(lambda token: names.setdefault(lineio.decode_value(token), len(names))), bytearray()),
+        (_PerToken(unknown, {key: code for code, key in enumerate(keys)}), bytearray()),
+        (_PerToken(number), bytearray()),
+    ]  # the codes grow in place, so no second copy of them is ever made
+    for tokens in lineio.read_chunks(path, 3):
+        for start, (memo, codes) in enumerate(columns):
+            field = tokens[start::3]
+            codes += np.fromiter(map(memo.__getitem__, field), np.intc, len(field)).tobytes()
+    return list(names), np.array(numbers), *(np.frombuffer(codes, np.intc) for _, codes in columns)
+
+
+def _parse_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
+    """``load_store``'s parse: each network's cells fill one
+    (its users) x ``keys_for`` matrix, whose read-only rows are the vectors."""
+    keys = {network: registry.keys_for(network) for network in registry.networks}
+    users, values, user, key, value = _read_cells(path, chain(*keys.values()))
+    store = FeatureStore(registry=registry)
+    filled = first = 0  # first: the code of the network's first key
+    for network, network_keys in keys.items():
+        on = (first <= key) & (key < first + len(network_keys))
+        owners, row = np.unique(user[on], return_inverse=True)
+        matrix = np.full((len(owners), len(network_keys)), math.nan)  # nan: unfilled
+        matrix[row, key[on] - first] = values[value[on]]
+        unfilled = np.isnan(matrix)
+        filled += unfilled.size - np.count_nonzero(unfilled)
+        matrix[unfilled] = 0.0
+        matrix.flags.writeable = False  # and so is every row view
+        owners = map(users.__getitem__, owners.tolist())
+        store.vectors.update(zip(zip(owners, repeat(network)), matrix))
+        first += len(network_keys)
+    if filled != len(value):  # a second line for a cell overwrote the first
+        raise ValueError("a (user, key) pair has more than one line")
+    return store
+
+
+# the last store parsed, as (file digest, registry, store), until the next reader of those bytes
+_held: list[tuple[str, FeatureRegistry, FeatureStore]] = []
+
+
 def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
     """Read a ``dump_table`` file into vectors aligned to ``keys_for``; a
     (user, network) pair gets a vector iff the file has a line for it. A line
     not of 3 fields, a key outside the registry, a value not finite and >= 0,
-    or a repeated (user, key) raises ``ValueError`` naming the file."""
-    slots: dict[str, tuple[str, int, int]] = {}
-    for network in registry.networks:
-        keys = registry.keys_for(network)
-        for index, key in enumerate(keys):
-            slots[key] = (network, index, len(keys))
+    or a repeated (user, key) raises ``ValueError`` naming the file.
 
-    store = FeatureStore(registry=registry)
-    cells = 0
+    The vectors are read-only. The store is kept after its parse and handed
+    over once, without a parse, to the next call with the same file bytes and
+    an equal registry, so that train and score in one process parse it once."""
+    digest = lineio.sha256(path)
+    if _held and _held[0][:2] == (digest, registry):
+        return _held.pop()[2]
+    _held.clear()  # before the parse, so that two stores are never held at once
     try:
-        for cells, line in enumerate(lineio.read_lines(path), 1):
-            user, key, value = line.split("\t")  # or ValueError: not 3 fields
-            if key not in slots:
-                raise ValueError(f"feature key {key!r} is not in the registry")
-            network, index, size = slots[key]
-            number = float(value)
-            if not 0 <= number < math.inf:  # nan fails both comparisons
-                raise ValueError(f"feature value {value!r} must be finite and >= 0")
-            user = lineio.decode_value(user)
-            vec = store.vectors.get((user, network))
-            if vec is None:  # nan marks a slot that no line has filled
-                vec = store.vectors[(user, network)] = np.full(size, math.nan)
-            vec[index] = number
+        store = _parse_store(path, registry)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    filled = 0
-    for vec in store.vectors.values():
-        unfilled = np.isnan(vec)
-        filled += vec.size - np.count_nonzero(unfilled)
-        vec[unfilled] = 0.0
-    if filled != cells:
-        raise ValueError(f"{path}: a (user, key) pair has more than one line")
+    _held.append((digest, registry, store))
     return store
 
 

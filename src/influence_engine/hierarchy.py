@@ -219,6 +219,7 @@ def score_user(
         return score
 
     raw = visit(tree)
+    del visit  # its cell refers to itself: a cycle that would keep ``store`` until a collection
     if raw is None:
         return None
     return ScoreEntry(

@@ -22,6 +22,7 @@ line that breaks it, a strict reader ``ValueError`` naming the file.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from datetime import date
@@ -190,6 +191,27 @@ CHUNK_HINT = 1 << 16
 _INT_KEYS = frozenset({"timestamp", "votes_a", "votes_b"})
 
 
+def read_chunks(path: str | Path, width: int) -> Iterator[list[str]]:
+    """The fields of each chunk of whole lines of a file, in file order, all the
+    lines of a chunk in one flat list. A line not of ``width`` tab-separated
+    fields, or a last line without its newline, raises ``ValueError``."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        while lines := fh.readlines(CHUNK_HINT):
+            # a line short of a field next to one with a field too many would
+            # still line up by position, so each line's tabs are counted
+            if set(map(str.count, lines, repeat("\t"))) != {width - 1} or not lines[-1].endswith("\n"):
+                for line in lines:
+                    fields = line.rstrip("\n").count("\t") + 1
+                    if fields != width:
+                        many = "too many" if fields > width else "not enough"
+                        raise ValueError(f"{many} values: a line holds {fields} fields, not {width}")
+                raise ValueError("the last line has no newline")
+            tokens = "".join(lines).replace("\n", "\t").split("\t")
+            tokens.pop()  # the empty string after the last newline
+            del lines  # so that a chunk's text is held once while its reader works
+            yield tokens
+
+
 def _read_checked(path: str | Path, keys: tuple[str, ...], check):
     """``check`` applied to one list of decoded values per key, from a file whose
     every line holds exactly ``keys`` in that order. Any other line, a last line
@@ -204,28 +226,20 @@ def _read_checked(path: str | Path, keys: tuple[str, ...], check):
     # per column, each token seen -> its value; None for a column of ints
     memos = [None if key in _INT_KEYS else {} for key in keys]
     try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            while lines := fh.readlines(CHUNK_HINT):
-                # a line short of a field next to one with a field too many would
-                # still line up by position, so each line's tabs are counted
-                tabs = set(map(str.count, lines, repeat("\t")))
-                if tabs != {width - 1} or not lines[-1].endswith("\n"):
-                    raise ValueError(f"a line does not hold {width} fields and a newline")
-                tokens = "".join(lines).replace("\n", "\t").split("\t")
-                tokens.pop()  # the empty string after the last newline
-                for start, (column, key, memo) in enumerate(zip(columns, keys, memos)):
-                    values = tokens[start::width]
-                    prefix = f"{key}="
-                    new = values if memo is None else set(values).difference(memo)
-                    if not all(map(str.startswith, new, repeat(prefix))):
-                        raise ValueError(f"a line does not hold {keys} in that order")
-                    if memo is None:  # an int's digits, which are never escaped
-                        column.extend(map(str.removeprefix, values, repeat(prefix)))
-                    else:
-                        for token in new:
-                            value = decode_value(token.removeprefix(prefix))
-                            memo[token] = shared.setdefault(value, value)
-                        column.extend(map(memo.__getitem__, values))
+        for tokens in read_chunks(path, width):
+            for start, (column, key, memo) in enumerate(zip(columns, keys, memos)):
+                values = tokens[start::width]
+                prefix = f"{key}="
+                new = values if memo is None else set(values).difference(memo)
+                if not all(map(str.startswith, new, repeat(prefix))):
+                    raise ValueError(f"a line does not hold {keys} in that order")
+                if memo is None:  # an int's digits, which are never escaped
+                    column.extend(map(str.removeprefix, values, repeat(prefix)))
+                else:
+                    for token in new:
+                        value = decode_value(token.removeprefix(prefix))
+                        memo[token] = shared.setdefault(value, value)
+                    column.extend(map(memo.__getitem__, values))
         return check(*columns)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -256,6 +270,15 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         while chunk := list(islice(lines, 4096)):
             chunk.append("")
             fh.write("\n".join(chunk))
+
+
+def sha256(path: str | Path) -> str:
+    """The hex sha256 of a file's bytes."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:  # by chunks: a whole output file would raise the run's peak RSS
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read_lines(path: str | Path, errors: str = "strict") -> Iterator[str]:

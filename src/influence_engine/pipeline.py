@@ -137,17 +137,9 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:  # by chunks: a whole output file would raise the run's peak RSS
-        while chunk := fh.read(1 << 16):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _sha256_or_none(path: Path | None) -> str | None:
     # a stage that needs a missing file fails on its own; the digest does not
-    return _sha256(path) if path is not None and path.is_file() else None
+    return lineio.sha256(path) if path is not None and path.is_file() else None
 
 
 def _normalized_path(out: Path) -> Path:
@@ -208,8 +200,13 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     feat.dump_maxima(maxima, dest / "maxima.txt")
     # a key that is 0 for every user has no recorded maximum and normalizes to 0
     maximum = [maxima.get(key, 0.0) for key in table.keys]
-    per_cell = map(maximum.__getitem__, table.key.tolist())
-    table.value[:] = list(map(feat.normalize, table.value.tolist(), per_cell))
+    # one normalize per distinct (key, raw value), the values grouped by bits as
+    # dump_table groups them, so that -0.0 keeps its own
+    bits, value = np.unique(table.value.view(np.int64), return_inverse=True)
+    pairs, cell = np.unique(table.key * len(bits) + value, return_inverse=True)
+    key, value = np.divmod(pairs, len(bits))
+    raw = bits.view(np.float64)[value].tolist()
+    table.value[:] = np.array(list(map(feat.normalize, raw, map(maximum.__getitem__, key.tolist()))))[cell]
     feat.dump_table(table, _normalized_path(out))
     lineio.write_lines(_graph_stats_path(out), (
         "\t".join([network] + [f"{key}={value!r}" for key, value in sorted(values.items())])
@@ -346,14 +343,14 @@ def write_manifest(cfg: RunConfig, out: Path, counts: dict[str, dict[str, int]])
     for name in INPUT_FILES:
         path = cfg.input_dir / name
         if path.exists():
-            lines.append(f"input.{name}.sha256={_sha256(path)}")
+            lines.append(f"input.{name}.sha256={lineio.sha256(path)}")
     for stage in STAGES:
         for key, value in sorted(counts.get(stage, {}).items()):
             lines.append(f"stage.{stage}.{key}={value}")
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name not in ("manifest.txt", "timings.txt"):
             rel = path.relative_to(out).as_posix()
-            lines.append(f"output.{rel}.sha256={_sha256(path)}")
+            lines.append(f"output.{rel}.sha256={lineio.sha256(path)}")
     lineio.write_lines(out / "manifest.txt", lines)
 
 

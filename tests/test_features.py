@@ -6,6 +6,7 @@ from collections import Counter, defaultdict
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from influence_engine.registry import FeatureRegistry, NetworkSpec, dynamic_key,
 from conftest import columns_of, edge_columns_of, make_small_registry
 from oracles import brute_window_counts
 from test_ingest import REF, ev, write_inputs
-from influence_engine import lineio
+from influence_engine import features, lineio
 from influence_engine.ingest import load_batch
 from influence_engine.events import GraphEdge, InteractionEvent, ProfileSnapshot
 
@@ -498,6 +499,12 @@ class TestStoreAndDumps:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(error)}"):
             load_store(path, small_registry)
 
+    def test_a_last_line_without_its_newline_is_refused(self, tmp_path, small_registry):
+        path = tmp_path / "normalized.txt"
+        path.write_text(self.GOOD + "b\tdyn/tw/photo/like/all/7d\t0.5")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the last line has no newline"):
+            load_store(path, small_registry)
+
     def test_a_zero_value_is_a_cell(self, tmp_path, small_registry):
         # a cell that holds 0.0 still fills its slot once
         path = tmp_path / "normalized.txt"
@@ -506,6 +513,55 @@ class TestStoreAndDumps:
         path.write_text("a\tdyn/tw/photo/like/all/7d\t0.0\n" * 2)
         with pytest.raises(ValueError, match="more than one line"):
             load_store(path, small_registry)
+
+
+class TestStoreHandOver:
+    """``load_store`` keeps what it parsed for the next reader of the same bytes."""
+
+    LINE = "a\tdyn/tw/photo/like/all/7d\t0.5\n"
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths ``load_store`` parsed, from a state that holds no store."""
+        parsed = []
+        parse = features._parse_store
+        monkeypatch.setattr(features, "_held", [])
+        monkeypatch.setattr(features, "_parse_store", lambda path, registry: parsed.append(path) or parse(path, registry))
+        return parsed
+
+    def test_a_store_is_handed_over_once(self, tmp_path, small_registry, parses):
+        path = tmp_path / "normalized.txt"
+        path.write_text(self.LINE)
+        first = load_store(path, small_registry)
+        assert load_store(path, make_small_registry()) is first  # an equal registry
+        assert features._held == []  # nothing holds it after its second reader
+        third = load_store(path, small_registry)
+        assert third is not first and parses == [path, path]
+        assert third.vectors.keys() == first.vectors.keys()
+
+    def test_other_bytes_or_another_registry_parse_again(self, tmp_path, small_registry, parses):
+        path = tmp_path / "normalized.txt"
+        path.write_text(self.LINE)
+        load_store(path, small_registry)
+        path.write_text(self.LINE.replace("0.5", "0.25"))
+        assert load_store(path, small_registry).get("a", "tw").max() == 0.25
+        assert load_store(path, replace(small_registry, cohorts=("all",))).get("a", "tw").max() == 0.25
+        assert parses == [path] * 3
+
+    def test_a_refused_file_is_not_held(self, tmp_path, small_registry, parses):
+        path = tmp_path / "normalized.txt"
+        path.write_text(self.LINE * 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="more than one line"):
+                load_store(path, small_registry)
+        assert features._held == [] and parses == [path] * 2
+
+    def test_the_vectors_are_read_only(self, tmp_path, small_registry, parses):
+        path = tmp_path / "normalized.txt"
+        path.write_text(self.LINE)
+        vec = load_store(path, small_registry).get("a", "tw")
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = 1.0
 
 
 _registry = make_small_registry()
@@ -569,6 +625,46 @@ def test_dump_table_writes_what_the_per_cell_loop_writes(tmp_path_factory, cells
     path = tmp_path_factory.mktemp("dump") / "table.txt"
     dump_table(table, path)
     assert path.read_text(encoding="utf-8").splitlines() == dump_lines(table)
+
+
+def load_store_per_line(path, registry):
+    """What ``load_store`` reads, one line and one vector at a time."""
+    slots = {key: (network, index) for network in registry.networks for index, key in enumerate(registry.keys_for(network))}
+    vectors, cells = {}, 0
+    for cells, line in enumerate(lineio.read_lines(path), 1):
+        user, key, value = line.split("\t")
+        network, index = slots[key]
+        number = float(value)
+        assert 0 <= number < math.inf
+        vec = vectors.setdefault((lineio.decode_value(user), network), np.full(len(registry.keys_for(network)), math.nan))
+        vec[index] = number
+    assert sum(np.count_nonzero(~np.isnan(vec)) for vec in vectors.values()) == cells
+    for vec in vectors.values():
+        vec[np.isnan(vec)] = 0.0
+    return vectors
+
+
+@given(
+    cells=st.dictionaries(
+        st.tuples(st.sampled_from(["a", "b", "c%d", "\u00e9t\u00e9", "a\tb", "d e"]), st.sampled_from(sorted(NETWORK_OF))),
+        st.floats(min_value=0, allow_infinity=False) | st.sampled_from([0.0, 5e-324, 1 / 3, 1.0]),
+        max_size=40,
+    ),
+    negative_zero=st.booleans(),
+    chunk_hint=st.sampled_from([1, 100, lineio.CHUNK_HINT]),  # bytes of lines per chunk
+)
+def test_load_store_reads_what_the_per_line_loop_reads(tmp_path_factory, cells, negative_zero, chunk_hint):
+    table = RawFeatureTable.from_cells(cells)
+    if negative_zero and len(table.value):
+        table.value[0] = -0.0
+    path = tmp_path_factory.mktemp("store") / "normalized.txt"
+    dump_table(table, path)
+    features._held.clear()  # a parse of this file, not an earlier example's store
+    with mock.patch.object(lineio, "CHUNK_HINT", chunk_hint):
+        store = load_store(path, _registry)
+    expected = load_store_per_line(path, _registry)
+    assert store.vectors.keys() == expected.keys()
+    assert all(store.vectors[pair].tobytes() == vec.tobytes() for pair, vec in expected.items())
 
 
 class TestRegistryKeySpace:

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 from dataclasses import replace
 import math
@@ -9,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -750,6 +752,30 @@ class TestCLI:
         assert main(["all", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         assert sorted(parsed) == ["registry", "tree"]
         assert "simulate" in (tmp_path / "o" / "timings.txt").read_text()
+
+    def test_an_all_run_parses_the_normalized_features_once(self, dataset, tmp_path, monkeypatch):
+        parsed, loaded = [], []
+        parse, load = features._parse_store, pipeline.load_store
+
+        def counted_load(path, registry):
+            store = load(path, registry)
+            loaded.append(weakref.ref(store))
+            return store
+
+        monkeypatch.setattr(features, "_held", [])  # no store of an earlier run in this process
+        monkeypatch.setattr(features, "_parse_store", lambda path, registry: parsed.append(path) or parse(path, registry))
+        monkeypatch.setattr(pipeline, "load_store", counted_load)
+        cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
+        out = tmp_path / "out"
+        gc.disable()  # so that only a reference, not a collection, can free the store
+        try:
+            run_pipeline(cfg, out, mode="all")
+            # train's store is score's, and nothing holds it once score returns
+            assert len(loaded) == 2 and loaded[0]() is None and loaded[1]() is None
+        finally:
+            gc.enable()
+        assert parsed == [out / "features" / "normalized_features.txt"]
+        assert features._held == []
 
     @pytest.mark.parametrize(
         "fb_labels",
