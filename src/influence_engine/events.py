@@ -30,14 +30,29 @@ class InteractionEvent(NamedTuple):
     timestamp: int  # seconds since epoch, UTC
 
 
-class EventColumns(NamedTuple):
-    """Events as six aligned lists, one per ``InteractionEvent`` field."""
+class CodedColumn:
+    """A column as its distinct values, each once, and per line the index of
+    its value; it iterates, and compares equal, as its values per line."""
 
-    actor: list[str]
-    author: list[str]
-    network: list[str]
-    content_type: list[str]
-    action: list[str]
+    def __init__(self, values: list, codes):
+        self.values, self.codes = values, codes  # codes: an array of one C int per line
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.codes.tolist())
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (CodedColumn, list)) else NotImplemented
+
+
+class EventColumns(NamedTuple):
+    """Events as six aligned columns, one per ``InteractionEvent`` field: the
+    strings coded, the timestamps as ints."""
+
+    actor: CodedColumn
+    author: CodedColumn
+    network: CodedColumn
+    content_type: CodedColumn
+    action: CodedColumn
     timestamp: list[int]
 
 

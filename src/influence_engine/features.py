@@ -1,10 +1,12 @@
 """Feature generation: dynamic counts in one vectorized integer pass,
 long-lasting profile/graph signals, and global-max log normalization.
 
-A table is three aligned columns: user code, key code and value. Dynamic
-counts stay integers until the final float, so the table does not depend on
-event order or on how the events are grouped. Edge node names are coded
-once per run, so graph signals are integer counts and walks over codes.
+A table is three aligned columns: user code, key code and value. Events and
+edges come in coded (``lineio.read_columns``, which ``load_store`` uses too),
+so authors and (network, content, action) combos are codes already, and the
+distinct edge node names are ranked once, so graph signals are integer counts
+and walks over codes. Dynamic counts stay integers until the final float, so
+the table does not depend on event order or on how the events are grouped.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 from . import lineio
-from .events import SECONDS_PER_DAY, EventColumns, ProfileSnapshot
+from .events import SECONDS_PER_DAY, CodedColumn, EventColumns, ProfileSnapshot
 from .graph import GRAPH_STATS, pagerank
 from .registry import GRAPH_ATTRS, FeatureRegistry, dynamic_key, longlasting_key
 
@@ -82,11 +84,14 @@ def aggregate_dynamic(
     in whole days, so one older than the longest window counts in none; an
     event after the reference time raises.
     """
-    authors: dict[str, int] = {}
-    author = _intern(events.author, authors)
-    triples: dict[tuple[str, str, str], int] = {}  # (network, content, action) -> combo code
-    combo = _intern(zip(events.network, events.content_type, events.action), triples)
-    combos = list(triples)
+    users, author = events.author.values, events.author.codes
+    # each event's (network, content, action) as its code among the distinct combos
+    columns = (events.network, events.content_type, events.action)
+    shape = [len(column.values) for column in columns]
+    triples, combo = np.unique(np.ravel_multi_index([c.codes for c in columns], shape), return_inverse=True)
+    combos = [
+        tuple(c.values[i] for c, i in zip(columns, codes)) for codes in zip(*np.unravel_index(triples, shape))
+    ]
     day = (reference_time - np.array(events.timestamp, dtype=np.int64)) // SECONDS_PER_DAY
     if (day < 0).any():
         raise ValueError(f"day index {day.min()} below 0: an event after the reference time")
@@ -96,30 +101,31 @@ def aggregate_dynamic(
     dynamic = np.array([registry.networks[network].dynamic for network, _, _ in combos], dtype=bool)
     fired = {COHORT_ALL: dynamic[combo]}
     if prior_scores:
-        score, band = prior_scores.get, registry.peer_band
-        actor = np.array([score(a, math.nan) for a in events.actor], dtype=np.float64)
-        diff = actor - np.array([score(a, math.nan) for a in authors], dtype=np.float64)[author]
+        diff = np.subtract(*(  # the actor's prior score less the author's, one lookup per distinct user
+            np.array([prior_scores.get(user, math.nan) for user in c.values], dtype=np.float64)[c.codes]
+            for c in (events.actor, events.author)
+        ))
         # nan (a missing score) fails both; within the band is a peer, above it is higher
-        fired[COHORT_HIGHER] = fired[COHORT_ALL] & (diff > band)
-        fired[COHORT_PEERS] = fired[COHORT_ALL] & (np.abs(diff) <= band)
+        fired[COHORT_HIGHER] = fired[COHORT_ALL] & (diff > registry.peer_band)
+        fired[COHORT_PEERS] = fired[COHORT_ALL] & (np.abs(diff) <= registry.peer_band)
     # a cohort the registry leaves out has no place in the key space
     names = [c for c in fired if c in registry.cohorts]
     fires = np.array([fired[c] for c in names], dtype=bool).reshape(len(names), len(combo))
     cohort, event = np.nonzero(fires)
 
     # per (combo, cohort, author): counts by slot, summed up the slots
-    cell = (combo[event] * len(names) + cohort) * len(authors) + author[event]
+    cell = (combo[event] * len(names) + cohort) * len(users) + author[event]
     cells, row = np.unique(cell, return_inverse=True)
     width = len(windows) + 1
     by_window = np.bincount(row * width + slot[event], minlength=len(cells) * width)
     by_window = by_window.reshape(len(cells), width).cumsum(axis=1)[:, :-1]
     row, window = np.nonzero(by_window)
-    used, key = np.unique(cells[row] // len(authors) * len(windows) + window, return_inverse=True)
+    used, key = np.unique(cells[row] // len(users) * len(windows) + window, return_inverse=True)
     c, i, w = np.unravel_index(used, (len(combos), len(names), len(windows)))
     return RawFeatureTable(
-        users=list(authors),
+        users=users,
         keys=[dynamic_key(*combos[c], names[i], windows[w]) for c, i, w in zip(c, i, w)],
-        user=cells[row] % len(authors),
+        user=cells[row] % len(users),
         key=key,
         value=by_window[row, window].astype(np.float64),
     )
@@ -127,7 +133,7 @@ def aggregate_dynamic(
 
 def aggregate_longlasting(
     profiles: Iterable[ProfileSnapshot],
-    edges: tuple[list[str], list[str], list[str]],
+    edges: tuple[CodedColumn, CodedColumn, CodedColumn],
     registry: FeatureRegistry,
 ) -> tuple[RawFeatureTable, int, list[str], dict[str, dict[str, float]]]:
     """Profile and graph signals; returns (table, skipped attr count, networks
@@ -152,13 +158,12 @@ def aggregate_longlasting(
 
     unconverged = []
     stats = {network: dict.fromkeys(GRAPH_STATS, 0.0) for network in sorted(registry.networks)}
-    sources, targets, edge_networks = edges
-    names = sorted(set(sources).union(targets))  # so that codes order as names do
-    codes = {name: i for i, name in enumerate(names)}
-    src, dst = (np.array(list(map(codes.__getitem__, c)), dtype=np.intp) for c in (sources, targets))
-    networks: dict[str, int] = {}
-    net = _intern(edge_networks, networks)
-    for network, n in sorted(networks.items()):
+    sources, targets, networks = edges
+    names = sorted(set(sources.values).union(targets.values))  # so that node codes order as names do
+    code = {name: i for i, name in enumerate(names)}
+    src, dst = (np.array([code[n] for n in c.values], dtype=np.intp)[c.codes] for c in (sources, targets))
+    net = networks.codes
+    for network, n in sorted((network, n) for n, network in enumerate(networks.values)):
         registered = GRAPH_ATTRS.intersection(registry.networks[network].longlasting_attrs)
         s, d = src[net == n], dst[net == n]
         indeg, outdeg = (np.bincount(c, minlength=len(names)) for c in (d, s))
@@ -241,66 +246,42 @@ def dump_table(table: RawFeatureTable, path: str | Path) -> None:
     lineio.write_lines(path, (f"{users[u]}\t{table.keys[k]}\t{texts[v]}" for u, k, v in cells))
 
 
-class _PerToken(dict):
-    """Each token looked up -> ``convert(token)``, called once per distinct token."""
-
-    def __init__(self, convert, known=()):
-        super().__init__(known)
-        self.convert = convert
-
-    def __missing__(self, token: str):
-        value = self[token] = self.convert(token)
-        return value
-
-
-def _read_cells(path: str | Path, keys: Iterable[str]) -> tuple[list[str], np.ndarray, ...]:
-    """The users and values of a ``dump_table`` file, and per line the codes of
-    its user, its key (its index in ``keys``) and its value. Each distinct
-    token is decoded or checked once; nothing of a chunk's text outlives it."""
-    names: dict[str, int] = {}  # each user -> its code
-    numbers: list[float] = []  # each value code -> its value
-
-    def unknown(key):
-        raise ValueError(f"feature key {key!r} is not in the registry")
-
-    def number(token):
-        numbers.append(float(token))
-        if not 0 <= numbers[-1] < math.inf:  # nan fails both comparisons
-            raise ValueError(f"feature value {token!r} must be finite and >= 0")
-        return len(numbers) - 1
-
-    columns = [  # per field: each token's code, and the codes of its cells
-        (_PerToken(lambda token: names.setdefault(lineio.decode_value(token), len(names))), bytearray()),
-        (_PerToken(unknown, {key: code for code, key in enumerate(keys)}), bytearray()),
-        (_PerToken(number), bytearray()),
-    ]  # the codes grow in place, so no second copy of them is ever made
-    for tokens in lineio.read_chunks(path, 3):
-        for start, (memo, codes) in enumerate(columns):
-            field = tokens[start::3]
-            codes += np.fromiter(map(memo.__getitem__, field), np.intc, len(field)).tobytes()
-    return list(names), np.array(numbers), *(np.frombuffer(codes, np.intc) for _, codes in columns)
-
-
 def _parse_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
     """``load_store``'s parse: each network's cells fill one
     (its users) x ``keys_for`` matrix, whose read-only rows are the vectors."""
     keys = {network: registry.keys_for(network) for network in registry.networks}
-    users, values, user, key, value = _read_cells(path, chain(*keys.values()))
+    order = {key: code for code, key in enumerate(chain(*keys.values()))}
+
+    def key_code(key):
+        if key not in order:
+            raise ValueError(f"feature key {key!r} is not in the registry")
+        return order[key]
+
+    def value(token):  # coded by token, not by float, so that -0.0 and 0.0 keep their own codes
+        if not 0 <= float(token) < math.inf:  # nan fails both comparisons
+            raise ValueError(f"feature value {token!r} must be finite and >= 0")
+        return token
+
+    users, key, values = lineio.read_columns(
+        path, [("", lineio.decode_value, True), ("", key_code, True), ("", value, True)]
+    )
+    key = np.array(key.values, dtype=np.intp)[key.codes]  # each line's key code in registry order
+    numbers = np.array(list(map(float, values.values)))
     store = FeatureStore(registry=registry)
     filled = first = 0  # first: the code of the network's first key
     for network, network_keys in keys.items():
         on = (first <= key) & (key < first + len(network_keys))
-        owners, row = np.unique(user[on], return_inverse=True)
+        owners, row = np.unique(users.codes[on], return_inverse=True)
         matrix = np.full((len(owners), len(network_keys)), math.nan)  # nan: unfilled
-        matrix[row, key[on] - first] = values[value[on]]
+        matrix[row, key[on] - first] = numbers[values.codes[on]]
         unfilled = np.isnan(matrix)
         filled += unfilled.size - np.count_nonzero(unfilled)
         matrix[unfilled] = 0.0
         matrix.flags.writeable = False  # and so is every row view
-        owners = map(users.__getitem__, owners.tolist())
+        owners = map(users.values.__getitem__, owners.tolist())
         store.vectors.update(zip(zip(owners, repeat(network)), matrix))
         first += len(network_keys)
-    if filled != len(value):  # a second line for a cell overwrote the first
+    if filled != len(key):  # a second line for a cell overwrote the first
         raise ValueError("a (user, key) pair has more than one line")
     return store
 
@@ -322,10 +303,8 @@ def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
     if _held and _held[0][:2] == (digest, registry):
         return _held.pop()[2]
     _held.clear()  # before the parse, so that two stores are never held at once
-    try:
+    with lineio.naming(path):
         store = _parse_store(path, registry)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     _held.append((digest, registry, store))
     return store
 

@@ -257,15 +257,17 @@ def save_snapshot(snapshot: ScoreSnapshot, path: str | Path) -> None:
 
 
 def load_snapshot(path: str | Path) -> ScoreSnapshot:
-    lines = list(lineio.read_lines(path))
-    if not lines or not lines[0].startswith("as_of="):
-        raise ValueError(f"snapshot file {path} is missing its as_of header")
-    snapshot = ScoreSnapshot(as_of=date.fromisoformat(lines[0].split("=", 1)[1]))
-    for line in lines[1:]:
-        user, overall, raw, nodes = line.split("\t")
-        tokens = (token.partition("=") for token in nodes.split(" ") if token)
-        node_scores = tuple((node_id, float(score)) for node_id, _, score in tokens)
-        snapshot.entries[lineio.decode_value(user)] = ScoreEntry(
-            overall=float(overall), raw_root=float(raw), node_scores=node_scores
-        )
+    """A ``save_snapshot`` file; a damaged one raises ``ValueError`` naming it."""
+    with lineio.naming(path):
+        lines = list(lineio.read_lines(path))
+        if not lines or not lines[0].startswith("as_of="):
+            raise ValueError("the as_of header is missing")
+        snapshot = ScoreSnapshot(as_of=date.fromisoformat(lines[0].split("=", 1)[1]))
+        for line in lines[1:]:
+            user, overall, raw, nodes = line.split("\t")
+            tokens = (token.partition("=") for token in nodes.split(" ") if token)
+            node_scores = tuple((node_id, float(score)) for node_id, _, score in tokens)
+            snapshot.entries[lineio.decode_value(user)] = ScoreEntry(
+                overall=float(overall), raw_root=float(raw), node_scores=node_scores
+            )
     return snapshot

@@ -1,4 +1,4 @@
-"""Line-oriented text codecs for every record type.
+"""Line-oriented text codecs for every record type, and the strict column reader.
 
 One record per line, tab-separated ``key=value`` tokens, values
 percent-encoded so that arbitrary strings round-trip bit-exactly.
@@ -6,15 +6,18 @@ Numeric attribute values use ``repr(float)`` which round-trips exactly.
 
 Events, edges and labels each have one key list, in the order their encoder
 writes (``InteractionEvent._fields``, ``EDGE_KEYS``, ``PairwiseLabel._fields``),
-and one data-model check that both of their readers apply: the per-line
+and one data model, stated once as a check per key and the rule that the two
+ids of an edge or a label differ. Both of their readers apply it: the per-line
 decoder, which takes the tokens of a raw line in any order, and the strict
-column reader of ingest's own files, which requires exactly the keys in their
-order and returns aligned columns (events, edges) or records (labels).
-``CANONICAL_EVENT`` and ``CANONICAL_EDGE`` match a raw line that already is
-its record's encoding, so that ingest can keep it without decoding it. The
-data model forbids an empty user id, a self-loop edge, a label
-comparing one user with itself, a timestamp or vote count that is not an
-integer, a negative vote count, a numeric profile attribute that is
+reader of ingest's own files, which requires exactly the keys in their order.
+``read_columns`` is the one strict reader, of those files and of the feature
+dumps: a chunk of whole lines at a time, it returns each string column coded
+(``CodedColumn``), each distinct token checked and decoded once, and each int
+column as one int per line. ``CANONICAL_EVENT`` and ``CANONICAL_EDGE`` match a
+raw line that already is its record's encoding, so that ingest can keep it
+without decoding it. The data model forbids an empty user id, a self-loop
+edge, a label comparing one user with itself, a timestamp or vote count that
+is not an integer, a negative vote count, a numeric profile attribute that is
 negative or not finite, and a key given twice (a profile attribute may be:
 its values add up). A decoder raises ``ValueError`` or ``KeyError`` on a
 line that breaks it, a strict reader ``ValueError`` naming the file.
@@ -25,13 +28,16 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from contextlib import contextmanager
 from datetime import date
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 from urllib.parse import quote, unquote
 
-from .events import EventColumns, GraphEdge, InteractionEvent, PairwiseLabel, ProfileSnapshot
+import numpy as np
+
+from .events import CodedColumn, EventColumns, GraphEdge, InteractionEvent, PairwiseLabel, ProfileSnapshot
 
 EDGE_KEYS = ("from", "to", "network")  # a GraphEdge's src, dst and network
 
@@ -46,6 +52,15 @@ def encode_value(value: str) -> str:
 
 def decode_value(value: str) -> str:
     return unquote(value) if "%" in value else value
+
+
+@contextmanager
+def naming(path: str | Path) -> Iterator[None]:
+    """Re-raise a ``ValueError`` of its block as one that names ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _tokens(line: str) -> Iterator[tuple[str, str]]:
@@ -75,41 +90,44 @@ CANONICAL_EDGE = re.compile(_EDGE_LINE.format(*[f"({_PLAIN}+)"] * 2, f"({_PLAIN}
 
 # -- the data model --------------------------------------------------------
 
-# One check per record type, on the shape its strict reader returns: events
-# and edges as columns (the features stage takes them so), a label as one
-# record. It types the decoded values, or raises ValueError.
-
-def _event_columns(actor, author, network, content_type, action, timestamp) -> EventColumns:
-    if not (all(actor) and all(author)):
+def _user_id(value: str) -> str:
+    if not value:
         raise ValueError("empty user id")
-    return EventColumns(actor, author, network, content_type, action, list(map(int, timestamp)))
+    return value
 
 
-def _edge_columns(src: list[str], dst: list[str], network: list[str]) -> tuple[list[str], ...]:
-    if not (all(src) and all(dst)) or any(map(str.__eq__, src, dst)):
-        raise ValueError("an edge joins two distinct, non-empty user ids")
-    return src, dst, network
-
-
-def _label(network: str, user_a: str, user_b: str, votes_a: str, votes_b: str) -> PairwiseLabel:
-    if not (user_a and user_b) or user_a == user_b:
-        raise ValueError("a label compares two distinct, non-empty user ids")
-    votes_a, votes_b = int(votes_a), int(votes_b)
-    if votes_a < 0 or votes_b < 0:
+def _count(value: str) -> int:
+    if (count := int(value)) < 0:
         raise ValueError("vote counts must be >= 0")
-    return PairwiseLabel(network, user_a, user_b, votes_a, votes_b)
+    return count
 
 
-def _values(line: str, keys: tuple[str, ...]) -> list[str]:
-    """The decoded values of ``keys`` on a line that holds them in any order;
-    a missing key raises ``KeyError``, a key given twice ``ValueError``."""
+# The data model of events, edges and labels, which both of their readers apply
+# (and of a profile's user): per key, the check that types its decoded value or
+# raises ValueError (a key left out holds any string), and per record type the
+# places of the two ids that must differ.
+_CHECKS = {
+    **dict.fromkeys(("actor", "author", "from", "to", "user_a", "user_b", "user"), _user_id),
+    "timestamp": int, "votes_a": _count, "votes_b": _count,
+}
+_INT_KEYS = frozenset({"timestamp", "votes_a", "votes_b"})  # never escaped: each line's own int
+_DISTINCT = {EDGE_KEYS: (0, 1), PairwiseLabel._fields: (1, 2)}
+
+
+def _record(line: str, keys: tuple[str, ...]) -> list:
+    """The checked values of ``keys`` on a line that holds them in any order; a
+    missing key raises ``KeyError``, a key given twice or a value the data
+    model refuses ``ValueError``."""
     tokens = list(_tokens(line))
     fields = dict(tokens)
     if len(fields) < len(tokens):
         raise ValueError("a key is given twice")
-    if "%" in line:  # only an escaped value needs decoding
-        fields = {key: decode_value(value) for key, value in fields.items()}
-    return [fields[key] for key in keys]
+    values = [_CHECKS.get(key, str)(decode_value(fields[key])) for key in keys]
+    if keys in _DISTINCT:
+        a, b = _DISTINCT[keys]
+        if values[a] == values[b]:
+            raise ValueError(f"{keys[a]} and {keys[b]} hold one id")
+    return values
 
 
 # -- events ----------------------------------------------------------------
@@ -120,9 +138,7 @@ def encode_event(*fields) -> str:
 
 
 def decode_event(line: str) -> InteractionEvent:
-    # the event check takes columns: here, columns of one value each
-    columns = _event_columns(*([value] for value in _values(line, InteractionEvent._fields)))
-    return InteractionEvent(*(column[0] for column in columns))
+    return InteractionEvent(*_record(line, InteractionEvent._fields))
 
 
 # -- profiles --------------------------------------------------------------
@@ -152,12 +168,14 @@ def decode_profile(line: str) -> ProfileSnapshot:
             raise ValueError(f"key {key!r} is given twice")
         else:
             plain[key] = decode_value(value)
-    if not plain["user"]:
-        raise ValueError("empty user id")
+    try:
+        user, network, as_of = plain["user"], plain["network"], plain["as_of"]
+    except KeyError as exc:
+        raise ValueError(f"no {exc} key") from None
     return ProfileSnapshot(
-        user=plain["user"],
-        network=plain["network"],
-        as_of=date.fromisoformat(plain["as_of"]),
+        user=_user_id(user),
+        network=network,
+        as_of=date.fromisoformat(as_of),
         numeric_attrs=tuple(numeric),
         categorical_attrs=tuple(categorical),
     )
@@ -170,8 +188,7 @@ def encode_edge(edge: GraphEdge) -> str:
 
 
 def decode_edge(line: str) -> GraphEdge:
-    (src,), (dst,), (network,) = _edge_columns(*([value] for value in _values(line, EDGE_KEYS)))
-    return GraphEdge(src, dst, network)
+    return GraphEdge(*_record(line, EDGE_KEYS))
 
 
 def encode_label(label: PairwiseLabel) -> str:
@@ -179,7 +196,7 @@ def encode_label(label: PairwiseLabel) -> str:
 
 
 def decode_label(line: str) -> PairwiseLabel:
-    return _label(*_values(line, PairwiseLabel._fields))
+    return PairwiseLabel(*_record(line, PairwiseLabel._fields))
 
 
 # -- files -----------------------------------------------------------------
@@ -187,78 +204,102 @@ def decode_label(line: str) -> PairwiseLabel:
 # bytes of whole lines that a column reader takes at a time: enough that each
 # chunk costs a few passes in C, few enough that a chunk's strings stay small
 CHUNK_HINT = 1 << 16
-# the keys whose values a record check turns into ints, each its own object
-_INT_KEYS = frozenset({"timestamp", "votes_a", "votes_b"})
 
 
-def read_chunks(path: str | Path, width: int) -> Iterator[list[str]]:
-    """The fields of each chunk of whole lines of a file, in file order, all the
-    lines of a chunk in one flat list. A line not of ``width`` tab-separated
-    fields, or a last line without its newline, raises ``ValueError``."""
+class _Coder(dict):
+    """Each token looked up -> the code of its value in ``values`` (value -> code),
+    each distinct token prefix-checked and converted once, when first seen."""
+
+    def __init__(self, prefix: str, convert):
+        super().__init__()
+        self.prefix, self.convert, self.values = prefix, convert, {}
+
+    def __missing__(self, token: str) -> int:
+        if not token.startswith(self.prefix):
+            raise ValueError(f"a line does not hold its {self.prefix!r} token in place")
+        value = self.convert(token[len(self.prefix):])
+        code = self[token] = self.values.setdefault(value, len(self.values))
+        return code
+
+
+def read_columns(path: str | Path, fields: Sequence[tuple[str, Callable, bool]]) -> list:
+    """The columns of a file whose every line holds one token per field, in the
+    order of ``fields``. A field is ``(prefix, convert, coded)``: each of its
+    tokens starts with ``prefix``, and ``convert`` turns the rest into its
+    value or raises ``ValueError``. A coded field comes back as a
+    ``CodedColumn``, converted once per distinct token; any other as a list of
+    each line's value. A line not of one token per field, a token without its
+    prefix, or a last line without its newline raises ``ValueError``."""
+    width = len(fields)
+    coders = [_Coder(prefix, convert) if coded else None for prefix, convert, coded in fields]
+    columns = [bytearray() if coded else [] for *_, coded in fields]  # codes grow in place
     with Path(path).open("r", encoding="utf-8") as fh:
         while lines := fh.readlines(CHUNK_HINT):
             # a line short of a field next to one with a field too many would
             # still line up by position, so each line's tabs are counted
             if set(map(str.count, lines, repeat("\t"))) != {width - 1} or not lines[-1].endswith("\n"):
                 for line in lines:
-                    fields = line.rstrip("\n").count("\t") + 1
-                    if fields != width:
-                        many = "too many" if fields > width else "not enough"
-                        raise ValueError(f"{many} values: a line holds {fields} fields, not {width}")
+                    if (n := line.rstrip("\n").count("\t") + 1) != width:
+                        many = "too many" if n > width else "not enough"
+                        raise ValueError(f"{many} values: a line holds {n} fields, not {width}")
                 raise ValueError("the last line has no newline")
             tokens = "".join(lines).replace("\n", "\t").split("\t")
-            tokens.pop()  # the empty string after the last newline
-            del lines  # so that a chunk's text is held once while its reader works
-            yield tokens
-
-
-def _read_checked(path: str | Path, keys: tuple[str, ...], check):
-    """``check`` applied to one list of decoded values per key, from a file whose
-    every line holds exactly ``keys`` in that order. Any other line, a last line
-    without its newline, or a record ``check`` refuses raises ``ValueError``.
-
-    Equal values of the read, in any of its columns except those that ``check``
-    turns into ints, are one shared object, and each distinct token of such a
-    column is checked and decoded once."""
-    width = len(keys)
-    columns: list[list[str]] = [[] for _ in keys]
-    shared: dict[str, str] = {}  # a value -> its one object in this read
-    # per column, each token seen -> its value; None for a column of ints
-    memos = [None if key in _INT_KEYS else {} for key in keys]
-    try:
-        for tokens in read_chunks(path, width):
-            for start, (column, key, memo) in enumerate(zip(columns, keys, memos)):
-                values = tokens[start::width]
-                prefix = f"{key}="
-                new = values if memo is None else set(values).difference(memo)
-                if not all(map(str.startswith, new, repeat(prefix))):
-                    raise ValueError(f"a line does not hold {keys} in that order")
-                if memo is None:  # an int's digits, which are never escaped
-                    column.extend(map(str.removeprefix, values, repeat(prefix)))
+            del lines  # so that a chunk's text is held once while its fields are read
+            for start, ((prefix, convert, _), coder, column) in enumerate(zip(fields, coders, columns)):
+                field = tokens[start:-1:width]  # the last token: the empty string after the last newline
+                if coder is not None:
+                    column += np.fromiter(map(coder.__getitem__, field), np.intc, len(field)).tobytes()
+                elif all(map(str.startswith, field, repeat(prefix))):
+                    column.extend(map(convert, map(str.removeprefix, field, repeat(prefix))))
                 else:
-                    for token in new:
-                        value = decode_value(token.removeprefix(prefix))
-                        memo[token] = shared.setdefault(value, value)
-                    column.extend(map(memo.__getitem__, values))
-        return check(*columns)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+                    raise ValueError(f"a line does not hold its {prefix!r} token in place")
+    return [
+        column if coder is None else CodedColumn(list(coder.values), np.frombuffer(column, np.intc))
+        for coder, column in zip(coders, columns)
+    ]
+
+
+def _read_records(path: str | Path, keys: tuple[str, ...]) -> list:
+    """Per key, the column of a file whose every line holds exactly ``keys`` in
+    that order, under the data model: an int key's as a list, any other's as a
+    ``CodedColumn``. Any other file raises ``ValueError`` naming it."""
+    fields = [
+        (f"{key}=", _CHECKS[key], False) if key in _INT_KEYS
+        else (f"{key}=", lambda value, check=_CHECKS.get(key, str): check(decode_value(value)), True)
+        for key in keys
+    ]
+    with naming(path):
+        columns = read_columns(path, fields)
+        if keys in _DISTINCT:  # by value: each id of column j as its code in column i, or -1
+            i, j = _DISTINCT[keys]
+            index = {value: code for code, value in enumerate(columns[i].values)}
+            in_i = np.array([index.get(value, -1) for value in columns[j].values], dtype=np.intc)
+            if (in_i[columns[j].codes] == columns[i].codes).any():
+                raise ValueError(f"{keys[i]} and {keys[j]} hold one id")
+    return columns
 
 
 def read_event_columns(path: str | Path) -> EventColumns:
     """The events of a file of ``encode_event`` lines, read strictly."""
-    return _read_checked(path, InteractionEvent._fields, _event_columns)
+    return EventColumns(*_read_records(path, InteractionEvent._fields))
 
 
-def read_edges(path: str | Path) -> tuple[list[str], ...]:
+def read_edges(path: str | Path) -> tuple[CodedColumn, ...]:
     """The ``src``, ``dst`` and ``network`` columns of a file of ``encode_edge``
     lines, read strictly."""
-    return _read_checked(path, EDGE_KEYS, _edge_columns)
+    return tuple(_read_records(path, EDGE_KEYS))
 
 
 def read_labels(path: str | Path) -> tuple[PairwiseLabel, ...]:
     """The labels of a file of ``encode_label`` lines, read strictly."""
-    return _read_checked(path, PairwiseLabel._fields, lambda *columns: tuple(map(_label, *columns)))
+    return tuple(map(PairwiseLabel, *_read_records(path, PairwiseLabel._fields)))
+
+
+def read_profiles(path: str | Path) -> Iterator[ProfileSnapshot]:
+    """The profiles of a file of ``encode_profile`` lines, one at a time; a line
+    that does not decode raises ``ValueError`` naming the file."""
+    with naming(path):
+        yield from map(decode_profile, read_lines(path))
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

@@ -176,8 +176,9 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
 
 def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     # ingest wrote these files and left only valid, in-window, unique records
-    # in them, so nothing is checked again; a line that does not decode, or
-    # that does not hold its fields in ingest's order, is damage and raises
+    # in them, so only the data model is checked again; a line that does not
+    # decode, or that does not hold its fields in ingest's order, is damage and
+    # raises, naming its file
     ingested = out / "ingest"
     prior = {}
     if cfg.prior_snapshot is not None:
@@ -187,7 +188,7 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
         lineio.read_event_columns(ingested / "events.txt"), cfg.reference_time, prior, cfg.registry
     )
     longlasting, unregistered, unconverged, stats = feat.aggregate_longlasting(
-        map(lineio.decode_profile, lineio.read_lines(ingested / "profiles.txt")),
+        lineio.read_profiles(ingested / "profiles.txt"),
         lineio.read_edges(ingested / "edges.txt"), cfg.registry,
     )
     table = dynamic.concat(longlasting)
@@ -256,9 +257,10 @@ def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
         models[network] = load_model(model_path, cfg.registry)
 
     stats = {}
-    for line in lineio.read_lines(_graph_stats_path(out)):
-        network, *tokens = line.split("\t")
-        stats[network] = {key: float(value) for key, value in (t.split("=") for t in tokens)}
+    with lineio.naming(_graph_stats_path(out)):
+        for line in lineio.read_lines(_graph_stats_path(out)):
+            network, *tokens = line.split("\t")
+            stats[network] = {key: float(value) for key, value in (t.split("=") for t in tokens)}
     as_of = TimeWindow(cfg.reference_time, MAX_WINDOW_DAYS).reference_date()
     snapshot = score_population(cfg.tree, store, models, stats, as_of=as_of)
     save_snapshot(snapshot, out / "snapshot.txt")

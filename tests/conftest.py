@@ -3,11 +3,12 @@ from operator import itemgetter
 from pathlib import Path
 
 import hypothesis
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
-from influence_engine.events import EventColumns
+from influence_engine.events import CodedColumn, EventColumns
 from influence_engine.registry import FeatureRegistry, NetworkSpec
 
 hypothesis.settings.register_profile(
@@ -23,14 +24,23 @@ def data_dir() -> Path:
     return DATA_DIR
 
 
+def coded(values) -> CodedColumn:
+    """A column of strings coded as the strict readers code it: each distinct
+    value once, in the order of its first line."""
+    index = {}
+    codes = [index.setdefault(value, len(index)) for value in values]
+    return CodedColumn(list(index), np.array(codes, dtype=np.intc))
+
+
 def columns_of(events) -> EventColumns:
-    """A list of events as the aligned columns that the features stage reads."""
-    return EventColumns._make(list(map(itemgetter(i), events)) for i in range(len(EventColumns._fields)))
+    """A list of events as the coded columns that the features stage reads."""
+    *strings, timestamp = (list(map(itemgetter(i), events)) for i in range(len(EventColumns._fields)))
+    return EventColumns(*map(coded, strings), timestamp)
 
 
-def edge_columns_of(edges) -> tuple[list[str], ...]:
-    """A list of edges as the aligned columns that ``lineio.read_edges`` returns."""
-    return tuple(list(map(itemgetter(i), edges)) for i in range(3))
+def edge_columns_of(edges) -> tuple[CodedColumn, ...]:
+    """A list of edges as the coded columns that ``lineio.read_edges`` returns."""
+    return tuple(coded(list(map(itemgetter(i), edges))) for i in range(3))
 
 
 def make_small_registry() -> FeatureRegistry:

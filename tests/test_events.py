@@ -1,8 +1,10 @@
 import random
 import re
+from collections import Counter
 from datetime import date
 from urllib.parse import quote
 
+import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
@@ -327,28 +329,53 @@ class TestColumnReaders:
         assert path.stat().st_size > 3 * lineio.CHUNK_HINT
         assert lineio.read_event_columns(path) == columns_of(plain + escaped)
 
-    def test_equal_values_are_one_object_across_chunks(self, tmp_path):
+    @given(
+        record=st.sampled_from([  # (type, its keys, its encoder, its fields, its two ids or none)
+            (InteractionEvent, InteractionEvent._fields, lambda e: lineio.encode_event(*e),
+             [codec_values] * 5 + [st.integers()], ()),
+            (GraphEdge, lineio.EDGE_KEYS, lineio.encode_edge, [codec_values] * 3, (0, 1)),
+            (PairwiseLabel, PairwiseLabel._fields, lineio.encode_label,
+             [codec_values] * 3 + [st.integers(0)] * 2, (1, 2)),
+        ]),
+        data=st.data(),
+    )
+    # without the explain phase, which takes minutes to report a broken reader
+    @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+    def test_each_column_codes_its_distinct_values(self, tmp_path_factory, record, data):
+        kind, keys, encode, fields, ids = record
+        records = data.draw(st.lists(st.builds(kind, *fields), max_size=20).map(
+            lambda records: [r for r in records if not ids or r[ids[0]] != r[ids[1]]]
+        ))
+        path = tmp_path_factory.mktemp("coded") / "records.txt"
+        lineio.write_lines(path, map(encode, records))
+        columns = lineio._read_records(path, keys)
+        for i, column in enumerate(columns):
+            if isinstance(column, list):  # an int column: each line's int
+                assert column == [r[i] for r in records]
+                continue
+            assert column.codes.dtype == np.intc
+            assert [column.values[code] for code in column.codes] == [r[i] for r in records]
+            assert sorted(column.values) == sorted({r[i] for r in records})  # each value once
+
+    def test_each_distinct_token_is_checked_once(self, tmp_path, monkeypatch):
         # few distinct ids, some escaped, repeated over a file of several chunks
         ids = [f"u{i}" for i in range(40)] + [f"\u00e9 %{i}=" for i in range(10)]
         rng = random.Random(11)
-        events = [
-            ev(rng.choice(ids), rng.choice(ids), rng.choice(["tw", "fb", "g+ x"]), "photo", "like", i)
-            for i in range(3000)
-        ]
-        edges = [GraphEdge(*rng.sample(ids, 2), rng.choice(["tw", "fb"])) for _ in range(8000)]
+        events = [ev(rng.choice(ids), rng.choice(ids), ts=i) for i in range(3000)]
         lineio.write_lines(tmp_path / "events.txt", (lineio.encode_event(*e) for e in events))
-        lineio.write_lines(tmp_path / "edges.txt", map(lineio.encode_edge, edges))
         assert (tmp_path / "events.txt").stat().st_size > 3 * lineio.CHUNK_HINT
-        assert (tmp_path / "edges.txt").stat().st_size > 3 * lineio.CHUNK_HINT
-
-        columns = lineio.read_event_columns(tmp_path / "events.txt")
-        assert columns == columns_of(events)  # so escaped values still decode
-        edge_columns = lineio.read_edges(tmp_path / "edges.txt")
-        assert edge_columns == edge_columns_of(edges)
-        for read in (columns[:5], edge_columns):
-            first = {}  # each value -> the object it first came as
-            for value in (value for column in read for value in column):
-                assert first.setdefault(value, value) is value
+        calls = Counter()  # (key, value) -> the calls of the key's check on the value
+        for key in ("actor", "author", "timestamp"):
+            check = lineio._CHECKS[key]
+            monkeypatch.setitem(
+                lineio._CHECKS, key, lambda value, key=key, check=check: calls.update([(key, value)]) or check(value)
+            )
+        assert lineio.read_event_columns(tmp_path / "events.txt") == columns_of(events)
+        ids = {(key, getattr(e, key)) for e in events for key in ("actor", "author")}
+        strings = {call: n for call, n in calls.items() if call[0] in ("actor", "author")}
+        assert strings == dict.fromkeys(ids, 1)
+        # an int column is checked on every line
+        assert sum(n for (key, _), n in calls.items() if key == "timestamp") == len(events)
 
     @pytest.mark.parametrize("damage", list(DAMAGED))
     def test_a_damaged_file_raises(self, tmp_path, damage):

@@ -356,7 +356,7 @@ class TestLonglasting:
                 "\tc:education_level=BS\tc:education_level=PhD")
         profile = lineio.decode_profile(line)
         assert lineio.encode_profile(profile) == line
-        table, skipped, _, _ = aggregate_longlasting([profile], ([], [], []), small_registry)
+        table, skipped, _, _ = aggregate_longlasting([profile], edge_columns_of([]), small_registry)
         assert as_dict(table) == {("a", "ll/fb/fans"): 3.5, ("a", "ll/fb/education_level"): 2.0 + 4.0}
         assert skipped == 0
 

@@ -168,8 +168,8 @@ DEGREE_REGISTRY = FeatureRegistry(
 def degree_signals(pairs):
     """The degree signals that the features stage derives from one network's
     edges, by attribute and node name."""
-    src, dst = ([pair[i] for pair in pairs] for i in (0, 1))
-    table, _, _, _ = aggregate_longlasting((), (src, dst, ["wk"] * len(pairs)), DEGREE_REGISTRY)
+    edges = edge_columns_of([(src, dst, "wk") for src, dst in pairs])
+    table, _, _, _ = aggregate_longlasting((), edges, DEGREE_REGISTRY)
     signals = {attr: {} for attr in DEGREES}
     for user, key, value in zip(table.user.tolist(), table.key.tolist(), table.value.tolist()):
         signals[table.keys[key].rsplit("/", 1)[1]][table.users[user]] = value

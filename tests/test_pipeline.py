@@ -205,6 +205,44 @@ class TestDeterminismAndIsolation:
             run_pipeline(cfg, copy, mode=stage)
         assert failed.value.stage == stage
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda line: re.sub(r"user=[^\t]*\t", "", line, count=1),
+            lambda line: re.sub(r"(n:followers)=[^\t]*", r"\1=abc", line, count=1),
+        ],
+        ids=["no-user", "attribute-not-a-number"],
+    )
+    def test_a_damaged_profile_line_names_its_file(self, full_run, tmp_path, damage):
+        cfg, out = full_run
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        damaged = copy / "ingest" / "profiles.txt"
+        lines = damaged.read_text().splitlines()
+        assert damage(lines[1]) != lines[1]
+        damaged.write_text("\n".join([lines[0], damage(lines[1]), *lines[2:]]) + "\n")
+        with pytest.raises(StageError, match=f"^stage 'features' failed: {re.escape(str(damaged))}: "):
+            run_pipeline(cfg, copy, mode="features")
+
+    def test_a_damaged_graph_stats_line_names_its_file(self, full_run, tmp_path):
+        cfg, out = full_run
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        damaged = copy / "graph_stats.txt"
+        damaged.write_text(damaged.read_text().replace("graph_size=", "graph_size", 1))
+        with pytest.raises(StageError, match=f"^stage 'score' failed: {re.escape(str(damaged))}: "):
+            run_pipeline(cfg, copy, mode="score")
+
+    def test_a_damaged_prior_snapshot_names_its_file(self, full_run, tmp_path):
+        cfg, out = full_run
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        lines = (out / "snapshot.txt").read_text().splitlines()
+        damaged = tmp_path / "prior_snapshot.txt"
+        damaged.write_text("\n".join([lines[0], lines[1].rsplit("\t", 1)[0], *lines[2:]]) + "\n")
+        with pytest.raises(StageError, match=f"^stage 'features' failed: {re.escape(str(damaged))}: "):
+            run_pipeline(replace(cfg, prior_snapshot=damaged), copy, mode="features")
+
     def test_manifest_does_not_depend_on_dataset_location(self, dataset, full_run, tmp_path):
         _, first = full_run
         moved = tmp_path / "moved"
