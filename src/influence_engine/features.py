@@ -3,10 +3,10 @@ long-lasting profile/graph signals, and global-max log normalization.
 
 A table is three aligned columns: user code, key code and value. Events and
 edges come in coded (``lineio.read_columns``, which ``load_store`` uses too),
-so authors and (network, content, action) combos are codes already, and the
-distinct edge node names are ranked once, so graph signals are integer counts
-and walks over codes. Dynamic counts stay integers until the final float, so
-the table does not depend on event order or on how the events are grouped.
+so authors, combos and edge ends (one node list for both) are codes already;
+graph signals are counts and walks over codes that join the table as code
+columns. Dynamic counts stay integers until the final float, so the table
+does not depend on event order or on how the events are grouped.
 """
 
 from __future__ import annotations
@@ -143,30 +143,29 @@ def aggregate_longlasting(
     keeps them. Categorical attributes are mapped to 1-based ordinal ranks;
     unknown category values map to 0. The ``GRAPH_ATTRS`` a network
     registers are derived from its edges, the columns ``lineio.read_edges``
-    returns, after every profile value.
+    returns; a profile attribute of such a name is skipped and counted.
     """
+    allowed = {name: frozenset(spec.longlasting_attrs) - GRAPH_ATTRS for name, spec in registry.networks.items()}
     cells: defaultdict[tuple[str, str], float] = defaultdict(float)
     skipped = 0
     for user, network, _, numeric_attrs, categorical_attrs in profiles:
-        registered = registry.networks[network].longlasting_attrs
         ordinals = ((name, registry.ordinal_value(name, c)) for name, c in categorical_attrs)
         for name, value in chain(numeric_attrs, ordinals):
-            if name in registered:
+            if name in allowed[network]:
                 cells[(user, longlasting_key(network, name))] += value
             else:
                 skipped += 1
+    table = RawFeatureTable.from_cells(cells)
 
     unconverged = []
     stats = {network: dict.fromkeys(GRAPH_STATS, 0.0) for network in sorted(registry.networks)}
     sources, targets, networks = edges
-    names = sorted(set(sources.values).union(targets.values))  # so that node codes order as names do
-    code = {name: i for i, name in enumerate(names)}
-    src, dst = (np.array([code[n] for n in c.values], dtype=np.intp)[c.codes] for c in (sources, targets))
-    net = networks.codes
+    nodes = sources.values  # and targets.values: the node list that both ends code into
+    rank = _ranks(nodes)  # PageRank takes the nodes coded in name order
     for network, n in sorted((network, n) for n, network in enumerate(networks.values)):
         registered = GRAPH_ATTRS.intersection(registry.networks[network].longlasting_attrs)
-        s, d = src[net == n], dst[net == n]
-        indeg, outdeg = (np.bincount(c, minlength=len(names)) for c in (d, s))
+        s, d = (end.codes[networks.codes == n] for end in (sources, targets))
+        indeg, outdeg = (np.bincount(c, minlength=len(nodes)) for c in (d, s))
         linked = indeg + outdeg > 0
         size = float(np.count_nonzero(linked))
         stats[network] = dict(zip(GRAPH_STATS, (size, 2.0 * len(s) / size)))
@@ -176,18 +175,17 @@ def aggregate_longlasting(
             "inlink_outlink_ratio": (linked, indeg / np.maximum(outdeg, 1)),
         }
         if "pagerank" in registered:
-            result = pagerank(zip(s.tolist(), d.tolist()))
-            rank = np.zeros(len(names))
-            rank[list(result.scores)] = list(result.scores.values())
-            signals["pagerank"] = (linked, rank)
+            result = pagerank(zip(rank[s].tolist(), rank[d].tolist()))
+            signals["pagerank"] = (linked, np.array([result.scores.get(r, 0.0) for r in rank.tolist()]))
             if not result.converged:
                 unconverged.append(network)
         for attr in sorted(registered):
-            key = longlasting_key(network, attr)
             on, values = signals[attr]
-            for node, value in zip(np.flatnonzero(on).tolist(), values[on].tolist()):
-                cells[(names[node], key)] += value
-    return RawFeatureTable.from_cells(cells), skipped, unconverged, stats
+            node = np.flatnonzero(on)  # each cell's key: code 0 of a one-key list
+            table = table.concat(
+                RawFeatureTable(nodes, [longlasting_key(network, attr)], node, np.zeros_like(node), values[node])
+            )
+    return table, skipped, unconverged, stats
 
 
 def compute_global_maxima(table: RawFeatureTable) -> dict[str, float]:
@@ -263,7 +261,7 @@ def _parse_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
         return token
 
     users, key, values = lineio.read_columns(
-        path, [("", lineio.decode_value, True), ("", key_code, True), ("", value, True)]
+        path, [("", lineio.decode_value, "user"), ("", key_code, "key"), ("", value, "value")]
     )
     key = np.array(key.values, dtype=np.intp)[key.codes]  # each line's key code in registry order
     numbers = np.array(list(map(float, values.values)))

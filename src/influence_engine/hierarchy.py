@@ -139,7 +139,8 @@ def heuristic_weights(node: ScoreNode, stats: Mapping[str, Mapping[str, float]])
     """Per-child weights proportional to a graph statistic, max-normalized.
 
     ``stats`` maps network name -> {graph_size, avg_node_degree}; an internal
-    child contributes the sum over its descendant leaf networks.
+    child contributes the sum over its descendant leaf networks. If it is 0 for
+    every child, they weigh the same, with a ``heuristic-basis-zero`` warning.
     """
     basis = node.heuristic_basis or "graph_size"
     values = []
@@ -153,7 +154,8 @@ def heuristic_weights(node: ScoreNode, stats: Mapping[str, Mapping[str, float]])
         values.append(total)
     top = max(values)
     if top <= 0:
-        raise ValueError(f"heuristic basis {basis!r} is zero for every child of {node.node_id!r}")
+        print(f"warning\theuristic-basis-zero\tnode={node.node_id}")
+        return np.ones(len(values))
     return np.array(values) / top
 
 
@@ -259,7 +261,7 @@ def save_snapshot(snapshot: ScoreSnapshot, path: str | Path) -> None:
 def load_snapshot(path: str | Path) -> ScoreSnapshot:
     """A ``save_snapshot`` file; a damaged one raises ``ValueError`` naming it."""
     with lineio.naming(path):
-        lines = list(lineio.read_lines(path))
+        lines = list(lineio.read_written_lines(path))
         if not lines or not lines[0].startswith("as_of="):
             raise ValueError("the as_of header is missing")
         snapshot = ScoreSnapshot(as_of=date.fromisoformat(lines[0].split("=", 1)[1]))

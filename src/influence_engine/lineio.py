@@ -13,14 +13,18 @@ reader of ingest's own files, which requires exactly the keys in their order.
 ``read_columns`` is the one strict reader, of those files and of the feature
 dumps: a chunk of whole lines at a time, it returns each string column coded
 (``CodedColumn``), each distinct token checked and decoded once, and each int
-column as one int per line. ``CANONICAL_EVENT`` and ``CANONICAL_EDGE`` match a
-raw line that already is its record's encoding, so that ingest can keep it
-without decoding it. The data model forbids an empty user id, a self-loop
-edge, a label comparing one user with itself, a timestamp or vote count that
-is not an integer, a negative vote count, a numeric profile attribute that is
-negative or not finite, and a key given twice (a profile attribute may be:
-its values add up). A decoder raises ``ValueError`` or ``KeyError`` on a
-line that breaks it, a strict reader ``ValueError`` naming the file.
+column as one int per line; the two ids of an edge or a label share one value
+list, so the check that they differ compares codes. ``read_written_lines``
+reads the engine's other files and refuses a blank line, which ``read_lines``,
+the reader of raw input, skips. ``CANONICAL_EVENT`` and ``CANONICAL_EDGE``
+match a raw line that already is its record's encoding, so that ingest can
+keep it without decoding it. The data model forbids an empty user id, a
+self-loop edge, a label comparing one user with itself, a timestamp or vote
+count that is not an integer, a negative vote count, a numeric profile
+attribute that is negative or not finite, and a key given twice (a profile
+attribute may be: its values add up). A decoder raises ``ValueError`` or
+``KeyError`` on a line that breaks it, a strict reader ``ValueError`` naming
+the file.
 """
 
 from __future__ import annotations
@@ -123,10 +127,8 @@ def _record(line: str, keys: tuple[str, ...]) -> list:
     if len(fields) < len(tokens):
         raise ValueError("a key is given twice")
     values = [_CHECKS.get(key, str)(decode_value(fields[key])) for key in keys]
-    if keys in _DISTINCT:
-        a, b = _DISTINCT[keys]
-        if values[a] == values[b]:
-            raise ValueError(f"{keys[a]} and {keys[b]} hold one id")
+    if (ids := _DISTINCT.get(keys)) and values[ids[0]] == values[ids[1]]:
+        raise ValueError(f"{keys[ids[0]]} and {keys[ids[1]]} hold one id")
     return values
 
 
@@ -207,12 +209,12 @@ CHUNK_HINT = 1 << 16
 
 
 class _Coder(dict):
-    """Each token looked up -> the code of its value in ``values`` (value -> code),
-    each distinct token prefix-checked and converted once, when first seen."""
+    """Each token looked up -> the code of its value in ``values`` (value -> code,
+    maybe shared), each distinct token prefix-checked and converted once."""
 
-    def __init__(self, prefix: str, convert):
+    def __init__(self, prefix: str, convert, values: dict):
         super().__init__()
-        self.prefix, self.convert, self.values = prefix, convert, {}
+        self.prefix, self.convert, self.values = prefix, convert, values
 
     def __missing__(self, token: str) -> int:
         if not token.startswith(self.prefix):
@@ -222,17 +224,19 @@ class _Coder(dict):
         return code
 
 
-def read_columns(path: str | Path, fields: Sequence[tuple[str, Callable, bool]]) -> list:
+def read_columns(path: str | Path, fields: Sequence[tuple[str, Callable, str | None]]) -> list:
     """The columns of a file whose every line holds one token per field, in the
-    order of ``fields``. A field is ``(prefix, convert, coded)``: each of its
+    order of ``fields``. A field is ``(prefix, convert, group)``: each of its
     tokens starts with ``prefix``, and ``convert`` turns the rest into its
-    value or raises ``ValueError``. A coded field comes back as a
-    ``CodedColumn``, converted once per distinct token; any other as a list of
-    each line's value. A line not of one token per field, a token without its
-    prefix, or a last line without its newline raises ``ValueError``."""
+    value or raises ``ValueError``. A field of group ``None`` comes back as a
+    list of each line's value, any other as a ``CodedColumn`` converted once per
+    distinct token, whose value list its group shares. A line not of one token
+    per field, a token without its prefix, or a last line without its newline
+    raises ``ValueError``."""
     width = len(fields)
-    coders = [_Coder(prefix, convert) if coded else None for prefix, convert, coded in fields]
-    columns = [bytearray() if coded else [] for *_, coded in fields]  # codes grow in place
+    values = {g: {} for *_, g in fields if g is not None}  # per group g: value -> code
+    coders = [None if g is None else _Coder(prefix, convert, values[g]) for prefix, convert, g in fields]
+    columns = [[] if coder is None else bytearray() for coder in coders]  # codes grow in place
     with Path(path).open("r", encoding="utf-8") as fh:
         while lines := fh.readlines(CHUNK_HINT):
             # a line short of a field next to one with a field too many would
@@ -253,29 +257,29 @@ def read_columns(path: str | Path, fields: Sequence[tuple[str, Callable, bool]])
                     column.extend(map(convert, map(str.removeprefix, field, repeat(prefix))))
                 else:
                     raise ValueError(f"a line does not hold its {prefix!r} token in place")
+    lists = {g: list(codes) for g, codes in values.items()}
     return [
-        column if coder is None else CodedColumn(list(coder.values), np.frombuffer(column, np.intc))
-        for coder, column in zip(coders, columns)
+        column if g is None else CodedColumn(lists[g], np.frombuffer(column, np.intc))
+        for (*_, g), column in zip(fields, columns)
     ]
 
 
 def _read_records(path: str | Path, keys: tuple[str, ...]) -> list:
     """Per key, the column of a file whose every line holds exactly ``keys`` in
-    that order, under the data model: an int key's as a list, any other's as a
-    ``CodedColumn``. Any other file raises ``ValueError`` naming it."""
+    that order, under the data model: an int key's as a list, any other's coded,
+    the two ids of a record into one value list. Any other file raises
+    ``ValueError`` naming it."""
+    ids = _DISTINCT.get(keys, ())
     fields = [
-        (f"{key}=", _CHECKS[key], False) if key in _INT_KEYS
-        else (f"{key}=", lambda value, check=_CHECKS.get(key, str): check(decode_value(value)), True)
-        for key in keys
+        (f"{key}=", _CHECKS[key], None) if key in _INT_KEYS
+        else (f"{key}=", lambda value, check=_CHECKS.get(key, str): check(decode_value(value)),
+              keys[ids[0]] if i in ids else key)
+        for i, key in enumerate(keys)
     ]
     with naming(path):
         columns = read_columns(path, fields)
-        if keys in _DISTINCT:  # by value: each id of column j as its code in column i, or -1
-            i, j = _DISTINCT[keys]
-            index = {value: code for code, value in enumerate(columns[i].values)}
-            in_i = np.array([index.get(value, -1) for value in columns[j].values], dtype=np.intc)
-            if (in_i[columns[j].codes] == columns[i].codes).any():
-                raise ValueError(f"{keys[i]} and {keys[j]} hold one id")
+        if ids and (columns[ids[0]].codes == columns[ids[1]].codes).any():
+            raise ValueError(f"{keys[ids[0]]} and {keys[ids[1]]} hold one id")
     return columns
 
 
@@ -297,9 +301,18 @@ def read_labels(path: str | Path) -> tuple[PairwiseLabel, ...]:
 
 def read_profiles(path: str | Path) -> Iterator[ProfileSnapshot]:
     """The profiles of a file of ``encode_profile`` lines, one at a time; a line
-    that does not decode raises ``ValueError`` naming the file."""
+    that does not decode, or a blank one, raises ``ValueError`` naming the file."""
     with naming(path):
-        yield from map(decode_profile, read_lines(path))
+        yield from map(decode_profile, read_written_lines(path))
+
+
+def read_written_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a file that ``write_lines`` wrote; a blank line raises ``ValueError``."""
+    with Path(path).open("r", encoding="utf-8", newline="\n") as fh:
+        for line in fh:
+            if not (line := line.removesuffix("\n")):
+                raise ValueError("a blank line")
+            yield line
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -323,7 +336,7 @@ def sha256(path: str | Path) -> str:
 
 
 def read_lines(path: str | Path, errors: str = "strict") -> Iterator[str]:
-    """Non-empty lines of a UTF-8 file, without their line ending; with
+    """Non-empty lines of a raw UTF-8 file, without their line ending; with
     ``errors="surrogateescape"`` a byte that is not UTF-8 reads as a lone
     surrogate instead of raising. Lines end at LF only: a CR right before
     the LF is dropped, and a bare CR stays inside its line."""

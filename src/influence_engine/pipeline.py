@@ -27,6 +27,7 @@ from .evaluation import (
 )
 from .events import MAX_WINDOW_DAYS, TimeWindow
 from .features import load_store
+from .graph import GRAPH_STATS
 from .hierarchy import (
     ScoreNode,
     ScoreSnapshot,
@@ -256,11 +257,12 @@ def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
             raise ValueError(f"missing model file {model_path}")
         models[network] = load_model(model_path, cfg.registry)
 
-    stats = {}
+    keys = sorted(GRAPH_STATS)  # in the order stage_features writes them
     with lineio.naming(_graph_stats_path(out)):
-        for line in lineio.read_lines(_graph_stats_path(out)):
-            network, *tokens = line.split("\t")
-            stats[network] = {key: float(value) for key, value in (t.split("=") for t in tokens)}
+        names, *columns = lineio.read_columns(
+            _graph_stats_path(out), [("", str, None), *((f"{key}=", float, None) for key in keys)]
+        )
+    stats = {network: dict(zip(keys, values)) for network, *values in zip(names, *columns)}
     as_of = TimeWindow(cfg.reference_time, MAX_WINDOW_DAYS).reference_date()
     snapshot = score_population(cfg.tree, store, models, stats, as_of=as_of)
     save_snapshot(snapshot, out / "snapshot.txt")

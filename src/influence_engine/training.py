@@ -222,9 +222,10 @@ def save_model(w: WeightVector, registry: FeatureRegistry, path: str | Path) -> 
 
 def load_model(path: str | Path, registry: FeatureRegistry) -> WeightVector:
     fields: dict[str, str] = {}  # header name or feature key -> its value
-    for line in lineio.read_lines(path):
-        key, value = line[2:].split("\t") if line.startswith("w\t") else line.split("=", 1)
-        fields[key] = value
+    with lineio.naming(path):
+        for line in lineio.read_written_lines(path):
+            key, value = line[2:].split("\t") if line.startswith("w\t") else line.split("=", 1)
+            fields[key] = value
 
     def need(key: str) -> str:
         if key not in fields:

@@ -39,8 +39,11 @@ def columns_of(events) -> EventColumns:
 
 
 def edge_columns_of(edges) -> tuple[CodedColumn, ...]:
-    """A list of edges as the coded columns that ``lineio.read_edges`` returns."""
-    return tuple(coded(list(map(itemgetter(i), edges))) for i in range(3))
+    """A list of edges as the coded columns that ``lineio.read_edges`` returns:
+    the two ends code into one node list, which both columns share."""
+    nodes = coded([edge[i] for i in (0, 1) for edge in edges])  # the sources, then the targets
+    src, dst = np.split(nodes.codes, 2)
+    return CodedColumn(nodes.values, src), CodedColumn(nodes.values, dst), coded([edge[2] for edge in edges])
 
 
 def make_small_registry() -> FeatureRegistry:

@@ -342,6 +342,8 @@ class TestColumnReaders:
     # without the explain phase, which takes minutes to report a broken reader
     @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
     def test_each_column_codes_its_distinct_values(self, tmp_path_factory, record, data):
+        # the two ids of an edge or a label share one value list; every other
+        # string column has its own
         kind, keys, encode, fields, ids = record
         records = data.draw(st.lists(st.builds(kind, *fields), max_size=20).map(
             lambda records: [r for r in records if not ids or r[ids[0]] != r[ids[1]]]
@@ -355,7 +357,12 @@ class TestColumnReaders:
                 continue
             assert column.codes.dtype == np.intc
             assert [column.values[code] for code in column.codes] == [r[i] for r in records]
-            assert sorted(column.values) == sorted({r[i] for r in records})  # each value once
+            values = {r[j] for r in records for j in (ids if i in ids else [i])}
+            assert sorted(column.values) == sorted(values)  # each value once
+        lists = {i: column.values for i, column in enumerate(columns) if not isinstance(column, list)}
+        if ids:
+            assert lists[ids[0]] is lists[ids[1]]
+        assert len({id(values) for values in lists.values()}) == len(lists) - bool(ids)
 
     def test_each_distinct_token_is_checked_once(self, tmp_path, monkeypatch):
         # few distinct ids, some escaped, repeated over a file of several chunks

@@ -1,15 +1,20 @@
+import functools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
+from datetime import date
 from typing import Iterable, Mapping
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from influence_engine import features
+from influence_engine.events import ProfileSnapshot
 from influence_engine.features import aggregate_longlasting
 from influence_engine.graph import GRAPH_STATS, pagerank
-from influence_engine.registry import FeatureRegistry, NetworkSpec
+from influence_engine.registry import GRAPH_ATTRS, FeatureRegistry, NetworkSpec, longlasting_key
 
 from conftest import edge_columns_of
 from oracles import dense_pagerank
@@ -261,4 +266,105 @@ def test_graph_stats_equal_the_set_count(edges):
     assert list(stats) == sorted(STATS_REGISTRY.networks)
     assert {network: typed(values) for network, values in stats.items()} == {
         network: typed(graph_summary(pairs[network])) for network in sorted(STATS_REGISTRY.networks)
+    }
+
+
+# -- the long-lasting half against a dict loop --------------------------------
+
+def reference_longlasting(profiles, edges, registry, max_iter):
+    """``aggregate_longlasting`` as one dict of (user, key) cells and loops over
+    names, its PageRank from ``reference_pagerank``."""
+    cells = defaultdict(float)
+    skipped = 0
+    for profile in profiles:
+        attrs = profile.numeric_attrs + tuple(
+            (name, registry.ordinal_value(name, category)) for name, category in profile.categorical_attrs
+        )
+        for name, value in attrs:
+            # the network derives a graph attribute from its edges, never from a profile
+            if name in registry.networks[profile.network].longlasting_attrs and name not in GRAPH_ATTRS:
+                cells[(profile.user, longlasting_key(profile.network, name))] += value
+            else:
+                skipped += 1
+    unconverged, stats = [], {}
+    for network in sorted(registry.networks):
+        pairs = [(src, dst) for src, dst, on in edges if on == network]
+        stats[network] = graph_summary(pairs)
+        indeg, outdeg = Counter(dst for _, dst in pairs), Counter(src for src, _ in pairs)
+        signals = {
+            "inlinks": {user: float(degree) for user, degree in indeg.items()},
+            "inlink_outlink_ratio": {user: indeg[user] / max(outdeg[user], 1) for user in indeg | outdeg},
+            "pagerank": {},
+        }
+        registered = GRAPH_ATTRS.intersection(registry.networks[network].longlasting_attrs)
+        if "pagerank" in registered and pairs:
+            signals["pagerank"], _, converged, _ = reference_pagerank(pairs, max_iter=max_iter)
+            if not converged:
+                unconverged.append(network)
+        for attr in registered:
+            for user, value in signals[attr].items():
+                assert (user, longlasting_key(network, attr)) not in cells
+                cells[(user, longlasting_key(network, attr))] = value
+    return cells, skipped, unconverged, stats
+
+
+def profile_lists(networks):
+    """At most one profile per (user, network), over few attribute names, so that
+    an attribute repeats, one is unregistered, one is named in ``GRAPH_ATTRS``
+    and a category falls outside the ordinal map."""
+    numeric = st.tuples(
+        st.sampled_from(["fans", "other", *sorted(GRAPH_ATTRS)]),
+        st.floats(min_value=0, max_value=1e6, allow_nan=False),
+    )
+    categorical = st.tuples(
+        st.sampled_from(["level", "other", "inlinks"]), st.sampled_from(["lo", "mid", "hi", "wizard"])
+    )
+    profile = st.builds(
+        lambda user, network, n, c: ProfileSnapshot(user, network, date(2023, 11, 1), tuple(n), tuple(c)),
+        names, st.sampled_from(networks), st.lists(numeric, max_size=4), st.lists(categorical, max_size=3),
+    )
+    return st.lists(profile, max_size=12, unique_by=lambda p: (p.user, p.network))
+
+
+@st.composite
+def longlasting_inputs(draw):
+    """A registry of 2-3 networks, each registering a different subset of
+    ``GRAPH_ATTRS``, with profiles and unique edges between distinct nodes on them."""
+    subsets = draw(st.lists(
+        st.frozensets(st.sampled_from(sorted(GRAPH_ATTRS))), min_size=2, max_size=3, unique=True
+    ))
+    networks = ["fb", "tw", "wk"][:len(subsets)]
+    registry = FeatureRegistry(
+        networks={
+            network: NetworkSpec(name=network, longlasting_attrs=("fans", "level", *sorted(subset)), dynamic=False)
+            for network, subset in zip(networks, subsets)
+        },
+        ordinal_maps={"level": ("lo", "mid", "hi")},
+    )
+    edges = draw(st.lists(
+        st.tuples(names, names, st.sampled_from(networks)).filter(lambda edge: edge[0] != edge[1]),
+        max_size=30, unique=True,
+    ))
+    return registry, draw(profile_lists(networks)), edges
+
+
+@given(inputs=longlasting_inputs(), max_iter=st.sampled_from([2, 200]))
+@settings(phases=NO_EXPLAIN)
+def test_longlasting_equals_the_dict_loop_reference_exactly(inputs, max_iter):
+    registry, profiles, edges = inputs
+    capped = functools.partial(pagerank, max_iter=max_iter)  # 2 iterations leave a walk unconverged
+    with mock.patch.object(features, "pagerank", capped):
+        table, skipped, unconverged, stats = aggregate_longlasting(profiles, edge_columns_of(edges), registry)
+    cells, expected_skipped, expected_unconverged, expected_stats = reference_longlasting(
+        profiles, edges, registry, max_iter
+    )
+    got = {
+        (table.users[u], table.keys[k]): v.hex()
+        for u, k, v in zip(table.user.tolist(), table.key.tolist(), table.value.tolist())
+    }
+    assert len(got) == len(table.value)  # no cell twice
+    assert got == {cell: value.hex() for cell, value in cells.items()}
+    assert (skipped, unconverged) == (expected_skipped, expected_unconverged)
+    assert {network: typed(values) for network, values in stats.items()} == {
+        network: typed(values) for network, values in expected_stats.items()
     }

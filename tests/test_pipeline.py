@@ -537,6 +537,31 @@ class TestScoreStage:
         f = np.array([leaves.get(network, 0.0) for network in children])
         assert entry.raw_root == l2_combine(f, weights)
 
+    def test_no_edges_under_a_graph_size_root_weighs_the_children_equally(
+        self, dataset, full_run, tmp_path, capsys
+    ):
+        # every child's graph_size is 0, so the root falls back to equal
+        # weights and warns once, where the run used to fail in score
+        inputs = tmp_path / "inputs"
+        shutil.copytree(dataset, inputs)
+        (inputs / "edges.txt").write_text("")
+        config = make_config(inputs, tmp_path / "config.json")
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+        tree = load_tree(inputs / "tree.json")
+        assert (tree.node_id, tree.heuristic_basis or "graph_size") == ("root", "graph_size")
+        warnings = [l for l in capsys.readouterr().out.splitlines() if l.startswith("warning")]
+        assert warnings == ["warning\theuristic-basis-zero\tnode=root"]
+
+        children = [child.network for child in tree.children]
+        for entry in load_snapshot(out / "snapshot.txt").entries.values():
+            leaves = dict(entry.node_scores)
+            f = np.array([leaves.get(network, 0.0) for network in children])
+            assert entry.raw_root == l2_combine(f, np.ones(len(children)))
+        keys = [line.split("=")[0] for line in (out / "manifest.txt").read_text().splitlines()]
+        _, first = full_run
+        assert keys == [line.split("=")[0] for line in (first / "manifest.txt").read_text().splitlines()]
+
 
 class TestIdsThatNeedEscaping:
     def test_author_ids_with_tab_and_newline_are_scored(self, dataset, tmp_path):
@@ -585,6 +610,16 @@ class TestStageGating:
         ]
         with pytest.raises(ValueError):
             stages_for_mode(cfg, "everything")
+
+
+# a file that the engine writes, and the command that reads it with its exit
+# code when the file is damaged
+BLANK_LINE = {
+    "ingest/profiles.txt": ("features", 3),
+    "graph_stats.txt": ("score", 5),
+    "models/tw.model": ("score", 5),
+    "snapshot.txt": ("rank", 1),
+}
 
 
 class TestCLI:
@@ -700,6 +735,24 @@ class TestCLI:
         assert code == 5
         missing = lost.split("\t")[1] if drop == "w\t" else "converged"
         assert f"model file {model} has no {missing!r} line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(BLANK_LINE))
+    def test_a_blank_line_in_a_file_the_engine_wrote_fails_naming_it(self, full_run, tmp_path, capsys, name):
+        # write_lines never writes a blank line, so one is damage, not a line to skip
+        cfg, out = full_run
+        copy = tmp_path / "o"
+        shutil.copytree(out, copy)
+        damaged = copy / name
+        lines = damaged.read_text().splitlines()
+        damaged.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n")
+        command, code = BLANK_LINE[name]
+        if command == "rank":
+            (tmp_path / "users.txt").write_text("a\n")
+            argv = ["rank", "--snapshot", str(damaged), "--users", str(tmp_path / "users.txt")]
+        else:
+            argv = [command, "--config", str(make_config(cfg.input_dir, tmp_path / "c.json")), "--out", str(copy)]
+        assert main(argv) == code
+        assert f"{damaged}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("band", [0.0, -1.0, math.nan, math.inf])
     def test_a_peer_band_not_finite_and_above_zero_fails_ingest(self, dataset, tmp_path, capsys, band):
