@@ -63,6 +63,10 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
     return 0.5 * (ends + (ends - size) + 1)[group]
 
 
+class TooFewUsers(ValueError):
+    """``rank_correlation``'s refusal: fewer than 10 users in both maps."""
+
+
 def rank_correlation(scores: Mapping[str, float], latent: Mapping[str, float]) -> float:
     """Spearman rank correlation over users present in both maps.
 
@@ -71,7 +75,7 @@ def rank_correlation(scores: Mapping[str, float], latent: Mapping[str, float]) -
     """
     common = sorted(set(scores) & set(latent))
     if len(common) < 10:
-        raise ValueError(f"need at least 10 shared users, have {len(common)}")
+        raise TooFewUsers(f"need at least 10 shared users, have {len(common)}")
     a = [scores[u] for u in common]
     b = [latent[u] for u in common]
     if len(set(a)) == 1 or len(set(b)) == 1 or np.isnan(a + b).any():

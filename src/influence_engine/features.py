@@ -3,16 +3,16 @@ long-lasting profile/graph signals, and global-max log normalization.
 
 A table is three aligned columns: user code, key code and value. Events and
 edges come in coded (``lineio.read_columns``, which ``load_store`` uses too),
-so authors, combos and edge ends (one node list for both) are codes already;
-graph signals are counts and walks over codes that join the table as code
-columns. Dynamic counts stay integers until the final float, so the table
+so authors, combos and edge ends (one node list for both) are codes already.
+The long-lasting table is one table over the edge node codes: profile
+attributes and graph signals (counts and walks over codes) add their cells as
+code columns. Dynamic counts stay integers until the final float, so the table
 does not depend on event order or on how the events are grouped.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -46,16 +46,6 @@ class RawFeatureTable:
     user: np.ndarray
     key: np.ndarray
     value: np.ndarray
-
-    @classmethod
-    def from_cells(cls, cells: Mapping[tuple[str, str], float]) -> "RawFeatureTable":
-        users, keys = {}, {}
-        user = _intern((u for u, _ in cells), users)
-        key = _intern((k for _, k in cells), keys)
-        value = np.array(list(cells.values()), dtype=np.float64)
-        if (value < 0).any():
-            raise ValueError("feature values must be >= 0")
-        return cls(list(users), list(keys), user, key, value)
 
     def concat(self, other: "RawFeatureTable") -> "RawFeatureTable":
         """The cells of both tables, which must not share a cell."""
@@ -146,21 +136,26 @@ def aggregate_longlasting(
     returns; a profile attribute of such a name is skipped and counted.
     """
     allowed = {name: frozenset(spec.longlasting_attrs) - GRAPH_ATTRS for name, spec in registry.networks.items()}
-    cells: defaultdict[tuple[str, str], float] = defaultdict(float)
-    skipped = 0
+    sources, targets, networks = edges
+    nodes = sources.values  # and targets.values: the node list that both ends code into
+    users = dict(zip(nodes, range(len(nodes))))  # a profile's user not on an edge gets the next code
+    keys: dict[str, int] = {}
+    attrs, skipped = [], 0  # attrs: (user, key, value) of each accepted attribute, in line order
     for user, network, _, numeric_attrs, categorical_attrs in profiles:
         ordinals = ((name, registry.ordinal_value(name, c)) for name, c in categorical_attrs)
         for name, value in chain(numeric_attrs, ordinals):
             if name in allowed[network]:
-                cells[(user, longlasting_key(network, name))] += value
+                attrs.append((user, longlasting_key(network, name), value))
             else:
                 skipped += 1
-    table = RawFeatureTable.from_cells(cells)
+    user, key, value = zip(*attrs) if attrs else ((), (), ())
+    key = _intern(key, keys)  # first, as a cell's code needs the number of keys
+    cells, cell = np.unique(_intern(user, users) * len(keys) + key, return_inverse=True)
+    sums = np.bincount(cell, weights=value, minlength=len(cells)).astype(np.float64)  # in line order from 0.0
+    columns = [(*np.divmod(cells, len(keys)), sums)]  # (user code, key code, value) per signal
 
     unconverged = []
     stats = {network: dict.fromkeys(GRAPH_STATS, 0.0) for network in sorted(registry.networks)}
-    sources, targets, networks = edges
-    nodes = sources.values  # and targets.values: the node list that both ends code into
     rank = _ranks(nodes)  # PageRank takes the nodes coded in name order
     for network, n in sorted((network, n) for n, network in enumerate(networks.values)):
         registered = GRAPH_ATTRS.intersection(registry.networks[network].longlasting_attrs)
@@ -181,11 +176,11 @@ def aggregate_longlasting(
                 unconverged.append(network)
         for attr in sorted(registered):
             on, values = signals[attr]
-            node = np.flatnonzero(on)  # each cell's key: code 0 of a one-key list
-            table = table.concat(
-                RawFeatureTable(nodes, [longlasting_key(network, attr)], node, np.zeros_like(node), values[node])
-            )
-    return table, skipped, unconverged, stats
+            node = np.flatnonzero(on)  # a node's code is its user code
+            code = keys.setdefault(longlasting_key(network, attr), len(keys))
+            columns.append((node, np.full_like(node, code), values[node]))
+    user, key, value = (np.concatenate(column) for column in zip(*columns))
+    return RawFeatureTable(list(users), list(keys), user, key, value), skipped, unconverged, stats
 
 
 def compute_global_maxima(table: RawFeatureTable) -> dict[str, float]:

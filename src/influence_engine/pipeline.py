@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,6 +21,7 @@ import numpy as np
 from . import features as feat
 from . import lineio
 from .evaluation import (
+    TooFewUsers,
     load_reference,
     ndcg,
     order_by_external_scores,
@@ -274,7 +276,12 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> dict[str, int]:
     lines = []  # one per check
     if cfg.latent_path is not None:
         from .population import load_latent  # only where it is used, to keep start-up short
-        rho = rank_correlation(snapshot.prior_scores(), load_latent(cfg.latent_path))
+        scores, latent = snapshot.prior_scores(), load_latent(cfg.latent_path)
+        try:
+            rho = rank_correlation(scores, latent)
+        except TooFewUsers:  # too few to rank: no correlation, and the run goes on
+            rho = math.nan
+            print(f"warning\ttoo-few-users\tshared={len(scores.keys() & latent.keys())}")
         lines.append(f"latent_spearman\trho={repr(rho)}")
     for path in cfg.reference_rankings:
         reference = load_reference(path)

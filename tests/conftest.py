@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
 from influence_engine.events import CodedColumn, EventColumns
+from influence_engine.features import RawFeatureTable
 from influence_engine.registry import FeatureRegistry, NetworkSpec
 
 hypothesis.settings.register_profile(
@@ -44,6 +45,15 @@ def edge_columns_of(edges) -> tuple[CodedColumn, ...]:
     nodes = coded([edge[i] for i in (0, 1) for edge in edges])  # the sources, then the targets
     src, dst = np.split(nodes.codes, 2)
     return CodedColumn(nodes.values, src), CodedColumn(nodes.values, dst), coded([edge[2] for edge in edges])
+
+
+def table_of(cells) -> RawFeatureTable:
+    """A dict of (user, key) -> value as a table of one cell per entry, its
+    users and keys coded in the order of their first cell."""
+    users, keys = {}, {}
+    user = np.array([users.setdefault(u, len(users)) for u, _ in cells], dtype=np.int64)
+    key = np.array([keys.setdefault(k, len(keys)) for _, k in cells], dtype=np.int64)
+    return RawFeatureTable(list(users), list(keys), user, key, np.array(list(cells.values()), dtype=np.float64))
 
 
 def make_small_registry() -> FeatureRegistry:

@@ -18,7 +18,6 @@ from influence_engine.features import (
     COHORT_ALL,
     COHORT_HIGHER,
     COHORT_PEERS,
-    RawFeatureTable,
     aggregate_dynamic,
     aggregate_longlasting,
     compute_global_maxima,
@@ -28,7 +27,7 @@ from influence_engine.features import (
 )
 from influence_engine.registry import FeatureRegistry, NetworkSpec, dynamic_key, longlasting_key
 
-from conftest import columns_of, edge_columns_of, make_small_registry
+from conftest import columns_of, edge_columns_of, make_small_registry, table_of
 from oracles import brute_window_counts
 from test_ingest import REF, ev, write_inputs
 from influence_engine import features, lineio
@@ -356,8 +355,12 @@ class TestLonglasting:
                 "\tc:education_level=BS\tc:education_level=PhD")
         profile = lineio.decode_profile(line)
         assert lineio.encode_profile(profile) == line
-        table, skipped, _, _ = aggregate_longlasting([profile], edge_columns_of([]), small_registry)
-        assert as_dict(table) == {("a", "ll/fb/fans"): 3.5, ("a", "ll/fb/education_level"): 2.0 + 4.0}
+        # in line order from 0.0: 1e16 + 1.0 rounds back to 1e16, where 1.0 + 1.0 first would not
+        rounding = lineio.decode_profile("user=b\tnetwork=fb\tas_of=2023-11-01\tn:fans=1e+16\tn:fans=1.0\tn:fans=1.0")
+        table, skipped, _, _ = aggregate_longlasting([profile, rounding], edge_columns_of([]), small_registry)
+        assert as_dict(table) == {
+            ("a", "ll/fb/fans"): 3.5, ("a", "ll/fb/education_level"): 2.0 + 4.0, ("b", "ll/fb/fans"): 1e16,
+        }
         assert skipped == 0
 
     def test_graph_features(self, tmp_path, small_registry):
@@ -394,15 +397,15 @@ class TestLonglasting:
 class TestMaximaAndNormalize:
     def test_maxima_simple(self):
         key = longlasting_key("tw", "followers")
-        table = RawFeatureTable.from_cells({("a", key): 3.0, ("b", key): 7.0, ("c", key): 2.0})
+        table = table_of({("a", key): 3.0, ("b", key): 7.0, ("c", key): 2.0})
         assert compute_global_maxima(table) == {key: 7.0}
 
     def test_maxima_of_shard_maxima(self):
         key = longlasting_key("tw", "followers")
         values = {f"u{i}": float(i * 3 % 17) for i in range(20)}
-        whole = RawFeatureTable.from_cells({(user, key): value for user, value in values.items()})
+        whole = table_of({(user, key): value for user, value in values.items()})
         left, right = (
-            RawFeatureTable.from_cells(
+            table_of(
                 {(user, key): value for i, (user, value) in enumerate(values.items()) if i % 2 == side}
             )
             for side in (1, 0)
@@ -585,7 +588,7 @@ def test_normalize_dump_and_load_are_one_path(tmp_path_factory, cells):
     raw = {}
     for user, key, value in cells:
         raw[(user, key)] = raw.get((user, key), 0.0) + value
-    table = RawFeatureTable.from_cells(raw)
+    table = table_of(raw)
     maxima = normalize_in_place(table)
     path = tmp_path_factory.mktemp("store") / "normalized.txt"
     dump_table(table, path)
@@ -619,7 +622,7 @@ def dump_lines(table):
     negative_zero=st.booleans(),
 )
 def test_dump_table_writes_what_the_per_cell_loop_writes(tmp_path_factory, cells, negative_zero):
-    table = RawFeatureTable.from_cells(cells)
+    table = table_of(cells)
     if negative_zero and len(table.value):
         table.value[0] = -0.0  # which must not print as the 0.0 it equals
     path = tmp_path_factory.mktemp("dump") / "table.txt"
@@ -654,7 +657,7 @@ def load_store_per_line(path, registry):
     chunk_hint=st.sampled_from([1, 100, lineio.CHUNK_HINT]),  # bytes of lines per chunk
 )
 def test_load_store_reads_what_the_per_line_loop_reads(tmp_path_factory, cells, negative_zero, chunk_hint):
-    table = RawFeatureTable.from_cells(cells)
+    table = table_of(cells)
     if negative_zero and len(table.value):
         table.value[0] = -0.0
     path = tmp_path_factory.mktemp("store") / "normalized.txt"

@@ -279,6 +279,19 @@ class TestScoreTree:
         cache["tw"] = (cache["tw"][0], 4.0)  # the cached sum is the one a leaf divides by
         assert score_user("u", tree, store, models, {}, cache).node_scores != first.node_scores
 
+    def test_an_interior_supervised_dot_node_is_a_weighted_mean(self):
+        registry = flat_registry(["tw", "fb"])
+        store = make_store(registry, {("u", "tw"): [0.8, 0.8], ("u", "fb"): [0.4, 0.4]})
+        models = {n: uniform_model(registry, n, [1.0, 1.0]) for n in ("tw", "fb")}
+        tree = parse_tree(
+            {"node_id": "root", "combiner": "supervised-dot", "weights": [1.0, 3.0],
+             "children": [leaf("tw", "tw", 1), leaf("fb", "fb", 1)]}
+        )
+        entry = score_user("u", tree, store, models, {})
+        assert dict(entry.node_scores)["tw"] == 0.8 and dict(entry.node_scores)["fb"] == 0.4
+        # (1 * 0.8 + 3 * 0.4) / (1 + 3), where l2-norm would give 0.456
+        assert math.isclose(entry.raw_root, 0.5, rel_tol=1e-12)
+
     def test_user_on_no_network_is_unscored(self):
         registry, store, models = self.setup_two_networks()
         assert score_user("ghost", self.two_network_tree(), store, models, {}) is None
