@@ -94,23 +94,24 @@ def rank_correlation(scores: Mapping[str, float], latent: Mapping[str, float]) -
 # -- fixture files ---------------------------------------------------------
 
 def load_reference(path: str | Path) -> ReferenceRanking:
-    """Lines of ``rank<TAB>entity<TAB>external-score`` (score optional)."""
+    """Lines of ``rank<TAB>entity<TAB>external-score`` (score optional); a
+    damaged line raises ``ValueError`` naming the file."""
     entities = []
     scores = []
     expected = 1
-    for line in lineio.read_lines(path):
-        parts = line.split("\t")
-        rank = int(parts[0])
-        if rank != expected:
-            raise ValueError(f"ranks must be contiguous from 1; saw {rank} at position {expected}")
-        expected += 1
-        entities.append(parts[1])
-        scores.append(float(parts[2]) if len(parts) > 2 and parts[2] else None)
-    return ReferenceRanking(
-        name=Path(path).stem,
-        ordered_entities=tuple(entities),
-        external_scores=tuple(scores),
-    )
+    with lineio.naming(path):
+        for line in lineio.read_lines(path):
+            rank, entity, *score = line.split("\t")
+            if int(rank) != expected:
+                raise ValueError(f"ranks must be contiguous from 1; saw {rank} at position {expected}")
+            expected += 1
+            entities.append(entity)
+            scores.append(float(score[0]) if score and score[0] else None)
+        return ReferenceRanking(
+            name=Path(path).stem,
+            ordered_entities=tuple(entities),
+            external_scores=tuple(scores),
+        )
 
 
 def order_by_external_scores(reference: ReferenceRanking) -> list[str]:

@@ -279,8 +279,8 @@ def _parse_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
     return store
 
 
-# the last store parsed, as (file digest, registry, store), until the next reader of those bytes
-_held: list[tuple[str, FeatureRegistry, FeatureStore]] = []
+# the last store parsed, as ((file digest, registry), store), until the next reader of those bytes
+_held: list = []
 
 
 def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
@@ -292,14 +292,7 @@ def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
     The vectors are read-only. The store is kept after its parse and handed
     over once, without a parse, to the next call with the same file bytes and
     an equal registry, so that train and score in one process parse it once."""
-    digest = lineio.sha256(path)
-    if _held and _held[0][:2] == (digest, registry):
-        return _held.pop()[2]
-    _held.clear()  # before the parse, so that two stores are never held at once
-    with lineio.naming(path):
-        store = _parse_store(path, registry)
-    _held.append((digest, registry, store))
-    return store
+    return lineio.parse_once(_held, path, _parse_store, registry)
 
 
 def dump_maxima(maxima: Mapping[str, float], path: str | Path) -> None:

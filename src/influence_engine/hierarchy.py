@@ -258,18 +258,30 @@ def save_snapshot(snapshot: ScoreSnapshot, path: str | Path) -> None:
     lineio.write_lines(path, lines)
 
 
-def load_snapshot(path: str | Path) -> ScoreSnapshot:
-    """A ``save_snapshot`` file; a damaged one raises ``ValueError`` naming it."""
-    with lineio.naming(path):
-        lines = list(lineio.read_written_lines(path))
-        if not lines or not lines[0].startswith("as_of="):
-            raise ValueError("the as_of header is missing")
-        snapshot = ScoreSnapshot(as_of=date.fromisoformat(lines[0].split("=", 1)[1]))
-        for line in lines[1:]:
-            user, overall, raw, nodes = line.split("\t")
-            tokens = (token.partition("=") for token in nodes.split(" ") if token)
-            node_scores = tuple((node_id, float(score)) for node_id, _, score in tokens)
-            snapshot.entries[lineio.decode_value(user)] = ScoreEntry(
-                overall=float(overall), raw_root=float(raw), node_scores=node_scores
-            )
+def _parse_snapshot(path: str | Path) -> ScoreSnapshot:
+    lines = list(lineio.read_written_lines(path))
+    if not lines or not lines[0].startswith("as_of="):
+        raise ValueError("the as_of header is missing")
+    snapshot = ScoreSnapshot(as_of=date.fromisoformat(lines[0].split("=", 1)[1]))
+    for line in lines[1:]:
+        user, overall, raw, nodes = line.split("\t")
+        tokens = (token.partition("=") for token in nodes.split(" ") if token)
+        node_scores = tuple((node_id, float(score)) for node_id, _, score in tokens)
+        snapshot.entries[lineio.decode_value(user)] = ScoreEntry(
+            overall=float(overall), raw_root=float(raw), node_scores=node_scores
+        )
     return snapshot
+
+
+# the last snapshot parsed, as ((file digest,), snapshot), until the next reader of those bytes
+_held: list = []
+
+
+def load_snapshot(path: str | Path) -> ScoreSnapshot:
+    """A ``save_snapshot`` file; a damaged one raises ``ValueError`` naming it.
+
+    The snapshot is kept after its parse and handed over once, without a
+    parse, to the next call with the same file bytes, so that evaluate and
+    simulate in one process parse it once. Only a parse is held: a snapshot
+    that ``save_snapshot`` writes is not."""
+    return lineio.parse_once(_held, path, _parse_snapshot)

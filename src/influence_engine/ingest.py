@@ -1,10 +1,11 @@
 """Batch loading: validation, trailing-window filtering and dedup.
 
-Every accepted record is kept as its canonical line. Those of events and
-edges are their dedup keys: a raw line that already is one
-(``lineio.CANONICAL_EVENT``/``CANONICAL_EDGE``) and passes its checks is kept
-as it is; any other is decoded, checked and encoded again, so that each
-reason to reject it counts.
+Every accepted record is kept as its canonical line, and those of events
+and edges are their dedup keys. For each of the four inputs, a raw line that
+already is one (``lineio.CANONICAL_EVENT``, ``CANONICAL_EDGE``,
+``CANONICAL_LABEL``, ``canonical_profiles``) and passes its checks is kept as
+it is; any other is decoded, checked and encoded again, so that each reason
+to reject it counts.
 """
 
 from __future__ import annotations
@@ -113,16 +114,20 @@ def read_profiles(path: Path, ref_date: date, registry: FeatureRegistry, report:
     """The canonical line of the latest snapshot per (user, network) taken by
     ``ref_date``, sorted; of two taken on one day, the larger line, whatever
     the line order. The kept day's other snapshots count as ``profile-tie``."""
-    latest: dict[tuple[str, str], tuple[date, str]] = {}
+    ref_day = ref_date.isoformat()  # ISO dates order as their days do
+    latest: dict[tuple[str, str], tuple[str, str]] = {}  # -> (as_of, line)
     ties: Counter = Counter()  # (user, network) -> its kept day's snapshots beyond one
-    for line in lineio.read_lines(path, errors="surrogateescape"):
-        if (profile := _decoded(line, lineio.decode_profile, report)) is None:
+    for line, match in lineio.canonical_profiles(lineio.read_lines(path, errors="surrogateescape")):
+        if match and match[2] in registry.networks and match[3] <= ref_day:
+            key, snapshot = (match[1], match[2]), (match[3], line)
+        elif (profile := _decoded(line, lineio.decode_profile, report)) is None:
             continue
-        if profile.network not in registry.networks or profile.as_of > ref_date:
+        elif profile.network not in registry.networks or profile.as_of > ref_date:
             report.stale_profiles += 1
             continue
-        key = (profile.user, profile.network)
-        snapshot = (profile.as_of, lineio.encode_profile(profile))
+        else:
+            key = (profile.user, profile.network)
+            snapshot = (profile.as_of.isoformat(), lineio.encode_profile(profile))
         kept = latest.get(key, snapshot)
         if snapshot[0] > kept[0]:
             del ties[key]  # a Counter ignores a key it does not hold
@@ -135,25 +140,29 @@ def read_profiles(path: Path, ref_date: date, registry: FeatureRegistry, report:
     return sorted(line for _, line in latest.values())
 
 
-def _registered(lines, decode, registry: FeatureRegistry, report: LoadReport):
-    """The decoded records of ``lines`` whose network the registry knows."""
-    for line in lines:
+def _read_registered(path: Path, canonical, decode, encode, registry: FeatureRegistry, report: LoadReport):
+    """The canonical line of each record of a file on a registered network. A
+    raw line that ``canonical`` matches, with two distinct ids (groups ``a``
+    and ``b``) on a registered network, is kept as it is; any other is
+    decoded, checked and encoded again."""
+    lines, others = [], []
+    for line in lineio.read_lines(path, errors="surrogateescape"):
+        match = canonical.fullmatch(line)
+        taken = match and match["a"] != match["b"] and match["network"] in registry.networks
+        (lines if taken else others).append(line)
+    for line in others:
         if (record := _decoded(line, decode, report)) is None:
             continue
         if record.network not in registry.networks:
             report.rejected["unknown-network"] += 1
             continue
-        yield record
+        lines.append(encode(record))
+    return lines
 
 
 def read_edges(path: Path, registry: FeatureRegistry, report: LoadReport) -> list[str]:
     """The canonical line of each edge on a registered network, once, sorted."""
-    lines, others = [], []
-    for line in lineio.read_lines(path, errors="surrogateescape"):
-        match = lineio.CANONICAL_EDGE.fullmatch(line)
-        taken = match and match[1] != match[2] and match[3] in registry.networks
-        (lines if taken else others).append(line)
-    lines += map(lineio.encode_edge, _registered(others, lineio.decode_edge, registry, report))
+    lines = _read_registered(path, lineio.CANONICAL_EDGE, lineio.decode_edge, lineio.encode_edge, registry, report)
     unique = sorted(set(lines))
     if len(lines) > len(unique):
         report.rejected["duplicate-edge"] = len(lines) - len(unique)
@@ -176,9 +185,9 @@ def load_batch(
         events=read_events(events, window, registry, report),
         profiles=read_profiles(profiles, window.reference_date(), registry, report),
         edges=read_edges(edges, registry, report),
-        labels=sorted(map(lineio.encode_label, _registered(
-            lineio.read_lines(labels, errors="surrogateescape"), lineio.decode_label, registry, report
-        ))),
+        labels=sorted(_read_registered(
+            labels, lineio.CANONICAL_LABEL, lineio.decode_label, lineio.encode_label, registry, report
+        )),
     )
     report.labels = len(batch.labels)
     return batch, report

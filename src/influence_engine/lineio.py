@@ -16,9 +16,11 @@ dumps: a chunk of whole lines at a time, it returns each string column coded
 column as one int per line; the two ids of an edge or a label share one value
 list, so the check that they differ compares codes. ``read_written_lines``
 reads the engine's other files and refuses a blank line, which ``read_lines``,
-the reader of raw input, skips. ``CANONICAL_EVENT`` and ``CANONICAL_EDGE``
-match a raw line that already is its record's encoding, so that ingest can
-keep it without decoding it. The data model forbids an empty user id, a
+the reader of raw input, skips. ``CANONICAL_EVENT``, ``CANONICAL_EDGE``,
+``CANONICAL_LABEL`` and ``canonical_profiles`` (over ``CANONICAL_PROFILE``)
+take a raw line that already is its record's encoding, so that ingest can
+keep it without decoding it. ``parse_once`` hands a reader's parse of a file
+to its next call on the same bytes. The data model forbids an empty user id, a
 self-loop edge, a label comparing one user with itself, a timestamp or vote
 count that is not an integer, a negative vote count, a numeric profile
 attribute that is negative or not finite, and a key given twice (a profile
@@ -67,6 +69,22 @@ def naming(path: str | Path) -> Iterator[None]:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def parse_once(held: list, path: str | Path, parse: Callable, *key):
+    """``parse(path, *key)``, its ``ValueError`` naming ``path``. What it
+    returns is kept in ``held``, a reader's own list, and handed over once,
+    without a parse, to that reader's next call with the same file bytes and
+    an equal ``key``; any other call drops it before it parses, so that a
+    reader never holds two parses at once."""
+    digest = sha256(path)
+    if held and held[0][0] == (digest, *key):
+        return held.pop()[1]
+    held.clear()
+    with naming(path):
+        value = parse(path, *key)
+    held.append(((digest, *key), value))
+    return value
+
+
 def _tokens(line: str) -> Iterator[tuple[str, str]]:
     """The ``(key, value)`` pairs of a line, values still escaped."""
     for token in line.rstrip("\n").split("\t"):
@@ -88,8 +106,57 @@ _EVENT_LINE, _EDGE_LINE, _LABEL_LINE = (
 CANONICAL_EVENT = re.compile(
     _EVENT_LINE.format(*[f"({_PLAIN}+)"] * 2, *[f"({_PLAIN}*)"] * 3, "([1-9][0-9]{0,18})")
 )
-# Likewise ``encode_edge(decode_edge(line))`` when its ids differ. Groups: src, dst, network.
-CANONICAL_EDGE = re.compile(_EDGE_LINE.format(*[f"({_PLAIN}+)"] * 2, f"({_PLAIN}*)"))
+# Likewise ``encode_edge(decode_edge(line))`` when groups ``a`` and ``b``, its
+# two ids, differ; groups ``a``, ``b`` and ``network`` are src, dst and network.
+CANONICAL_EDGE = re.compile(_EDGE_LINE.format(
+    f"(?P<a>{_PLAIN}+)", f"(?P<b>{_PLAIN}+)", f"(?P<network>{_PLAIN}*)"
+))
+# Likewise ``encode_label(decode_label(line))`` when its two users, groups ``a``
+# and ``b``, differ; each vote count is a non-negative int's repr. Groups:
+# ``network``, ``a`` and ``b``, the label's first three fields.
+CANONICAL_LABEL = re.compile(_LABEL_LINE.format(
+    f"(?P<network>{_PLAIN}*)", f"(?P<a>{_PLAIN}+)", f"(?P<b>{_PLAIN}+)", *["(?:0|[1-9][0-9]{0,18})"] * 2
+))
+# A line this matches in full, and that ``canonical_profiles`` then takes, is
+# ``encode_profile(decode_profile(line))``: no key or value needs escaping, and
+# the numeric attributes come before the categorical ones. Groups: user,
+# network, as_of, and the numeric tokens, each after its tab.
+CANONICAL_PROFILE = re.compile(
+    f"user=({_PLAIN}+)\tnetwork=({_PLAIN}*)\tas_of=([0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}})"
+    f"((?:\tn:{_PLAIN}+=[0-9]+(?:\\.[0-9]+)?(?:e[-+][0-9]+)?)*)(?:\tc:{_PLAIN}+={_PLAIN}*)*"
+)
+_NUMBER = re.compile("=([^\t]*)")  # the value of a numeric token
+
+
+class _Verdicts(dict):
+    """Each value looked up -> ``check(value)``, each distinct value checked once."""
+
+    def __init__(self, check: Callable[[str], bool]):
+        super().__init__()
+        self.check = check
+
+    def __missing__(self, value: str) -> bool:
+        verdict = self[value] = self.check(value)
+        return verdict
+
+
+def _iso_date(value: str) -> bool:
+    try:
+        return date.fromisoformat(value).isoformat() == value
+    except ValueError:  # such as 2023-02-30
+        return False
+
+
+def canonical_profiles(lines: Iterable[str]) -> Iterator[tuple[str, re.Match | None]]:
+    """Each line with its ``CANONICAL_PROFILE`` match if it is its profile's
+    encoding: also its date exists, and each numeric value ``v`` is
+    ``repr(float(v))``. Else None. A file repeats its dates and values, so
+    each distinct one is checked once."""
+    dates, numbers = _Verdicts(_iso_date), _Verdicts(lambda value: repr(float(value)) == value)
+    for line in lines:
+        match = CANONICAL_PROFILE.fullmatch(line)
+        taken = match and dates[match[3]] and all(map(numbers.__getitem__, _NUMBER.findall(match[4])))
+        yield line, match if taken else None
 
 
 # -- the data model --------------------------------------------------------

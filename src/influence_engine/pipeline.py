@@ -295,9 +295,8 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> dict[str, int]:
 def stage_simulate(cfg: RunConfig, out: Path) -> dict[str, int]:
     if cfg.population_path is None:
         raise ValueError("config has no population descriptor")
-    from .population import CampaignParams, PopulationParams, generate_population, run_campaign
-    data = json.loads(Path(cfg.population_path).read_text())
-    pop = generate_population(PopulationParams.from_dict(data["params"]), data["seed"])
+    from .population import CampaignParams, load_campaign_population, run_campaign
+    pop = load_campaign_population(cfg.population_path)
     snapshot = load_snapshot(out / "snapshot.txt")
     result = run_campaign(pop, snapshot, CampaignParams(), cfg.seed)
     _report(out / "campaign_report.txt", result.report_lines())

@@ -3,7 +3,10 @@ perk-campaign spread simulator used to validate score quality.
 
 Every user carries a latent influence level L drawn log-normally; audience
 size and reaction volume both grow with L, so a correct pipeline must
-recover the L ordering from the event log alone.
+recover the L ordering from the event log alone. ``generate_population``
+draws the levels and audience sizes first, then samples each audience and
+membership; ``draw_campaign_population`` draws only the first part, which is
+all that ``run_campaign`` reads.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -56,6 +59,16 @@ class PopulationParams:
         return cls(**data)
 
 
+class CampaignPopulation(NamedTuple):
+    """What ``run_campaign`` reads of a population: its users, their latent
+    levels and each user's audience size, as ``generate_population`` draws
+    them, but without sampling any audience."""
+
+    users: tuple[str, ...]
+    latent: dict[str, float]
+    audience_sizes: tuple[int, ...]  # per user, in ``users`` order
+
+
 @dataclass
 class SyntheticPopulation:
     params: PopulationParams
@@ -64,6 +77,10 @@ class SyntheticPopulation:
     latent: dict[str, float]
     audiences: dict[str, tuple[str, ...]]
     memberships: dict[str, tuple[str, ...]]
+
+    @property
+    def audience_sizes(self) -> tuple[int, ...]:
+        return tuple(len(self.audiences[u]) for u in self.users)
 
 
 def desk_registry(networks: tuple[str, ...]) -> FeatureRegistry:
@@ -91,20 +108,30 @@ def desk_tree(networks: tuple[str, ...]) -> dict:
     }
 
 
+def draw_campaign_population(params: PopulationParams, seed: int | np.random.Generator) -> CampaignPopulation:
+    """The users, latent levels and audience sizes of ``generate_population(params,
+    seed)``, the first things it draws, without its audiences or memberships. A
+    level L is drawn log-normally; the audience size, ``max(1,
+    min(round(mean_audience * L / mean L), max_audience, n - 1))``, grows with
+    it, and the other users can fill it. A ``Generator`` is drawn from as it is."""
+    n = params.n_users
+    if n < 2:  # an audience is drawn from the other users, so there must be some
+        raise ValueError(f"a population needs at least 2 users, not {n}")
+    users = tuple(f"u{i:05d}" for i in range(n))
+    latent = np.random.default_rng(seed).lognormal(params.lognormal_mu, params.lognormal_sigma, n).tolist()
+    mean_latent = float(np.mean(latent))
+    sizes = tuple(max(1, min(round(params.mean_audience * level / mean_latent), params.max_audience, n - 1))
+                  for level in latent)
+    return CampaignPopulation(users, dict(zip(users, latent)), sizes)
+
+
 def generate_population(params: PopulationParams, seed: int) -> SyntheticPopulation:
     rng = np.random.default_rng(seed)
-    n = params.n_users
-    users = tuple(f"u{i:05d}" for i in range(n))
-    latent_values = rng.lognormal(params.lognormal_mu, params.lognormal_sigma, n)
-    latent = {u: float(v) for u, v in zip(users, latent_values)}
-    mean_latent = float(np.mean(latent_values))
-
+    users, latent, sizes = draw_campaign_population(params, rng)
     audiences = {}
     memberships = {}
-    indices = np.arange(n)
-    for i, u in enumerate(users):
-        size = int(round(params.mean_audience * latent[u] / mean_latent))
-        size = max(1, min(size, params.max_audience, n - 1))
+    indices = np.arange(len(users))
+    for i, (u, size) in enumerate(zip(users, sizes)):
         others = np.concatenate([indices[:i], indices[i + 1:]])
         chosen = rng.choice(others, size=size, replace=False)
         audiences[u] = tuple(users[j] for j in sorted(chosen))
@@ -241,11 +268,25 @@ def write_dataset(pop: SyntheticPopulation, directory: str | Path) -> Path:
 
 
 def load_latent(path: str | Path) -> dict[str, float]:
+    """A ``write_dataset`` latent file: a user and a float per line; a damaged
+    line raises ``ValueError`` naming the file."""
     out = {}
-    for line in lineio.read_lines(path):
-        user, value = line.split("\t")
-        out[user] = float(value)
+    with lineio.naming(path):
+        for line in lineio.read_lines(path):
+            user, value = line.split("\t")
+            out[user] = float(value)
     return out
+
+
+def load_campaign_population(path: str | Path) -> CampaignPopulation:
+    """``draw_campaign_population`` of a ``write_dataset`` population.json; a
+    damaged file raises ``ValueError`` naming it."""
+    with lineio.naming(path):
+        data = json.loads(Path(path).read_text())
+        try:
+            return draw_campaign_population(PopulationParams.from_dict(data["params"]), data["seed"])
+        except (KeyError, TypeError) as exc:  # a key missing, unknown or of the wrong type
+            raise ValueError(f"not a population descriptor: {exc!r}") from None
 
 
 # -- perk-campaign spread simulation ---------------------------------------
@@ -302,7 +343,7 @@ class CampaignResult:
 
 
 def run_campaign(
-    pop: SyntheticPopulation,
+    pop: SyntheticPopulation | CampaignPopulation,
     scores: ScoreSnapshot | Mapping[str, float],
     params: CampaignParams,
     seed: int,
@@ -320,7 +361,7 @@ def run_campaign(
         center = float(np.mean([math.log(v) for v in pop.latent.values()]))
 
     records = []
-    for idx, u in enumerate(pop.users):
+    for idx, (u, audience) in enumerate(zip(pop.users, pop.audience_sizes)):
         score = score_map.get(u)
         if score is None or not lo <= score <= hi:
             continue
@@ -329,7 +370,7 @@ def run_campaign(
         reactions = 0
         if posted:
             p = 1.0 / (1.0 + math.exp(-params.logistic_slope * (math.log(pop.latent[u]) - center)))
-            reactions = int(rng.binomial(len(pop.audiences[u]), p))
+            reactions = int(rng.binomial(audience, p))
         records.append((u, float(score), posted, reactions))
 
     bins = []

@@ -556,3 +556,211 @@ def test_edge_fast_path_equals_the_per_line_reference(tmp_path_factory, edges):
     raw = write_inputs(tmp_path_factory.mktemp("edges"))
     (raw / "edges.txt").write_text(edges, encoding="utf-8", errors="surrogateescape", newline="")
     assert load_batch(raw, REF, registry) == reference_edge_batch(raw, registry)
+
+
+# -- the profile and label fast paths against the per-line reference -----------
+
+def reference_records_of(path, decode, report):
+    """Each record of a raw file, decoded line by line as ingest did before its
+    fast paths; a line that is not UTF-8 or does not decode counts as malformed."""
+    for line in lineio.read_lines(path, errors="surrogateescape"):
+        try:
+            line.encode("utf-8")
+            yield decode(line)
+        except (ValueError, KeyError):
+            report.malformed_lines += 1
+
+
+def reference_profile_batch(directory, registry):
+    """``load_batch`` of a directory that holds only profiles, one line at a
+    time: every profile is decoded, checked against the registry and the
+    reference date, and encoded again; of two kept snapshots taken on one day
+    the larger line wins, and the kept day's others count as ties."""
+    report = LoadReport()
+    ref_date = TimeWindow(REF, MAX_WINDOW_DAYS).reference_date()
+    latest, ties = {}, Counter()
+    for profile in reference_records_of(directory / "profiles.txt", lineio.decode_profile, report):
+        if profile.network not in registry.networks or profile.as_of > ref_date:
+            report.stale_profiles += 1
+            continue
+        key = (profile.user, profile.network)
+        snapshot = (profile.as_of, lineio.encode_profile(profile))
+        kept = latest.setdefault(key, snapshot)
+        if snapshot[0] > kept[0]:
+            ties.pop(key, None)
+        elif snapshot[0] == kept[0] and kept is not snapshot:
+            ties[key] += 1
+        latest[key] = max(kept, snapshot)
+    if ties:
+        report.rejected["profile-tie"] = sum(ties.values())
+    report.profiles = len(latest)
+    return IngestBatch([], sorted(line for _, line in latest.values()), [], []), report
+
+
+def reference_label_batch(directory, registry):
+    """``load_batch`` of a directory that holds only labels, one line at a
+    time: every label is decoded, checked against the registry and encoded again."""
+    report = LoadReport()
+    lines = []
+    for label in reference_records_of(directory / "labels.txt", lineio.decode_label, report):
+        if label.network in registry.networks:
+            lines.append(lineio.encode_label(label))
+        else:
+            report.rejected["unknown-network"] += 1
+    report.labels = len(lines)
+    return IngestBatch([], [], [], sorted(lines)), report
+
+
+def respell_token(line, key, spell):
+    """``line`` with the value of its first ``key`` token passed through ``spell``."""
+    tokens = line.split("\t")
+    for i, token in enumerate(tokens):
+        name, sep, value = token.partition("=")
+        if sep and (name == key or key == "n:" and name.startswith("n:")):
+            tokens[i] = f"{name}={spell(value)}"
+            break
+    return "\t".join(tokens)
+
+
+# spellings of a profile line: each one a valid record spelt another way, or
+# one the decoder refuses, so that the fast path must leave it to the decoder
+PROFILE_SPELLINGS = {
+    "escape": lambda line: respell_token(line, "user", lambda v: f"%{ord(v[0]):02X}{v[1:]}" if v[:1].isalnum() else v),
+    "swap": lambda line: "\t".join([*reversed(line.split("\t")[:2]), *line.split("\t")[2:]]),
+    "c: first": lambda line: "\t".join(
+        sorted(line.split("\t"), key=lambda token: {"n": 2, "c": 1}.get(token[:1], 0) if token[1:2] == ":" else 0)
+    ),
+    "not utf-8": lambda line: respell_token(line, "user", lambda v: "\udcff\udcfe" + v),
+    **{
+        f"value {value}": lambda line, value=value: respell_token(line, "n:", lambda v: value)
+        for value in ("1e2", "0.10", "-0.0", "1e999", "nan", "1.0e+16", "9007199254740993.0")
+    },
+    **{
+        f"date {day}": lambda line, day=day: respell_token(line, "as_of", lambda v: day)
+        for day in ("2023-02-30", "20231114", "2023-11-15", "0000-01-01")
+    },
+}
+numbers = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 100.0, 1e16, 5e-324, 1e300]),
+    st.floats(min_value=0, allow_infinity=False),
+    st.floats(),
+)
+# half of them lines the fast path may take, so that each spelling often meets
+# one; the others with ids and keys that need escaping, unknown networks,
+# dates after the reference day and values the decoder refuses
+profiles_to_respell = st.one_of(
+    st.builds(
+        ProfileSnapshot,
+        user=st.sampled_from("abcdef"),
+        network=st.sampled_from(["tw", "fb"]),
+        as_of=st.dates(min_value=date(2023, 11, 10), max_value=date(2023, 11, 14)),
+        numeric_attrs=st.lists(st.tuples(st.sampled_from(["followers", "fans"]), numbers), min_size=1, max_size=3)
+        .map(tuple),
+        categorical_attrs=st.lists(st.tuples(st.just("education_level"), st.sampled_from(["BS", "PhD"])), max_size=1)
+        .map(tuple),
+    ),
+    st.builds(
+        ProfileSnapshot,
+        user=st.sampled_from(["a", "b", "a-b.c~_9", "a=b", "", "é"]),
+        network=st.sampled_from(["tw", "fb", "wk", "nope", ""]),
+        as_of=st.dates(min_value=date(2023, 11, 12), max_value=date(2023, 11, 16)),
+        numeric_attrs=st.lists(  # a repeated attribute is one record: its values add up
+            st.tuples(st.sampled_from(["followers", "fans", "a b", ""]), numbers), max_size=3
+        ).map(tuple),
+        categorical_attrs=st.lists(
+            st.tuples(st.sampled_from(["education_level", "x:y"]), st.sampled_from(["BS", "PhD", "", "a b"])),
+            max_size=2,
+        ).map(tuple),
+    ),
+).map(lineio.encode_profile)
+
+
+def raw_text(canonical_lines, spellings):
+    """The text of a raw file: lines as they are or respelt, ending in LF, CRLF
+    or a bare CR (which joins a line to the next), some repeated, maybe no
+    newline after the last."""
+    how = st.sampled_from(["as is"] * len(spellings) + sorted(spellings))
+    ending = st.sampled_from(["\n"] * 4 + ["\r\n", "\r"])
+    line = st.builds(lambda line, how, end: spellings.get(how, str)(line) + end, canonical_lines, how, ending)
+    text = st.lists(line, max_size=16).map(with_repeats).map("".join)
+    return st.builds(lambda text, cut: text.removesuffix("\n") if cut else text, text, st.booleans())
+
+
+def tricky_profile_lines():
+    """Each spelling of a profile line, each for its own user, so that each is
+    kept or refused on its own, next to lines the fast path may take: a
+    tie and a superseded snapshot."""
+    profile = ProfileSnapshot("a", "tw", date(2023, 11, 13), (("followers", 10.0), ("fans", 2.5)), (("x", "BS"),))
+    line = lineio.encode_profile(profile)
+    lines = [line] + [
+        spell(lineio.encode_profile(profile._replace(user=f"u{i}"))) for i, spell in enumerate(PROFILE_SPELLINGS.values())
+    ]
+    lines += [
+        lineio.encode_profile(profile._replace(numeric_attrs=(("followers", 11.0),))),  # a tie
+        lineio.encode_profile(profile._replace(as_of=date(2023, 11, 12))),  # superseded
+        lineio.encode_profile(profile._replace(network="nope")),
+        line.replace("as_of=", "as_of=\r"),
+    ]
+    return "\n".join(lines) + "\r\n" + line
+
+
+@given(profiles=raw_text(profiles_to_respell, PROFILE_SPELLINGS))
+@example(profiles=tricky_profile_lines())
+@settings(max_examples=200, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+def test_profile_fast_path_equals_the_per_line_reference(tmp_path_factory, profiles):
+    from conftest import make_small_registry
+
+    registry = make_small_registry()
+    raw = write_inputs(tmp_path_factory.mktemp("profiles"))
+    (raw / "profiles.txt").write_text(profiles, encoding="utf-8", errors="surrogateescape", newline="")
+    assert load_batch(raw, REF, registry) == reference_profile_batch(raw, registry)
+
+
+LABEL_SPELLINGS = {
+    "escape": lambda line: respell_token(line, "user_a", lambda v: f"%{ord(v[0]):02X}{v[1:]}" if v[:1].isalnum() else v),
+    "swap": lambda line: "\t".join([*reversed(line.split("\t")[:2]), *line.split("\t")[2:]]),
+    "not utf-8": lambda line: respell_token(line, "user_b", lambda v: v + "\udcc3"),
+    "self": lambda line: respell_token(line, "user_b", lambda v: line.split("\t")[1].partition("=")[2]),
+    **{
+        f"votes {votes}": lambda line, votes=votes: respell_token(line, "votes_a", lambda v: votes)
+        for votes in ("+5", "05", "-1", " 5", "1" * 20)
+    },
+}
+labels_to_respell = st.one_of(
+    st.builds(
+        PairwiseLabel,
+        network=st.sampled_from(["tw", "fb"]),
+        user_a=st.sampled_from("ab"),
+        user_b=st.sampled_from("cd"),
+        votes_a=st.integers(min_value=0, max_value=5),
+        votes_b=st.integers(min_value=0, max_value=5),
+    ),
+    st.builds(
+        PairwiseLabel,
+        network=st.sampled_from(["tw", "fb", "wk", "nope", ""]),
+        user_a=st.sampled_from(["a", "b", "a=b", "", "é"]),
+        user_b=st.sampled_from(["b", "c", "a"]),
+        votes_a=st.integers(min_value=0, max_value=10**19),
+        votes_b=st.integers(min_value=0, max_value=5),
+    ),
+).map(lineio.encode_label)
+
+
+def tricky_label_lines():
+    """Each spelling of one label line next to the line itself."""
+    line = lineio.encode_label(PairwiseLabel("tw", "a", "b", 5, 1))
+    lines = [line] + [spell(line) for spell in LABEL_SPELLINGS.values()]
+    lines += [lineio.encode_label(PairwiseLabel(*label)) for label in (("nope", "a", "b", 1, 0), ("tw", "a", "a", 1, 0))]
+    return "\n".join(lines + lines[:2]) + "\r\n" + line.replace("user_b=", "user_b=\r")
+
+
+@given(labels=raw_text(labels_to_respell, LABEL_SPELLINGS))
+@example(labels=tricky_label_lines())
+@settings(max_examples=200, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+def test_label_fast_path_equals_the_per_line_reference(tmp_path_factory, labels):
+    from conftest import make_small_registry
+
+    registry = make_small_registry()
+    raw = write_inputs(tmp_path_factory.mktemp("labels"))
+    (raw / "labels.txt").write_text(labels, encoding="utf-8", errors="surrogateescape", newline="")
+    assert load_batch(raw, REF, registry) == reference_label_batch(raw, registry)

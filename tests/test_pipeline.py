@@ -1090,3 +1090,58 @@ class TestRankCohort:
         assert rank_cohort(snap, ["z", "a", "m"]) == [
             ("a", 10.0), ("m", None), ("z", None),
         ]
+
+
+class TestEvaluateAndSimulateInputs:
+    """The inputs that only evaluate and simulate read."""
+
+    @pytest.mark.parametrize(
+        "stage, code, name, damage",
+        [
+            ("evaluate", 6, "latent.txt", lambda text: text.replace("\t", "", 1)),  # a line of one field
+            ("evaluate", 6, "ranking.txt", lambda text: text + "11\n"),  # a rank without its entity
+            ("simulate", 7, "population.json", lambda text: text[: len(text) // 2]),  # cut short
+            ("simulate", 7, "population.json", lambda text: text.replace('"params"', '"parameters"')),
+            ("simulate", 7, "population.json", lambda text: text.replace('"n_users": 150', '"n_users": 1')),
+        ],
+    )
+    def test_a_damaged_input_fails_its_stage_naming_the_file(
+        self, dataset, full_run, tmp_path, capsys, stage, code, name, damage
+    ):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(dataset, inputs)
+        shutil.copy(DATA / "atp_ranking.txt", inputs / "ranking.txt")
+        path = inputs / name
+        path.write_text(damage(path.read_text()))
+        out = tmp_path / "o"
+        shutil.copytree(full_run[1], out)
+        config = make_config(
+            inputs, tmp_path / "config.json", latent=str(inputs / "latent.txt"),
+            population=str(inputs / "population.json"), reference_rankings=[str(inputs / "ranking.txt")],
+        )
+        assert main([stage, "--config", str(config), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(f"stage {stage!r} failed: {path}: ")
+
+    def test_an_all_run_parses_the_snapshot_once(self, dataset, tmp_path, monkeypatch):
+        parsed = []
+        parse = hierarchy._parse_snapshot
+        monkeypatch.setattr(hierarchy, "_held", [])  # no snapshot of an earlier run in this process
+        monkeypatch.setattr(hierarchy, "_parse_snapshot", lambda path: parsed.append(path) or parse(path))
+        cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
+        out = tmp_path / "out"
+        run_pipeline(cfg, out, mode="all")
+        # evaluate parses what score wrote and hands it to simulate, and nothing holds it after
+        assert parsed == [out / "snapshot.txt"]
+        assert hierarchy._held == []
+
+    def test_a_snapshot_is_handed_over_once_and_only_for_its_bytes(self, full_run, tmp_path, monkeypatch):
+        monkeypatch.setattr(hierarchy, "_held", [])
+        path = tmp_path / "snapshot.txt"
+        shutil.copy(full_run[1] / "snapshot.txt", path)
+        first = load_snapshot(path)
+        assert load_snapshot(path) is first and hierarchy._held == []  # handed over once
+        again = load_snapshot(path)  # parsed again, and held
+        assert again is not first and again.entries == first.entries
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")  # other bytes: parsed, not handed over
+        assert len(load_snapshot(path).entries) == len(again.entries) - 1

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from influence_engine.population import (
     CampaignParams,
     PopulationParams,
     SyntheticPopulation,
     desk_registry,
+    draw_campaign_population,
     generate_events,
     generate_labels,
     generate_population,
@@ -222,3 +225,48 @@ class TestRegistryShape:
         # 3 cohorts x 7 windows x 2 content x 3 actions = 126 dynamic keys
         assert len(registry.dynamic_keys("tw")) == 126
         assert set(registry.networks) == {"tw", "fb"}
+
+
+class TestCampaignDraw:
+    """``draw_campaign_population`` draws what ``run_campaign`` reads of
+    ``generate_population``'s population, without sampling an audience."""
+
+    @given(
+        n_users=st.integers(min_value=2, max_value=40),
+        mean_audience=st.one_of(st.sampled_from([0.5, 2.5, 3.5]), st.floats(min_value=0.1, max_value=60)),
+        max_audience=st.integers(min_value=1, max_value=60),  # below and above n - 1
+        sigma=st.sampled_from([0.0, 1.0, 2.0]),  # 0: every level alike, so 2.5 rounds at .5
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_the_draw_is_generate_populations(self, n_users, mean_audience, max_audience, sigma, seed):
+        params = PopulationParams(
+            n_users=n_users, mean_audience=mean_audience, max_audience=max_audience, lognormal_sigma=sigma
+        )
+        pop = generate_population(params, seed)
+        drawn = draw_campaign_population(params, seed)
+        assert drawn.users == pop.users
+        assert drawn.latent == pop.latent
+        sizes = tuple(len(pop.audiences[u]) for u in pop.users)
+        assert drawn.audience_sizes == pop.audience_sizes == sizes
+        # the one formula, with Python's round (to even at .5)
+        mean = float(np.mean(list(pop.latent.values())))
+        assert sizes == tuple(
+            max(1, min(round(mean_audience * pop.latent[u] / mean), max_audience, n_users - 1)) for u in pop.users
+        )
+        scores = {u: 10.0 + 70.0 * i / (n_users - 1) for i, u in enumerate(sorted(pop.users, key=pop.latent.get))}
+        assert run_campaign(drawn, scores, CampaignParams(post_prob=0.9), seed) == run_campaign(
+            pop, scores, CampaignParams(post_prob=0.9), seed
+        )
+
+    def test_a_ratio_of_one_half_rounds_to_even(self):
+        # eight equal levels: each level is the mean, so 2.5 and 3.5 audiences are exact
+        for mean_audience, size in ((2.5, 2), (3.5, 4), (0.5, 1)):
+            params = PopulationParams(n_users=8, mean_audience=mean_audience, lognormal_sigma=0.0)
+            assert draw_campaign_population(params, seed=1).audience_sizes == (size,) * 8
+
+    @pytest.mark.parametrize("n_users", [0, 1])
+    def test_fewer_than_two_users_are_refused(self, n_users):
+        params = PopulationParams(n_users=n_users)
+        for draw in (generate_population, draw_campaign_population):
+            with pytest.raises(ValueError, match="at least 2 users"):
+                draw(params, 3)
