@@ -205,6 +205,19 @@ def normalize(raw: float, maximum: float) -> float:
     return math.log1p(raw) / math.log1p(maximum)
 
 
+def normalize_table(table: RawFeatureTable, maxima: Mapping[str, float]) -> None:
+    """``normalize`` each value of ``table`` in place against its key's maximum;
+    a key that is 0 for every user has no recorded maximum and normalizes to 0."""
+    maximum = [maxima.get(key, 0.0) for key in table.keys]
+    # one normalize per distinct (key, raw value), the values grouped by bits as
+    # dump_table groups them, so that -0.0 keeps its own
+    bits, value = np.unique(table.value.view(np.int64), return_inverse=True)
+    pairs, cell = np.unique(table.key * len(bits) + value, return_inverse=True)
+    key, value = np.divmod(pairs, len(bits))
+    raw = bits.view(np.float64)[value].tolist()
+    table.value[:] = np.array(list(map(normalize, raw, map(maximum.__getitem__, key.tolist()))))[cell]
+
+
 @dataclass
 class FeatureStore:
     """Dense normalized vectors per (user, network), aligned to the frozen
@@ -239,47 +252,61 @@ def dump_table(table: RawFeatureTable, path: str | Path) -> None:
     lineio.write_lines(path, (f"{users[u]}\t{table.keys[k]}\t{texts[v]}" for u, k, v in cells))
 
 
-def _parse_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
-    """``load_store``'s parse: each network's cells fill one
-    (its users) x ``keys_for`` matrix, whose read-only rows are the vectors."""
-    keys = {network: registry.keys_for(network) for network in registry.networks}
-    order = {key: code for code, key in enumerate(chain(*keys.values()))}
-
-    def key_code(key):
-        if key not in order:
-            raise ValueError(f"feature key {key!r} is not in the registry")
-        return order[key]
-
-    def value(token):  # coded by token, not by float, so that -0.0 and 0.0 keep their own codes
-        if not 0 <= float(token) < math.inf:  # nan fails both comparisons
-            raise ValueError(f"feature value {token!r} must be finite and >= 0")
-        return token
-
-    users, key, values = lineio.read_columns(
-        path, [("", lineio.decode_value, "user"), ("", key_code, "key"), ("", value, "value")]
-    )
-    key = np.array(key.values, dtype=np.intp)[key.codes]  # each line's key code in registry order
-    numbers = np.array(list(map(float, values.values)))
+def _fill_store(registry: FeatureRegistry, users: CodedColumn, keys: CodedColumn, value: np.ndarray) -> FeatureStore:
+    """The store of one cell per line of the columns, users coded in name
+    order: each network's cells fill one (its users) x ``keys_for`` matrix,
+    whose read-only rows are the vectors. A key outside the registry, or a
+    cell given twice, raises ``ValueError``."""
+    network_keys = {network: registry.keys_for(network) for network in registry.networks}
+    order = {k: code for code, k in enumerate(chain(*network_keys.values()))}
+    if unknown := [k for k in keys.values if k not in order]:
+        raise ValueError(f"feature key {unknown[0]!r} is not in the registry")
+    key = np.array([order[k] for k in keys.values], dtype=np.intp)[keys.codes]  # each cell's registry key code
     store = FeatureStore(registry=registry)
     filled = first = 0  # first: the code of the network's first key
-    for network, network_keys in keys.items():
-        on = (first <= key) & (key < first + len(network_keys))
+    for network, owned in network_keys.items():
+        on = (first <= key) & (key < first + len(owned))
         owners, row = np.unique(users.codes[on], return_inverse=True)
-        matrix = np.full((len(owners), len(network_keys)), math.nan)  # nan: unfilled
-        matrix[row, key[on] - first] = numbers[values.codes[on]]
+        matrix = np.full((len(owners), len(owned)), math.nan)  # nan: unfilled
+        matrix[row, key[on] - first] = value[on]
         unfilled = np.isnan(matrix)
         filled += unfilled.size - np.count_nonzero(unfilled)
         matrix[unfilled] = 0.0
         matrix.flags.writeable = False  # and so is every row view
         owners = map(users.values.__getitem__, owners.tolist())
         store.vectors.update(zip(zip(owners, repeat(network)), matrix))
-        first += len(network_keys)
+        first += len(owned)
     if filled != len(key):  # a second line for a cell overwrote the first
         raise ValueError("a (user, key) pair has more than one line")
     return store
 
 
-# the last store parsed, as ((file digest, registry), store), until the next reader of those bytes
+def _parse_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
+    """``load_store``'s parse: the columns of a ``dump_table`` file, whose users
+    come in name order, into ``_fill_store``."""
+    def value(token):  # coded by token, not by float, so that -0.0 and 0.0 keep their own codes
+        if not 0 <= float(token) < math.inf:  # nan fails both comparisons
+            raise ValueError(f"feature value {token!r} must be finite and >= 0")
+        return token
+
+    users, key, values = lineio.read_columns(
+        path, [("", lineio.decode_value, "user"), ("", str, "key"), ("", value, "value")]
+    )
+    return _fill_store(registry, users, key, np.array(list(map(float, values.values)))[values.codes])
+
+
+def dump_store(table: RawFeatureTable, path: str | Path, registry: FeatureRegistry, readers: int) -> None:
+    """``dump_table`` of a normalized table, whose store, as ``load_store``
+    would read it from those bytes, is held for the next ``readers`` calls of
+    ``load_store`` on them with an equal registry."""
+    dump_table(table, path)
+    users = CodedColumn(sorted(table.users), _ranks(table.users)[table.user])
+    store = _fill_store(registry, users, CodedColumn(table.keys, table.key), table.value)
+    lineio.hold(_held, path, store, readers, registry)
+
+
+# the store last parsed or dumped, as one ((file digest, registry), store) per
+# call it is held for, until its last reader or the next reader of other bytes
 _held: list = []
 
 
@@ -289,9 +316,11 @@ def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
     not of 3 fields, a key outside the registry, a value not finite and >= 0,
     or a repeated (user, key) raises ``ValueError`` naming the file.
 
-    The vectors are read-only. The store is kept after its parse and handed
-    over once, without a parse, to the next call with the same file bytes and
-    an equal registry, so that train and score in one process parse it once."""
+    The vectors are read-only. A store that ``dump_store`` holds for these
+    bytes is taken without a parse, so that train and score in an ``all`` run
+    parse nothing; a store parsed is held for the next call with the same
+    bytes and an equal registry, so that train and score run apart in one
+    process parse it once."""
     return lineio.parse_once(_held, path, _parse_store, registry)
 
 

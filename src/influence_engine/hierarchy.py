@@ -97,6 +97,8 @@ def parse_tree(data: dict) -> ScoreNode:
     repeated = sorted({i for i in ids if ids.count(i) > 1})
     if repeated:  # child scores are keyed by node id: a node would read its namesake's
         raise ValueError(f"node_id repeated in the tree: {repeated}")
+    if broken := sorted({i for i in ids if set(i) & set(" =\t\n")}):  # snapshot.txt holds "id=score id=score"
+        raise ValueError(f"node_id holds a space, '=', a tab or a newline: {broken}")
     return tree
 
 
@@ -249,13 +251,16 @@ def score_population(
 
 # -- snapshot files --------------------------------------------------------
 
-def save_snapshot(snapshot: ScoreSnapshot, path: str | Path) -> None:
+def save_snapshot(snapshot: ScoreSnapshot, path: str | Path, readers: int = 0) -> None:
+    """Write ``snapshot`` and hold it for the next ``readers`` calls of
+    ``load_snapshot`` on those bytes."""
     lines = [f"as_of={snapshot.as_of.isoformat()}"]
     for user in sorted(snapshot.entries):
         entry = snapshot.entries[user]
         nodes = " ".join(f"{nid}={repr(s)}" for nid, s in entry.node_scores)
         lines.append(f"{lineio.encode_value(user)}\t{entry.overall!r}\t{entry.raw_root!r}\t{nodes}")
     lineio.write_lines(path, lines)
+    lineio.hold(_held, path, snapshot, readers)
 
 
 def _parse_snapshot(path: str | Path) -> ScoreSnapshot:
@@ -273,15 +278,16 @@ def _parse_snapshot(path: str | Path) -> ScoreSnapshot:
     return snapshot
 
 
-# the last snapshot parsed, as ((file digest,), snapshot), until the next reader of those bytes
+# the snapshot last parsed or saved, as one ((file digest,), snapshot) per call
+# it is held for, until its last reader or the next reader of other bytes
 _held: list = []
 
 
 def load_snapshot(path: str | Path) -> ScoreSnapshot:
     """A ``save_snapshot`` file; a damaged one raises ``ValueError`` naming it.
 
-    The snapshot is kept after its parse and handed over once, without a
-    parse, to the next call with the same file bytes, so that evaluate and
-    simulate in one process parse it once. Only a parse is held: a snapshot
-    that ``save_snapshot`` writes is not."""
+    A snapshot that ``save_snapshot`` holds for these bytes is taken without a
+    parse, so that evaluate and simulate in an ``all`` run parse nothing; a
+    snapshot parsed is held for the next call with the same bytes, so that
+    evaluate and simulate run apart in one process parse it once."""
     return lineio.parse_once(_held, path, _parse_snapshot)

@@ -2,10 +2,10 @@
 
 Every accepted record is kept as its canonical line, and those of events
 and edges are their dedup keys. For each of the four inputs, a raw line that
-already is one (``lineio.CANONICAL_EVENT``, ``CANONICAL_EDGE``,
-``CANONICAL_LABEL``, ``canonical_profiles``) and passes its checks is kept as
-it is; any other is decoded, checked and encoded again, so that each reason
-to reject it counts.
+already is one and passes its checks (``lineio.canonical_patterns``, compiled
+from the registry once per batch, and ``canonical_profiles``) is kept as it
+is; any other is decoded, checked and encoded again, so that each reason to
+reject it counts.
 """
 
 from __future__ import annotations
@@ -75,25 +75,17 @@ def _decoded(line: str, decode, report: LoadReport):
 
 
 def read_events(
-    path: Path, window: TimeWindow, registry: FeatureRegistry, report: LoadReport
+    path: Path, window: TimeWindow, canonical, registry: FeatureRegistry, report: LoadReport
 ) -> list[str]:
-    """The canonical line of each valid, in-window event, once, sorted."""
-    triples = {
-        (name, content, action)
-        for name, spec in registry.networks.items()
-        for content in spec.content_types
-        for action in spec.actions
-    }
+    """The canonical line of each valid, in-window event, once, sorted; a raw
+    line that ``canonical`` matches in full is kept as it is if in the window."""
     lines: set[str] = set()
     kept = 0
     for line in lineio.read_lines(path, errors="surrogateescape"):
-        match = lineio.CANONICAL_EVENT.fullmatch(line)
-        if match:
-            actor, author, network, content, action, timestamp = match.groups()
-            if actor != author and (network, content, action) in triples and window.contains(int(timestamp)):
-                kept += 1
-                lines.add(line)
-                continue
+        if (match := canonical.fullmatch(line)) and window.contains(int(match["t"])):
+            kept += 1
+            lines.add(line)
+            continue
         if (event := _decoded(line, lineio.decode_event, report)) is None:
             continue
         reason = validate_event(event, registry)
@@ -142,14 +134,11 @@ def read_profiles(path: Path, ref_date: date, registry: FeatureRegistry, report:
 
 def _read_registered(path: Path, canonical, decode, encode, registry: FeatureRegistry, report: LoadReport):
     """The canonical line of each record of a file on a registered network. A
-    raw line that ``canonical`` matches, with two distinct ids (groups ``a``
-    and ``b``) on a registered network, is kept as it is; any other is
+    raw line that ``canonical`` matches in full is kept as it is; any other is
     decoded, checked and encoded again."""
     lines, others = [], []
     for line in lineio.read_lines(path, errors="surrogateescape"):
-        match = canonical.fullmatch(line)
-        taken = match and match["a"] != match["b"] and match["network"] in registry.networks
-        (lines if taken else others).append(line)
+        (lines if canonical.fullmatch(line) else others).append(line)
     for line in others:
         if (record := _decoded(line, decode, report)) is None:
             continue
@@ -160,9 +149,9 @@ def _read_registered(path: Path, canonical, decode, encode, registry: FeatureReg
     return lines
 
 
-def read_edges(path: Path, registry: FeatureRegistry, report: LoadReport) -> list[str]:
+def read_edges(path: Path, canonical, registry: FeatureRegistry, report: LoadReport) -> list[str]:
     """The canonical line of each edge on a registered network, once, sorted."""
-    lines = _read_registered(path, lineio.CANONICAL_EDGE, lineio.decode_edge, lineio.encode_edge, registry, report)
+    lines = _read_registered(path, canonical, lineio.decode_edge, lineio.encode_edge, registry, report)
     unique = sorted(set(lines))
     if len(lines) > len(unique):
         report.rejected["duplicate-edge"] = len(lines) - len(unique)
@@ -181,13 +170,12 @@ def load_batch(
     events, profiles, edges, labels = (Path(directory) / name for name in INPUT_FILES)
     report = LoadReport()
     window = TimeWindow(reference_time, MAX_WINDOW_DAYS)
+    event, edge, label = lineio.canonical_patterns(registry)
     batch = IngestBatch(
-        events=read_events(events, window, registry, report),
+        events=read_events(events, window, event, registry, report),
         profiles=read_profiles(profiles, window.reference_date(), registry, report),
-        edges=read_edges(edges, registry, report),
-        labels=sorted(_read_registered(
-            labels, lineio.CANONICAL_LABEL, lineio.decode_label, lineio.encode_label, registry, report
-        )),
+        edges=read_edges(edges, edge, registry, report),
+        labels=sorted(_read_registered(labels, label, lineio.decode_label, lineio.encode_label, registry, report)),
     )
     report.labels = len(batch.labels)
     return batch, report

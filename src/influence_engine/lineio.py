@@ -16,11 +16,13 @@ dumps: a chunk of whole lines at a time, it returns each string column coded
 column as one int per line; the two ids of an edge or a label share one value
 list, so the check that they differ compares codes. ``read_written_lines``
 reads the engine's other files and refuses a blank line, which ``read_lines``,
-the reader of raw input, skips. ``CANONICAL_EVENT``, ``CANONICAL_EDGE``,
-``CANONICAL_LABEL`` and ``canonical_profiles`` (over ``CANONICAL_PROFILE``)
-take a raw line that already is its record's encoding, so that ingest can
-keep it without decoding it. ``parse_once`` hands a reader's parse of a file
-to its next call on the same bytes. The data model forbids an empty user id, a
+the reader of raw input, skips. The patterns that ``canonical_patterns``
+compiles from a registry, and ``canonical_profiles`` (over
+``CANONICAL_PROFILE``), take a raw line that already is its record's
+encoding, so that ingest can keep it without decoding it, and
+``read_profiles`` reads a profile off its match. ``parse_once`` hands the
+value that a writer (``hold``) or a parse of a file holds to the next
+readers of the same bytes. The data model forbids an empty user id, a
 self-loop edge, a label comparing one user with itself, a timestamp or vote
 count that is not an integer, a negative vote count, a numeric profile
 attribute that is negative or not finite, and a key given twice (a profile
@@ -44,6 +46,7 @@ from urllib.parse import quote, unquote
 import numpy as np
 
 from .events import CodedColumn, EventColumns, GraphEdge, InteractionEvent, PairwiseLabel, ProfileSnapshot
+from .registry import FeatureRegistry
 
 EDGE_KEYS = ("from", "to", "network")  # a GraphEdge's src, dst and network
 
@@ -70,11 +73,12 @@ def naming(path: str | Path) -> Iterator[None]:
 
 
 def parse_once(held: list, path: str | Path, parse: Callable, *key):
-    """``parse(path, *key)``, its ``ValueError`` naming ``path``. What it
-    returns is kept in ``held``, a reader's own list, and handed over once,
-    without a parse, to that reader's next call with the same file bytes and
-    an equal ``key``; any other call drops it before it parses, so that a
-    reader never holds two parses at once."""
+    """``parse(path, *key)``, its ``ValueError`` naming ``path``, unless
+    ``held``, a reader's own list, holds a value for the same file bytes and an
+    equal ``key``: one ``((file digest, *key), value)`` entry per call it is
+    held for. Such a call takes an entry without a parse, and the last one
+    leaves nothing held. Any other call drops what is held before it parses,
+    so that a reader never holds two values, and holds its parse for one more."""
     digest = sha256(path)
     if held and held[0][0] == (digest, *key):
         return held.pop()[1]
@@ -83,6 +87,12 @@ def parse_once(held: list, path: str | Path, parse: Callable, *key):
         value = parse(path, *key)
     held.append(((digest, *key), value))
     return value
+
+
+def hold(held: list, path: str | Path, value, readers: int, *key) -> None:
+    """Hold ``value``, what a writer just wrote to ``path``, in ``held`` for the
+    next ``readers`` calls of ``parse_once`` on those bytes and an equal ``key``."""
+    held[:] = [((sha256(path), *key), value)] * readers if readers else []
 
 
 def _tokens(line: str) -> Iterator[tuple[str, str]]:
@@ -100,23 +110,37 @@ _EVENT_LINE, _EDGE_LINE, _LABEL_LINE = (
     for keys in (InteractionEvent._fields, EDGE_KEYS, PairwiseLabel._fields)
 )
 
-# A line this matches in full is ``encode_event(*decode_event(line))``: no value
-# needs escaping, and the timestamp is a positive int's repr, short enough for
-# int() (a longer one is left to the decoder). Groups: the event's fields.
-CANONICAL_EVENT = re.compile(
-    _EVENT_LINE.format(*[f"({_PLAIN}+)"] * 2, *[f"({_PLAIN}*)"] * 3, "([1-9][0-9]{0,18})")
-)
-# Likewise ``encode_edge(decode_edge(line))`` when groups ``a`` and ``b``, its
-# two ids, differ; groups ``a``, ``b`` and ``network`` are src, dst and network.
-CANONICAL_EDGE = re.compile(_EDGE_LINE.format(
-    f"(?P<a>{_PLAIN}+)", f"(?P<b>{_PLAIN}+)", f"(?P<network>{_PLAIN}*)"
-))
-# Likewise ``encode_label(decode_label(line))`` when its two users, groups ``a``
-# and ``b``, differ; each vote count is a non-negative int's repr. Groups:
-# ``network``, ``a`` and ``b``, the label's first three fields.
-CANONICAL_LABEL = re.compile(_LABEL_LINE.format(
-    f"(?P<network>{_PLAIN}*)", f"(?P<a>{_PLAIN}+)", f"(?P<b>{_PLAIN}+)", *["(?:0|[1-9][0-9]{0,18})"] * 2
-))
+
+def _either(patterns: list[str]) -> str:
+    """A pattern that matches what one of ``patterns`` matches; nothing if there are none."""
+    return f"(?:{'|'.join(patterns)})" if patterns else "(?!)"
+
+
+def _names(names: Iterable[str]) -> str:
+    """A pattern that matches each of ``names`` that is its own encoding, and nothing else."""
+    return _either([re.escape(name) for name in names if encode_value(name) == name])
+
+
+def canonical_patterns(registry: FeatureRegistry) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The patterns of the event, edge and label lines that are their record's
+    encoding (``encode_event(*decode_event(line))`` and likewise), of a record
+    that ``registry`` accepts: two ids that differ, no value to escape (a name
+    that is not its own encoding matches no line), a registered network, an
+    event's content type and action of its network, vote counts that are
+    non-negative ints' reprs, and a timestamp (group ``t``) that is a positive
+    int's repr short enough for int(); a longer one is left to the decoder."""
+    a, b = f"(?P<a>{_PLAIN}+)", f"(?!(?P=a)\t){_PLAIN}+"  # two ids, the second not the first
+    combos = _either([  # each network with its content types and actions, as an event line holds them
+        f"{_names([network])}\tcontent_type={_names(spec.content_types)}\taction={_names(spec.actions)}"
+        for network, spec in registry.networks.items()
+    ])
+    return (
+        re.compile(f"actor={a}\tauthor={b}\tnetwork={combos}\ttimestamp=(?P<t>[1-9][0-9]{{0,18}})"),
+        re.compile(_EDGE_LINE.format(a, b, _names(registry.networks))),
+        re.compile(_LABEL_LINE.format(_names(registry.networks), a, b, *["(?:0|[1-9][0-9]{0,18})"] * 2)),
+    )
+
+
 # A line this matches in full, and that ``canonical_profiles`` then takes, is
 # ``encode_profile(decode_profile(line))``: no key or value needs escaping, and
 # the numeric attributes come before the categorical ones. Groups: user,
@@ -126,6 +150,8 @@ CANONICAL_PROFILE = re.compile(
     f"((?:\tn:{_PLAIN}+=[0-9]+(?:\\.[0-9]+)?(?:e[-+][0-9]+)?)*)(?:\tc:{_PLAIN}+={_PLAIN}*)*"
 )
 _NUMBER = re.compile("=([^\t]*)")  # the value of a numeric token
+# the key and value of each numeric, or categorical, token of a canonical line
+_NUMERIC, _CATEGORICAL = (re.compile(f"\t{kind}:([^=]*)=([^\t]*)") for kind in "nc")
 
 
 class _Verdicts(dict):
@@ -367,10 +393,17 @@ def read_labels(path: str | Path) -> tuple[PairwiseLabel, ...]:
 
 
 def read_profiles(path: str | Path) -> Iterator[ProfileSnapshot]:
-    """The profiles of a file of ``encode_profile`` lines, one at a time; a line
-    that does not decode, or a blank one, raises ``ValueError`` naming the file."""
+    """The profiles of a file of ``encode_profile`` lines, one at a time: a line
+    that ``canonical_profiles`` takes is read off its match, any other is
+    decoded. A line that does not decode, or a blank one, raises ``ValueError``
+    naming the file."""
     with naming(path):
-        yield from map(decode_profile, read_written_lines(path))
+        for line, match in canonical_profiles(read_written_lines(path)):
+            yield decode_profile(line) if match is None else ProfileSnapshot(
+                match[1], match[2], date.fromisoformat(match[3]),
+                tuple([(key, float(value)) for key, value in _NUMERIC.findall(match[4])]),
+                tuple(_CATEGORICAL.findall(line, match.end(4))),
+            )
 
 
 def read_written_lines(path: str | Path) -> Iterator[str]:

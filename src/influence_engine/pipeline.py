@@ -195,6 +195,7 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
         lineio.read_edges(ingested / "edges.txt"), cfg.registry,
     )
     table = dynamic.concat(longlasting)
+    del dynamic, longlasting  # so that the store's build finds their memory free
     maxima = feat.compute_global_maxima(table)
     for network in unconverged:
         print(f"warning\tpagerank-unconverged\tnetwork={network}")
@@ -202,16 +203,8 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     dest = out / "features"
     feat.dump_table(table, dest / "raw_features.txt")
     feat.dump_maxima(maxima, dest / "maxima.txt")
-    # a key that is 0 for every user has no recorded maximum and normalizes to 0
-    maximum = [maxima.get(key, 0.0) for key in table.keys]
-    # one normalize per distinct (key, raw value), the values grouped by bits as
-    # dump_table groups them, so that -0.0 keeps its own
-    bits, value = np.unique(table.value.view(np.int64), return_inverse=True)
-    pairs, cell = np.unique(table.key * len(bits) + value, return_inverse=True)
-    key, value = np.divmod(pairs, len(bits))
-    raw = bits.view(np.float64)[value].tolist()
-    table.value[:] = np.array(list(map(feat.normalize, raw, map(maximum.__getitem__, key.tolist()))))[cell]
-    feat.dump_table(table, _normalized_path(out))
+    feat.normalize_table(table, maxima)
+    feat.dump_store(table, _normalized_path(out), cfg.registry, _readers(cfg, "train", "score"))
     lineio.write_lines(_graph_stats_path(out), (
         "\t".join([network] + [f"{key}={value!r}" for key, value in sorted(values.items())])
         for network, values in stats.items()
@@ -267,7 +260,7 @@ def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
     stats = {network: dict(zip(keys, values)) for network, *values in zip(names, *columns)}
     as_of = TimeWindow(cfg.reference_time, MAX_WINDOW_DAYS).reference_date()
     snapshot = score_population(cfg.tree, store, models, stats, as_of=as_of)
-    save_snapshot(snapshot, out / "snapshot.txt")
+    save_snapshot(snapshot, out / "snapshot.txt", _readers(cfg, "evaluate", "simulate"))
     return {"scored_users": len(snapshot.entries)}
 
 
@@ -324,6 +317,11 @@ def stages_for_mode(cfg: RunConfig, mode: str) -> list[str]:
     if mode not in STAGES:
         raise ValueError(f"unknown mode {mode!r}")
     return [mode]
+
+
+def _readers(cfg: RunConfig, *stages: str) -> int:
+    """How many of ``stages``, which read a file, an ``all`` run of ``cfg`` runs."""
+    return len(set(stages).intersection(stages_for_mode(cfg, "all")))
 
 
 def run_pipeline(cfg: RunConfig, out: str | Path, mode: str = "all") -> Path:

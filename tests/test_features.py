@@ -567,6 +567,18 @@ class TestStoreHandOver:
             vec[0] = 1.0
 
 
+def test_dump_store_holds_a_store_for_its_readers_only(tmp_path, small_registry, monkeypatch):
+    monkeypatch.setattr(features, "_held", [])
+    table = table_of({("a", "dyn/tw/photo/like/all/7d"): 0.5})
+    path = tmp_path / "normalized.txt"
+    features.dump_store(table, path, small_registry, readers=2)
+    held = features._held[0][1]
+    assert load_store(path, small_registry) is held and load_store(path, small_registry) is held
+    assert features._held == []  # dropped after its last reader
+    assert load_store(path, small_registry) is not held  # and parsed again
+    features.dump_store(table, path, small_registry, readers=0)
+    assert features._held == []  # no reader: nothing held
+
 _registry = make_small_registry()
 NETWORK_OF = {
     key: network for network in _registry.networks for key in _registry.keys_for(network)
@@ -740,3 +752,29 @@ class TestRegistryKeySpace:
         data = {**small_registry.to_dict(), "peer_band": band}
         with pytest.raises(ValueError, match="peer_band"):
             FeatureRegistry.from_dict(data)
+
+
+# user ids that need escaping or hold a tab, on some networks only, each with
+# some of their network's keys
+ODD_USERS = ["a", "b", "c%d", "50%", "\u00e9t\u00e9", "a\tb", "d e"]
+handed_cells = st.dictionaries(
+    st.tuples(st.sampled_from(ODD_USERS), st.sampled_from(sorted(NETWORK_OF))),
+    st.floats(min_value=0, max_value=1) | st.sampled_from([0.0, -0.0, 5e-324, 1 / 3, 1.0]),
+    max_size=40,
+)
+
+
+@given(cells=handed_cells, idle=st.booleans())
+def test_the_store_features_holds_is_the_parse_of_its_file(tmp_path_factory, cells, idle):
+    table = table_of(cells)
+    if idle:  # a user of the table without a cell, as an author on no dynamic network is
+        table.users.append("idle")
+    path = tmp_path_factory.mktemp("handed") / "normalized.txt"
+    features.dump_store(table, path, _registry, readers=1)
+    (_, held), = features._held
+    features._held.clear()
+    parsed = features._parse_store(path, _registry)
+    assert list(held.vectors) == list(parsed.vectors)  # the same pairs, in the same order
+    for pair, vec in parsed.vectors.items():
+        assert held.vectors[pair].tobytes() == vec.tobytes()  # bitwise: -0.0 stays -0.0
+        assert not held.vectors[pair].flags.writeable

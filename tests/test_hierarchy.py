@@ -3,7 +3,10 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from influence_engine import hierarchy
 from influence_engine.features import FeatureStore
 from influence_engine.hierarchy import (
     ScoreEntry,
@@ -351,6 +354,14 @@ class TestScoreTree:
             assert 0.0 <= after.overall <= 100.0
 
 
+@pytest.mark.parametrize("node_id", ["tw leaf", "tw=1", "tw\tleaf", "tw\nleaf"])
+def test_a_node_id_a_snapshot_cannot_hold_is_refused(node_id):
+    # an all run hands score's snapshot over unparsed, so only a staged run would fail on it
+    data = {"node_id": "root", "children": [{"node_id": node_id, "network": "tw"}]}
+    with pytest.raises(ValueError, match="node_id holds a space"):
+        parse_tree(data)
+
+
 class TestSnapshotIO:
     def test_round_trip(self, tmp_path):
         registry = flat_registry(["tw"])
@@ -385,3 +396,37 @@ class TestSnapshotIO:
         path.write_text("u1\t50.0\t0.5\ttw=0.5\n")
         with pytest.raises(ValueError):
             load_snapshot(path)
+
+
+unit = st.floats(min_value=0, max_value=1)
+odd_users = st.sampled_from(["a", "b", "c%d", "50%", "\u00e9t\u00e9", "a\tb", "d e"])
+
+
+@given(
+    vectors=st.dictionaries(  # ids that need escaping or hold a tab, on one network or both
+        st.tuples(odd_users, st.sampled_from(["tw", "fb"])),
+        st.tuples(unit, unit),
+        max_size=12,
+    ),
+    weights=st.tuples(unit, unit).filter(any),
+)
+def test_the_snapshot_score_holds_is_the_parse_of_its_file(tmp_path_factory, vectors, weights):
+    registry = flat_registry(["tw", "fb"])
+    tree = parse_tree({"node_id": "root", "combiner": "l2-norm", "weights": [2.0, 1.0], "children": [
+        {"node_id": network, "combiner": "supervised-dot", "network": network} for network in ("tw", "fb")
+    ]})
+    models = {network: uniform_model(registry, network, weights) for network in ("tw", "fb")}
+    snapshot = score_population(tree, make_store(registry, vectors), models, {}, as_of=date(2023, 11, 14))
+    path = tmp_path_factory.mktemp("handed") / "snapshot.txt"
+    save_snapshot(snapshot, path, readers=1)
+    (_, held), = hierarchy._held
+    hierarchy._held.clear()
+    parsed = hierarchy._parse_snapshot(path)
+
+    def bits(entry):  # each score as its bits, so that -0.0 is not 0.0
+        scores = [entry.overall, entry.raw_root, *(score for _, score in entry.node_scores)]
+        return np.array(scores).tobytes(), [node for node, _ in entry.node_scores]
+
+    assert held.as_of == parsed.as_of
+    assert list(held.entries) == list(parsed.entries)  # the same users, in the same order
+    assert [bits(entry) for entry in held.entries.values()] == [bits(entry) for entry in parsed.entries.values()]

@@ -1,5 +1,7 @@
+import re
 from collections import Counter
 from datetime import date
+from urllib.parse import unquote
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -23,6 +25,7 @@ from influence_engine.ingest import (
     load_batch,
 )
 from influence_engine.pipeline import RunConfig, stage_ingest
+from influence_engine.registry import FeatureRegistry, NetworkSpec
 
 REF = 1_700_000_000
 
@@ -716,6 +719,31 @@ def test_profile_fast_path_equals_the_per_line_reference(tmp_path_factory, profi
     assert load_batch(raw, REF, registry) == reference_profile_batch(raw, registry)
 
 
+
+def written_profiles():
+    """Profile lines as a file that ingest wrote holds them, next to ones it
+    never writes: a numeric value out of range, a -0.0 and a damaged line."""
+    line = lineio.encode_profile(ProfileSnapshot("a", "tw", date(2023, 11, 13), (("followers", 10.0),), (("x", "BS"),)))
+    return [line, line.replace("=10.0", "=-0.0"), line.replace("=10.0", "=1e+999"), line.partition("\t")[2]]
+
+
+@given(lines=st.lists(st.builds(
+    lambda line, how: PROFILE_SPELLINGS.get(how, str)(line), profiles_to_respell,
+    st.sampled_from(["as is"] * 4 + sorted(set(PROFILE_SPELLINGS) - {"not utf-8"})),
+), min_size=1, max_size=8))
+@example(lines=written_profiles()[:2])
+@example(lines=written_profiles())
+def test_read_profiles_reads_what_decode_profile_reads(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("written") / "profiles.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    try:
+        expected = list(map(lineio.decode_profile, lines))
+    except ValueError:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            list(lineio.read_profiles(path))
+    else:  # as reprs, so that -0.0 is not 0.0
+        assert list(map(repr, lineio.read_profiles(path))) == list(map(repr, expected))
+
 LABEL_SPELLINGS = {
     "escape": lambda line: respell_token(line, "user_a", lambda v: f"%{ord(v[0]):02X}{v[1:]}" if v[:1].isalnum() else v),
     "swap": lambda line: "\t".join([*reversed(line.split("\t")[:2]), *line.split("\t")[2:]]),
@@ -764,3 +792,93 @@ def test_label_fast_path_equals_the_per_line_reference(tmp_path_factory, labels)
     raw = write_inputs(tmp_path_factory.mktemp("labels"))
     (raw / "labels.txt").write_text(labels, encoding="utf-8", errors="surrogateescape", newline="")
     assert load_batch(raw, REF, registry) == reference_label_batch(raw, registry)
+
+
+# -- the fast paths under registries whose names need escaping ------------------
+
+# names that need escaping or are regex metacharacters, next to plain ones that
+# a pattern of them could match by mistake
+NAMES = ["a b", "x%y", ".", "a+", "(", "x", "ax", "aa", ""]
+names = st.sampled_from(NAMES)
+drawn_registries = st.dictionaries(
+    names, st.tuples(*[st.lists(names, unique=True, max_size=3).map(tuple)] * 2), max_size=3
+).map(lambda specs: FeatureRegistry(networks={  # a network may have no content types or no actions
+    name: NetworkSpec(name, content_types, actions) for name, (content_types, actions) in specs.items()
+}))
+odd_ids = st.sampled_from(["a", "b", "a b"])
+BREAKS = frozenset("\t\n\r")
+
+
+def literal(line):
+    """``line`` with each value unescaped, but for one that would then hold a
+    tab or a line break: the same record, spelt as a raw file may spell it."""
+    tokens = []
+    for token in line.split("\t"):
+        key, _, value = token.partition("=")
+        plain = unquote(value)
+        tokens.append(f"{key}={value if BREAKS & set(plain) else plain}")
+    return "\t".join(tokens)
+
+
+def odd_text(lines):
+    """Lines, each kept, unescaped or respelt."""
+    spelt = st.sampled_from(["as is", "as is", "literal", "escape", "swap"])
+    line = st.builds(lambda line, how: literal(line) if how == "literal" else respell(line, how), lines, spelt)
+    return st.lists(line, max_size=12).map(with_repeats).map(lambda lines: "".join(l + "\n" for l in lines))
+
+
+@st.composite
+def registry_and_files(draw):
+    """A drawn registry, and the raw event, edge and label files of records
+    mostly on its names."""
+    registry = draw(drawn_registries)
+    combos = [(n, c, a) for n, spec in registry.networks.items() for c in spec.content_types for a in spec.actions]
+    # a registered (network, content type, action), maybe with one name swapped for any other
+    combo = st.builds(
+        lambda combo, at, name: tuple(name if i == at else value for i, value in enumerate(combo)),
+        st.sampled_from(combos) if combos else st.tuples(names, names, names), st.sampled_from([None, 0, 1, 2]), names,
+    )
+    network = st.sampled_from(sorted(registry.networks)) | names if registry.networks else names
+    events = st.builds(lambda a, b, combo, t: lineio.encode_event(a, b, *combo, t), odd_ids, odd_ids, combo, in_window)
+    edges = st.builds(GraphEdge, odd_ids, odd_ids, network).map(lineio.encode_edge)
+    labels = st.builds(PairwiseLabel, network, odd_ids, odd_ids, st.just(1), st.just(0)).map(lineio.encode_label)
+    files = {"events.txt": events, "edges.txt": edges, "labels.txt": labels}
+    return registry, {name: draw(odd_text(lines)) for name, lines in files.items()}
+
+
+def odd_lines():
+    """Lines that a pattern without ``re.escape``, without the own-encoding
+    filter, or without the lookahead on the second id would take."""
+    event = lineio.encode_event("a", "b", ".", ".", "x", REF - 1000)
+    return {
+        "events.txt": "".join(line + "\n" for line in (
+            event,  # taken
+            event.replace("content_type=.", "content_type=x"),  # "." is not any character
+            event.replace("content_type=.", "content_type=a b"),  # an unescaped "a b"
+            event.replace("author=b", "author=a"),  # a self-reaction
+        )),
+        "edges.txt": "".join(
+            f"from=a\tto={b}\tnetwork={network}\n" for network, b in ((".", "b"), ("x", "b"), ("a b", "b"), (".", "a"))
+        ),
+        "labels.txt": "".join(
+            f"network={network}\tuser_a=a\tuser_b={b}\tvotes_a=1\tvotes_b=0\n" for network, b in
+            ((".", "b"), ("x", "b"), ("a b", "b"), (".", "a"))
+        ),
+    }
+
+
+@given(case=registry_and_files())
+@example(case=(FeatureRegistry(networks={
+    ".": NetworkSpec(".", (".",), ("x",)), "a b": NetworkSpec("a b", ("a b",), ("x",)),
+}), odd_lines()))
+@settings(max_examples=200, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+def test_fast_paths_equal_the_per_line_reference_under_any_registry(tmp_path_factory, case):
+    registry, files = case
+    for name, reference in (
+        ("events.txt", reference_load_batch),
+        ("edges.txt", reference_edge_batch),
+        ("labels.txt", reference_label_batch),
+    ):
+        raw = write_inputs(tmp_path_factory.mktemp("odd"))
+        (raw / name).write_text(files[name], encoding="utf-8")
+        assert load_batch(raw, REF, registry) == reference(raw, registry)

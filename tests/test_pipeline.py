@@ -844,7 +844,7 @@ class TestCLI:
         assert sorted(parsed) == ["registry", "tree"]
         assert "simulate" in (tmp_path / "o" / "timings.txt").read_text()
 
-    def test_an_all_run_parses_the_normalized_features_once(self, dataset, tmp_path, monkeypatch):
+    def test_an_all_run_never_parses_the_normalized_features(self, dataset, tmp_path, monkeypatch):
         parsed, loaded = [], []
         parse, load = features._parse_store, pipeline.load_store
 
@@ -861,12 +861,40 @@ class TestCLI:
         gc.disable()  # so that only a reference, not a collection, can free the store
         try:
             run_pipeline(cfg, out, mode="all")
-            # train's store is score's, and nothing holds it once score returns
+            # the store that features held is train's and score's, and nothing holds it once score returns
             assert len(loaded) == 2 and loaded[0]() is None and loaded[1]() is None
         finally:
             gc.enable()
+        assert parsed == [] and features._held == []
+        # train run on its own parses what features wrote, once
+        run_pipeline(cfg, out, mode="train")
         assert parsed == [out / "features" / "normalized_features.txt"]
-        assert features._held == []
+
+    def test_a_changed_byte_between_stages_is_parsed_not_handed_over(self, dataset, tmp_path, monkeypatch):
+        parsed = []
+        parse_store, parse_snapshot = features._parse_store, hierarchy._parse_snapshot
+        monkeypatch.setattr(features, "_held", [])
+        monkeypatch.setattr(hierarchy, "_held", [])
+        monkeypatch.setattr(features, "_parse_store", lambda path, reg: parsed.append(path) or parse_store(path, reg))
+        monkeypatch.setattr(hierarchy, "_parse_snapshot", lambda path: parsed.append(path) or parse_snapshot(path))
+        cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
+        out = tmp_path / "out"
+        for stage in ("ingest", "features"):
+            run_pipeline(cfg, out, mode=stage)
+        normalized = out / "features" / "normalized_features.txt"
+        lines = normalized.read_text().splitlines(keepends=True)
+        user, key, value = lines[0].rstrip("\n").split("\t")
+        lines[0] = f"{user}\t{key}\t{float(value) / 2!r}\n"  # the first cell, halved
+        normalized.write_text("".join(lines))
+        run_pipeline(cfg, out, mode="train")
+        run_pipeline(cfg, out, mode="score")  # takes train's parse
+        assert parsed == [normalized]
+        snapshot = out / "snapshot.txt"
+        entries = load_snapshot(snapshot).entries  # taken from what score held
+        assert parsed == [normalized]
+        snapshot.write_text("".join(snapshot.read_text().splitlines(keepends=True)[:-1]))  # the last user dropped
+        assert len(load_snapshot(snapshot).entries) == len(entries) - 1
+        assert parsed == [normalized, snapshot]
 
     @pytest.mark.parametrize(
         "fb_labels",
@@ -1122,17 +1150,28 @@ class TestEvaluateAndSimulateInputs:
         assert main([stage, "--config", str(config), "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith(f"stage {stage!r} failed: {path}: ")
 
-    def test_an_all_run_parses_the_snapshot_once(self, dataset, tmp_path, monkeypatch):
-        parsed = []
-        parse = hierarchy._parse_snapshot
+    def test_an_all_run_never_parses_the_snapshot(self, dataset, tmp_path, monkeypatch):
+        parsed, loaded = [], []
+        parse, load = hierarchy._parse_snapshot, pipeline.load_snapshot
+
+        def counted_load(path):
+            snapshot = load(path)
+            loaded.append(weakref.ref(snapshot))
+            return snapshot
+
         monkeypatch.setattr(hierarchy, "_held", [])  # no snapshot of an earlier run in this process
         monkeypatch.setattr(hierarchy, "_parse_snapshot", lambda path: parsed.append(path) or parse(path))
+        monkeypatch.setattr(pipeline, "load_snapshot", counted_load)
         cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
         out = tmp_path / "out"
-        run_pipeline(cfg, out, mode="all")
-        # evaluate parses what score wrote and hands it to simulate, and nothing holds it after
-        assert parsed == [out / "snapshot.txt"]
-        assert hierarchy._held == []
+        gc.disable()
+        try:
+            run_pipeline(cfg, out, mode="all")
+            # evaluate and simulate take what score wrote, and nothing holds it once simulate returns
+            assert len(loaded) == 2 and loaded[0]() is None and loaded[1]() is None
+        finally:
+            gc.enable()
+        assert parsed == [] and hierarchy._held == []
 
     def test_a_snapshot_is_handed_over_once_and_only_for_its_bytes(self, full_run, tmp_path, monkeypatch):
         monkeypatch.setattr(hierarchy, "_held", [])
