@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -30,6 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:  # the whole process: what the imports built lives to its end
+        gc.freeze()  # so no collection, nor the exit, walks it again
     args = build_parser().parse_args(argv)
 
     if args.command == "rank":

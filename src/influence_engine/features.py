@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lineio
 from .events import SECONDS_PER_DAY, CodedColumn, EventColumns, ProfileSnapshot
-from .graph import GRAPH_STATS, pagerank
+from .graph import GRAPH_STATS, pagerank_codes
 from .registry import GRAPH_ATTRS, FeatureRegistry, dynamic_key, longlasting_key
 
 COHORT_ALL = "all"
@@ -156,7 +156,7 @@ def aggregate_longlasting(
 
     unconverged = []
     stats = {network: dict.fromkeys(GRAPH_STATS, 0.0) for network in sorted(registry.networks)}
-    rank = _ranks(nodes)  # PageRank takes the nodes coded in name order
+    rank = _ranks(nodes)  # PageRank codes a network's linked nodes in name order
     for network, n in sorted((network, n) for n, network in enumerate(networks.values)):
         registered = GRAPH_ATTRS.intersection(registry.networks[network].longlasting_attrs)
         s, d = (end.codes[networks.codes == n] for end in (sources, targets))
@@ -170,9 +170,13 @@ def aggregate_longlasting(
             "inlink_outlink_ratio": (linked, indeg / np.maximum(outdeg, 1)),
         }
         if "pagerank" in registered:
-            result = pagerank(zip(rank[s].tolist(), rank[d].tolist()))
-            signals["pagerank"] = (linked, np.array([result.scores.get(r, 0.0) for r in rank.tolist()]))
-            if not result.converged:
+            by_name = np.flatnonzero(linked)[np.argsort(rank[linked])]
+            local = np.empty(len(nodes), dtype=np.intp)  # a linked node's code in by_name
+            local[by_name] = np.arange(len(by_name))
+            walk = np.zeros(len(nodes))
+            walk[by_name], _, converged = pagerank_codes(local[s], local[d], len(by_name))
+            signals["pagerank"] = (linked, walk)
+            if not converged:
                 unconverged.append(network)
         for attr in sorted(registered):
             on, values = signals[attr]

@@ -1,5 +1,7 @@
 """Graph signals: PageRank over a directed graph, and the names of the
-per-network statistics that heuristic combiner weights rest on."""
+per-network statistics that heuristic combiner weights rest on. PageRank is
+one iteration over int node codes, ``pagerank_codes``; ``pagerank`` codes
+named nodes in name order for it, as the features stage codes its nodes."""
 
 from __future__ import annotations
 
@@ -18,34 +20,24 @@ class PageRankResult:
     converged: bool
 
 
-def pagerank(
-    edges: Iterable[tuple[str, str]],
-    nodes: Iterable[str] = (),
-    damping: float = 0.85,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> PageRankResult:
-    """Damped random-walk fixed point over a directed graph.
+def pagerank_codes(
+    src: np.ndarray, dst: np.ndarray, n: int, damping: float = 0.85, tol: float = 1e-9, max_iter: int = 200
+) -> tuple[np.ndarray, int, bool]:
+    """Damped random-walk fixed point over the directed edges ``src[i] ->
+    dst[i]`` between nodes ``0..n-1``: (rank per node, iterations, converged).
 
     Dangling nodes redistribute their mass uniformly over all nodes.
     Convergence is measured in L1 between successive iterates.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0,1)")
-    pairs = list(edges)
-    order = sorted(set(nodes).union(*zip(*pairs)))
-    if not order:
+    if not n:
         raise ValueError("pagerank needs a non-empty node set")
-
-    # Codes follow the sorted names and the edges are stably sorted by source, so
-    # np.add.at adds to each node in a dict loop's order (Page et al. 1998). Sums
-    # are sequential cumsums, not np.sum (pairwise): the builtin sum of floats is
+    # The edges are stably sorted by source, so np.add.at adds to each node in a
+    # dict loop's order over the nodes in code order (Page et al. 1998). Sums are
+    # sequential cumsums, not np.sum (pairwise): the builtin sum of floats is
     # sequential up to Python 3.11 and compensated (Neumaier) from 3.12, so cumsum
     # matches such a loop on 3.10/3.11 and stays the same on later versions.
-    n = len(order)
-    code = {u: i for i, u in enumerate(order)}
-    src = np.array([code[s] for s, _ in pairs], dtype=np.intp)
-    dst = np.array([code[d] for _, d in pairs], dtype=np.intp)
     by_source = np.argsort(src, kind="stable")
     src, dst = src[by_source], dst[by_source]
     outdeg = np.bincount(src, minlength=n)
@@ -63,5 +55,17 @@ def pagerank(
         if delta < tol:
             converged = True
             break
-    return PageRankResult(dict(zip(order, rank.tolist())), iterations, converged)
+    return rank, iterations, converged
 
+
+def pagerank(edges: Iterable[tuple[str, str]], nodes: Iterable[str] = (), damping: float = 0.85,
+             tol: float = 1e-9, max_iter: int = 200) -> PageRankResult:
+    """``pagerank_codes`` over named nodes: the edges' ends and ``nodes``,
+    coded in name order."""
+    pairs = list(edges)
+    order = sorted(set(nodes).union(*zip(*pairs)))
+    code = {u: i for i, u in enumerate(order)}
+    src = np.array([code[s] for s, _ in pairs], dtype=np.intp)
+    dst = np.array([code[d] for _, d in pairs], dtype=np.intp)
+    rank, iterations, converged = pagerank_codes(src, dst, len(order), damping, tol, max_iter)
+    return PageRankResult(dict(zip(order, rank.tolist())), iterations, converged)

@@ -4,11 +4,16 @@ Leaves score a user via the learned non-negative dot product; internal
 levels fold child scores into a new feature vector and combine them,
 typically with the weight-normalized L2 combiner. The root score scaled
 by 100 is the final influence score.
+
+The tree is walked once for all users, in post-order, each node scored over
+its network's vectors or its children's score columns, one ``leaf_score`` or
+``l2_combine`` per row; ``score_user`` is the walk over one user.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -63,6 +68,11 @@ class ScoreNode:
         yield self
         for child in self.children:
             yield from child.walk()
+
+    def post_order(self):
+        for child in self.children:
+            yield from child.post_order()
+        yield self
 
 
 # the keys a node of a tree's JSON object may hold
@@ -122,19 +132,17 @@ def leaf_score(f: np.ndarray, w: np.ndarray, total: float | None = None) -> floa
     return float(f @ w) / total
 
 
-def l2_combine(f: np.ndarray, w: np.ndarray) -> float:
-    """||f * w||_2 / ||w||_2 with * element-wise; in [0,1] for f in [0,1]^n."""
+def l2_combine(f: np.ndarray, w: np.ndarray, norm: float | None = None) -> float:
+    """||f * w||_2 / ||w||_2 with * element-wise, the numerator as
+    ``np.linalg.norm`` takes it; in [0,1] for f in [0,1]^n; ``norm`` is ||w||_2,
+    for a caller that has it already."""
     if f.shape != w.shape:
         raise ValueError("feature and weight vectors are misaligned")
-    denom = float(np.linalg.norm(w))
-    if denom == 0.0:
+    norm = float(np.linalg.norm(w)) if norm is None else norm
+    if norm == 0.0:
         raise ValueError("combiner weights must not be all zero")
-    return float(np.linalg.norm(f * w)) / denom
-
-
-def child_vector(node: ScoreNode, child_scores: Mapping[str, float]) -> np.ndarray:
-    """Child scores in child order; users absent from a child contribute 0."""
-    return np.array([child_scores.get(c.node_id, 0.0) for c in node.children])
+    x = f * w
+    return math.sqrt(float(x.dot(x))) / norm
 
 
 def heuristic_weights(node: ScoreNode, stats: Mapping[str, Mapping[str, float]]) -> np.ndarray:
@@ -191,62 +199,59 @@ class ScoreSnapshot:
         return {user: entry.overall for user, entry in self.entries.items()}
 
 
-def score_user(
-    user: str,
-    tree: ScoreNode,
-    store: FeatureStore,
-    models: Mapping[str, WeightVector],
-    stats: Mapping[str, Mapping[str, float]],
-    weights: dict[str, tuple[np.ndarray, float]] | None = None,
-) -> ScoreEntry | None:
-    """Bottom-up evaluation for one user; None when the user is on no leaf.
-    ``weights`` caches each node's weights and their sum by node id from one
-    call to the next."""
-    node_scores: dict[str, float] = {}
-    weights = {} if weights is None else weights
-
-    def visit(node: ScoreNode) -> float | None:
+def _score(tree: ScoreNode, users: list[str], rows: dict, models: Mapping[str, WeightVector],
+           stats: Mapping[str, Mapping[str, float]], weights: dict) -> dict[str, ScoreEntry]:
+    """The entry of each of ``users`` that the root reaches, in their order;
+    ``rows`` maps a network to its users' indices and vectors. A node's weights
+    and their sum go into ``weights`` once some user reaches it."""
+    columns = {}  # node id -> (whom it reaches, their scores; 0.0 for the others)
+    for node in tree.post_order():
         if node.is_leaf:
-            f = store.get(user, node.network)
-        elif any([visit(child) is not None for child in node.children]):  # every child, then any
-            f = child_vector(node, node_scores)
+            at, vectors = rows.get(node.network, ((), ()))
         else:
-            f = None
-        if f is None:
-            return None
+            at = np.flatnonzero(np.logical_or.reduce([columns[c.node_id][0] for c in node.children]))
+            vectors = np.column_stack([columns[c.node_id][1] for c in node.children])[at]
+        present, scores = columns[node.node_id] = np.zeros(len(users), dtype=bool), np.zeros(len(users))
+        if not len(at):
+            continue
         if node.node_id not in weights:
             w = models[node.network].weights if node.is_leaf else node_weights(node, stats)
             weights[node.node_id] = (w, float(np.sum(w)))
         w, total = weights[node.node_id]
-        score = leaf_score(f, w, total) if node.combiner == COMBINER_SUPERVISED else l2_combine(f, w)
-        node_scores[node.node_id] = score
-        return score
+        present[at] = True
+        if node.combiner == COMBINER_SUPERVISED:
+            scores[at] = [leaf_score(f, w, total) for f in vectors]
+        else:
+            norm = float(np.linalg.norm(w))
+            scores[at] = [l2_combine(f, w, norm) for f in vectors]
+    nodes = [(node_id, present.tolist(), scores.tolist()) for node_id, (present, scores) in sorted(columns.items())]
+    root = columns[tree.node_id][1].tolist()
+    return {
+        users[i]: ScoreEntry(100.0 * root[i], root[i], tuple((n, s[i]) for n, on, s in nodes if on[i]))
+        for i in np.flatnonzero(columns[tree.node_id][0]).tolist()
+    }
 
-    raw = visit(tree)
-    del visit  # its cell refers to itself: a cycle that would keep ``store`` until a collection
-    if raw is None:
-        return None
-    return ScoreEntry(
-        overall=100.0 * raw,
-        raw_root=raw,
-        node_scores=tuple(sorted(node_scores.items())),
-    )
+
+def score_user(user: str, tree: ScoreNode, store: FeatureStore, models: Mapping[str, WeightVector],
+               stats: Mapping[str, Mapping[str, float]], weights: dict | None = None) -> ScoreEntry | None:
+    """Bottom-up evaluation for one user; None when the user is on no leaf.
+    ``weights`` caches each node's weights and their sum by node id from one
+    call to the next."""
+    rows = {network: ([0], [f]) for network in tree.leaf_networks() if (f := store.get(user, network)) is not None}
+    return _score(tree, [user], rows, models, stats, {} if weights is None else weights).get(user)
 
 
-def score_population(
-    tree: ScoreNode,
-    store: FeatureStore,
-    models: Mapping[str, WeightVector],
-    stats: Mapping[str, Mapping[str, float]],
-    as_of: date,
-) -> ScoreSnapshot:
-    snapshot = ScoreSnapshot(as_of=as_of)
-    weights: dict[str, tuple[np.ndarray, float]] = {}
-    for user in store.users():
-        entry = score_user(user, tree, store, models, stats, weights)
-        if entry is not None:
-            snapshot.entries[user] = entry
-    return snapshot
+def score_population(tree: ScoreNode, store: FeatureStore, models: Mapping[str, WeightVector],
+                     stats: Mapping[str, Mapping[str, float]], as_of: date) -> ScoreSnapshot:
+    """``score_user`` of every user of ``store``, each node scored for all at once."""
+    users = store.users()
+    code = dict(zip(users, range(len(users))))
+    rows: dict[str, tuple[list, list]] = {}
+    for (user, network), f in store.vectors.items():
+        at, vectors = rows.setdefault(network, ([], []))
+        at.append(code[user])
+        vectors.append(f)
+    return ScoreSnapshot(as_of, _score(tree, users, rows, models, stats, {}))
 
 
 # -- snapshot files --------------------------------------------------------

@@ -10,6 +10,7 @@ reject it counts.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
@@ -79,12 +80,12 @@ def read_events(
 ) -> list[str]:
     """The canonical line of each valid, in-window event, once, sorted; a raw
     line that ``canonical`` matches in full is kept as it is if in the window."""
-    lines: set[str] = set()
+    lines: dict[str, None] = {}  # a dict, not a set, so that the sort gets them in arrival order
     kept = 0
     for line in lineio.read_lines(path, errors="surrogateescape"):
         if (match := canonical.fullmatch(line)) and window.contains(int(match["t"])):
             kept += 1
-            lines.add(line)
+            lines[line] = None
             continue
         if (event := _decoded(line, lineio.decode_event, report)) is None:
             continue
@@ -96,22 +97,34 @@ def read_events(
             report.expired_events += 1
             continue
         kept += 1
-        lines.add(lineio.encode_event(*event))
+        lines[lineio.encode_event(*event)] = None
     report.accepted_events = len(lines)
     report.duplicate_events = kept - len(lines)
     return sorted(lines)
 
 
+def _overflows(numeric_attrs) -> bool:
+    """Whether a repeated attribute's values, each finite and >= 0, add up to
+    inf in line order from 0.0, as the features stage adds them."""
+    sums: Counter = Counter()
+    for name, value in numeric_attrs:
+        sums[name] += value
+    return math.inf in sums.values()
+
+
 def read_profiles(path: Path, ref_date: date, registry: FeatureRegistry, report: LoadReport) -> list[str]:
     """The canonical line of the latest snapshot per (user, network) taken by
     ``ref_date``, sorted; of two taken on one day, the larger line, whatever
-    the line order. The kept day's other snapshots count as ``profile-tie``."""
+    the line order. The kept day's other snapshots count as ``profile-tie``,
+    and a snapshot whose repeated attribute sums to inf as ``profile-overflow``."""
     ref_day = ref_date.isoformat()  # ISO dates order as their days do
     latest: dict[tuple[str, str], tuple[str, str]] = {}  # -> (as_of, line)
     ties: Counter = Counter()  # (user, network) -> its kept day's snapshots beyond one
     for line, match in lineio.canonical_profiles(lineio.read_lines(path, errors="surrogateescape")):
         if match and match[2] in registry.networks and match[3] <= ref_day:
             key, snapshot = (match[1], match[2]), (match[3], line)
+            # a value of 1e300 or more holds "e+3"; fewer than about 1e8 smaller ones never add up to inf
+            numeric = lineio.decode_profile(line).numeric_attrs if "e+3" in match[4] else ()
         elif (profile := _decoded(line, lineio.decode_profile, report)) is None:
             continue
         elif profile.network not in registry.networks or profile.as_of > ref_date:
@@ -120,6 +133,10 @@ def read_profiles(path: Path, ref_date: date, registry: FeatureRegistry, report:
         else:
             key = (profile.user, profile.network)
             snapshot = (profile.as_of.isoformat(), lineio.encode_profile(profile))
+            numeric = profile.numeric_attrs
+        if _overflows(numeric):
+            report.rejected["profile-overflow"] += 1
+            continue
         kept = latest.get(key, snapshot)
         if snapshot[0] > kept[0]:
             del ties[key]  # a Counter ignores a key it does not hold
@@ -152,7 +169,7 @@ def _read_registered(path: Path, canonical, decode, encode, registry: FeatureReg
 def read_edges(path: Path, canonical, registry: FeatureRegistry, report: LoadReport) -> list[str]:
     """The canonical line of each edge on a registered network, once, sorted."""
     lines = _read_registered(path, canonical, lineio.decode_edge, lineio.encode_edge, registry, report)
-    unique = sorted(set(lines))
+    unique = sorted(dict.fromkeys(lines))  # deduplicated in arrival order, which the sort takes faster
     if len(lines) > len(unique):
         report.rejected["duplicate-edge"] = len(lines) - len(unique)
     report.edges = len(unique)

@@ -33,6 +33,7 @@ from .graph import GRAPH_STATS
 from .hierarchy import (
     ScoreNode,
     ScoreSnapshot,
+    _parse_snapshot,
     load_snapshot,
     load_tree,
     save_snapshot,
@@ -184,8 +185,9 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     # raises, naming its file
     ingested = out / "ingest"
     prior = {}
-    if cfg.prior_snapshot is not None:
-        prior = load_snapshot(cfg.prior_snapshot).prior_scores()
+    if cfg.prior_snapshot is not None:  # parsed, not held: no later stage reads it
+        with lineio.naming(cfg.prior_snapshot):
+            prior = _parse_snapshot(cfg.prior_snapshot).prior_scores()
     # each input goes straight into its call, so that no two are held at once
     dynamic = feat.aggregate_dynamic(
         lineio.read_event_columns(ingested / "events.txt"), cfg.reference_time, prior, cfg.registry

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from influence_engine import features
 from influence_engine.events import ProfileSnapshot
 from influence_engine.features import aggregate_longlasting
-from influence_engine.graph import GRAPH_STATS, pagerank
+from influence_engine.graph import GRAPH_STATS, pagerank, pagerank_codes
 from influence_engine.registry import GRAPH_ATTRS, FeatureRegistry, NetworkSpec, longlasting_key
 
 from conftest import edge_columns_of
@@ -352,8 +352,8 @@ def longlasting_inputs(draw):
 @settings(phases=NO_EXPLAIN)
 def test_longlasting_equals_the_dict_loop_reference_exactly(inputs, max_iter):
     registry, profiles, edges = inputs
-    capped = functools.partial(pagerank, max_iter=max_iter)  # 2 iterations leave a walk unconverged
-    with mock.patch.object(features, "pagerank", capped):
+    capped = functools.partial(pagerank_codes, max_iter=max_iter)  # 2 iterations leave a walk unconverged
+    with mock.patch.object(features, "pagerank_codes", capped):
         table, skipped, unconverged, stats = aggregate_longlasting(profiles, edge_columns_of(edges), registry)
     cells, expected_skipped, expected_unconverged, expected_stats = reference_longlasting(
         profiles, edges, registry, max_iter

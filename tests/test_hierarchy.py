@@ -1,5 +1,8 @@
+import io
 import math
+from contextlib import redirect_stdout
 from datetime import date
+from itertools import count
 
 import numpy as np
 import pytest
@@ -9,10 +12,10 @@ from hypothesis import strategies as st
 from influence_engine import hierarchy
 from influence_engine.features import FeatureStore
 from influence_engine.hierarchy import (
+    COMBINER_SUPERVISED,
     ScoreEntry,
     ScoreNode,
     ScoreSnapshot,
-    child_vector,
     heuristic_weights,
     l2_combine,
     leaf_score,
@@ -54,6 +57,40 @@ def uniform_model(registry, network, weights):
 
 def leaf(node_id, network, level):
     return {"node_id": node_id, "network": network, "combiner": "supervised-dot"}
+
+
+def child_vector(node, child_scores):
+    """Child scores in child order; users absent from a child contribute 0."""
+    return np.array([child_scores.get(c.node_id, 0.0) for c in node.children])
+
+
+def reference_score_user(user, tree, store, models, stats):
+    """``score_user`` as it was before a node was scored for all users at once:
+    a recursive visit of the tree per user, each node's weights computed
+    afresh, and ``np.linalg.norm`` twice per L2 node."""
+    node_scores = {}
+
+    def visit(node):
+        if node.is_leaf:
+            f = store.get(user, node.network)
+        elif any([visit(child) is not None for child in node.children]):  # every child, then any
+            f = child_vector(node, node_scores)
+        else:
+            f = None
+        if f is None:
+            return None
+        w = models[node.network].weights if node.is_leaf else node_weights(node, stats)
+        if node.combiner == COMBINER_SUPERVISED:
+            score = leaf_score(f, w, float(np.sum(w)))
+        else:
+            score = float(np.linalg.norm(f * w)) / float(np.linalg.norm(w))
+        node_scores[node.node_id] = score
+        return score
+
+    raw = visit(tree)
+    if raw is None:
+        return None
+    return ScoreEntry(overall=100.0 * raw, raw_root=raw, node_scores=tuple(sorted(node_scores.items())))
 
 
 class TestLeafScore:
@@ -430,3 +467,76 @@ def test_the_snapshot_score_holds_is_the_parse_of_its_file(tmp_path_factory, vec
     assert held.as_of == parsed.as_of
     assert list(held.entries) == list(parsed.entries)  # the same users, in the same order
     assert [bits(entry) for entry in held.entries.values()] == [bits(entry) for entry in parsed.entries.values()]
+
+
+# -- the walk over all users against the per-user reference --------------------
+
+NETWORKS = ("tw", "fb", "ig")
+
+
+@st.composite
+def score_trees(draw):
+    """A tree of up to three levels below the root, leaves on ``NETWORKS`` (two
+    may share one), interior nodes of either combiner, with explicit weights or
+    heuristic ones on either basis."""
+    ids = count()
+
+    def node(depth):
+        node_id = "root" if depth == 0 else f"n{next(ids)}"
+        if depth == 3 or (depth and draw(st.booleans())):
+            return {"node_id": node_id, "network": draw(st.sampled_from(NETWORKS))}
+        children = [node(depth + 1) for _ in range(draw(st.integers(1, 3)))]
+        spec = {"node_id": node_id, "combiner": draw(st.sampled_from(["l2-norm", "supervised-dot"])),
+                "children": children}
+        if draw(st.booleans()):
+            weight = st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])
+            spec["weights"] = draw(st.lists(weight, min_size=len(children), max_size=len(children)).filter(any))
+        else:
+            spec["heuristic_basis"] = draw(st.sampled_from(["graph_size", "avg_node_degree"]))
+        return spec
+
+    return parse_tree(node(0))
+
+
+WIDTH = 12  # wide enough that a gemv, M @ w, would give other bits than a dot per row
+cell = st.one_of(st.just(-0.0), st.just(0.0), unit)
+model_weight = st.one_of(st.just(0.0), st.floats(min_value=0, max_value=5))
+statistic = st.sampled_from([0.0, 1.0, 7.5, 1e6])
+
+
+def entry_bits(entry):
+    """An entry's node ids and the bits of its scores, so that -0.0 is not 0.0."""
+    if entry is None:
+        return None
+    scores = [entry.overall, entry.raw_root, *(score for _, score in entry.node_scores)]
+    return np.array(scores).tobytes(), [node for node, _ in entry.node_scores]
+
+
+@given(
+    tree=score_trees(),
+    vectors=st.dictionaries(  # users missing from some networks, -0.0 cells
+        st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]), st.sampled_from(NETWORKS)),
+        st.lists(cell, min_size=WIDTH, max_size=WIDTH),
+        max_size=15,
+    ),
+    # all 0: a zero-sum model
+    weights=st.tuples(*(st.lists(model_weight, min_size=WIDTH, max_size=WIDTH) for _ in NETWORKS)),
+    stats=st.tuples(*(st.tuples(statistic, statistic) for _ in NETWORKS)),
+)
+def test_score_population_equals_the_per_user_reference_bit_for_bit(tree, vectors, weights, stats):
+    registry = flat_registry(NETWORKS, WIDTH)
+    store = make_store(registry, vectors)
+    models = {network: uniform_model(registry, network, w) for network, w in zip(NETWORKS, weights)}
+    graph = {network: dict(zip(("graph_size", "avg_node_degree"), s)) for network, s in zip(NETWORKS, stats)}
+    walked, referred = io.StringIO(), io.StringIO()
+    with redirect_stdout(walked):
+        snapshot = score_population(tree, store, models, graph, as_of=date(2023, 11, 14))
+    with redirect_stdout(referred):
+        expected = {user: reference_score_user(user, tree, store, models, graph) for user in store.users()}
+    # a node that some user reaches and whose basis is 0 for every child warns once
+    warnings = walked.getvalue().splitlines()
+    assert len(warnings) == len(set(warnings)) and set(warnings) == set(referred.getvalue().splitlines())
+    assert list(snapshot.entries) == [user for user, entry in expected.items() if entry is not None]
+    for user, entry in expected.items():
+        assert entry_bits(snapshot.entries.get(user)) == entry_bits(entry)
+        assert entry_bits(score_user(user, tree, store, models, graph)) == entry_bits(entry)

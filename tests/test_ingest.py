@@ -1,5 +1,6 @@
+import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from datetime import date
 from urllib.parse import unquote
 
@@ -578,13 +579,20 @@ def reference_profile_batch(directory, registry):
     """``load_batch`` of a directory that holds only profiles, one line at a
     time: every profile is decoded, checked against the registry and the
     reference date, and encoded again; of two kept snapshots taken on one day
-    the larger line wins, and the kept day's others count as ties."""
+    the larger line wins, and the kept day's others count as ties. One whose
+    repeated attribute adds up to inf counts as an overflow."""
     report = LoadReport()
     ref_date = TimeWindow(REF, MAX_WINDOW_DAYS).reference_date()
     latest, ties = {}, Counter()
     for profile in reference_records_of(directory / "profiles.txt", lineio.decode_profile, report):
         if profile.network not in registry.networks or profile.as_of > ref_date:
             report.stale_profiles += 1
+            continue
+        sums = defaultdict(float)
+        for name, value in profile.numeric_attrs:
+            sums[name] += value
+        if math.inf in sums.values():
+            report.rejected["profile-overflow"] += 1
             continue
         key = (profile.user, profile.network)
         snapshot = (profile.as_of, lineio.encode_profile(profile))
@@ -704,6 +712,8 @@ def tricky_profile_lines():
         lineio.encode_profile(profile._replace(network="nope")),
         line.replace("as_of=", "as_of=\r"),
     ]
+    big = lineio.encode_profile(profile._replace(user="big", numeric_attrs=(("followers", 1e308),) * 2))
+    lines += [big, respell_token(big.replace("user=big", "user=big2"), "n:", lambda v: "1e308")]  # overflows
     return "\n".join(lines) + "\r\n" + line
 
 

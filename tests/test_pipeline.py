@@ -382,7 +382,7 @@ class TestFeatureStage:
         assert any(line.startswith("stage.features.unregistered_attrs=") for line in manifest)
 
         capsys.readouterr()
-        monkeypatch.setattr(features, "pagerank", functools.partial(graph.pagerank, max_iter=1))
+        monkeypatch.setattr(features, "pagerank_codes", functools.partial(graph.pagerank_codes, max_iter=1))
         run_pipeline(cfg, out, mode="features")
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert "stage.features.pagerank_unconverged=1" in manifest
@@ -1172,6 +1172,38 @@ class TestEvaluateAndSimulateInputs:
         finally:
             gc.enable()
         assert parsed == [] and hierarchy._held == []
+
+    def test_nothing_holds_the_prior_snapshot_once_features_returns(self, dataset, full_run, tmp_path, monkeypatch):
+        # a day-2 run: the first run's snapshot is the prior, which only features reads
+        parsed, alive = [], []
+        parse, stage = pipeline._parse_snapshot, pipeline._STAGE_FUNCS["features"]
+
+        def counted_parse(path):
+            snapshot = parse(path)
+            parsed.append(weakref.ref(snapshot))
+            return snapshot
+
+        def features_stage(cfg, out):
+            counts = stage(cfg, out)
+            alive.extend(ref() is not None for ref in parsed)
+            return counts
+
+        monkeypatch.setattr(hierarchy, "_held", [])
+        for module in (pipeline, hierarchy):  # however features reaches the parse
+            monkeypatch.setattr(module, "_parse_snapshot", counted_parse)
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "features", features_stage)
+        cfg = RunConfig.from_file(make_config(
+            dataset, tmp_path / "config.json", prior_snapshot=str(full_run[1] / "snapshot.txt"),
+            reference_time=1_700_000_000 + 86_400,
+        ))
+        gc.disable()  # so that only a reference, not a collection, can free the snapshot
+        try:
+            run_pipeline(cfg, tmp_path / "out", mode="all")
+        finally:
+            gc.enable()
+        assert alive == [False]  # features parsed the prior once, and nothing held it after
+        raw = (tmp_path / "out" / "features" / "raw_features.txt").read_text()
+        assert "/higher/" in raw and "/peers/" in raw  # the prior scores were read
 
     def test_a_snapshot_is_handed_over_once_and_only_for_its_bytes(self, full_run, tmp_path, monkeypatch):
         monkeypatch.setattr(hierarchy, "_held", [])

@@ -2,6 +2,7 @@
 spread experiment script, end to end."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,24 @@ def test_a_run_over_empty_input_files_completes(tmp_path, capsys):
     assert not load_snapshot(out / "snapshot.txt").entries
     assert (out / "eval_report.txt").read_text().splitlines() == ["latent_spearman\trho=nan"]
     assert "targeted=0" in (out / "campaign_report.txt").read_text().splitlines()[0].split("\t")
+
+
+def test_a_repeated_attribute_that_sums_to_inf_is_refused(tmp_path):
+    # two valid 1e308 values of one attribute add up to inf, which the features
+    # stage used to normalize to nan and then fail on (exit 3); ingest now
+    # refuses such a profile, both as a canonical line and as one it decodes
+    config = generate_demo(tmp_path)
+    profiles = config.parent / "profiles.txt"
+    lines = profiles.read_text().splitlines()
+    twice = "\tn:followers={0}\tn:followers={0}"
+    for i, value in ((0, "1e+308"), (1, "1e308")):  # "1e308" is not repr(1e308): the line is decoded
+        lines[i], n = re.subn("\tn:followers=[^\t]*", twice.format(value), lines[i], count=1)
+        assert n == 1
+    profiles.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "demo-out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    report = (out / "ingest" / "load_report.txt").read_text().split()
+    assert "rejected.profile-overflow=2" in report and "malformed=0" in report
 
 
 def test_spread_experiment_runs(tmp_path):
