@@ -245,15 +245,15 @@ def _ranks(strings: list[str]) -> np.ndarray:
     return rank
 
 
-def dump_table(table: RawFeatureTable, path: str | Path) -> None:
-    """One ``user<TAB>key<TAB>repr(value)`` line per cell, in (user, key) order."""
+def dump_table(table: RawFeatureTable, path: str | Path) -> str:
+    """One ``user<TAB>key<TAB>repr(value)`` line per cell, in (user, key) order; the file's sha256."""
     order = np.lexsort((_ranks(table.keys)[table.key], _ranks(table.users)[table.user]))
     users = [lineio.encode_value(user) for user in table.users]
     # one repr per distinct value, grouped by bits so that -0.0 keeps its own
     bits, value = np.unique(table.value[order].view(np.int64), return_inverse=True)
     texts = list(map(repr, bits.view(np.float64).tolist()))
     cells = zip(table.user[order].tolist(), table.key[order].tolist(), value.tolist())
-    lineio.write_lines(path, (f"{users[u]}\t{table.keys[k]}\t{texts[v]}" for u, k, v in cells))
+    return lineio.write_lines(path, (f"{users[u]}\t{table.keys[k]}\t{texts[v]}" for u, k, v in cells))
 
 
 def _fill_store(registry: FeatureRegistry, users: CodedColumn, keys: CodedColumn, value: np.ndarray) -> FeatureStore:
@@ -285,48 +285,30 @@ def _fill_store(registry: FeatureRegistry, users: CodedColumn, keys: CodedColumn
     return store
 
 
-def _parse_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
-    """``load_store``'s parse: the columns of a ``dump_table`` file, whose users
-    come in name order, into ``_fill_store``."""
+def store_of(table: RawFeatureTable, registry: FeatureRegistry) -> FeatureStore:
+    """The store that ``load_store`` reads from the ``dump_table`` file of
+    ``table``, a normalized table: the same vectors, bit for bit, in the same order."""
+    users = CodedColumn(sorted(table.users), _ranks(table.users)[table.user])
+    return _fill_store(registry, users, CodedColumn(table.keys, table.key), table.value)
+
+
+def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
+    """Read a ``dump_table`` file, whose users come in name order, into read-only
+    vectors aligned to ``keys_for``; a (user, network) pair gets a vector iff the
+    file has a line for it. A line not of 3 fields, a key outside the registry, a
+    value not finite and >= 0, or a repeated (user, key) raises ``ValueError``
+    naming the file."""
     def value(token):  # coded by token, not by float, so that -0.0 and 0.0 keep their own codes
         if not 0 <= float(token) < math.inf:  # nan fails both comparisons
             raise ValueError(f"feature value {token!r} must be finite and >= 0")
         return token
 
-    users, key, values = lineio.read_columns(
-        path, [("", lineio.decode_value, "user"), ("", str, "key"), ("", value, "value")]
-    )
-    return _fill_store(registry, users, key, np.array(list(map(float, values.values)))[values.codes])
+    with lineio.naming(path):
+        users, key, values = lineio.read_columns(
+            path, [("", lineio.decode_value, "user"), ("", str, "key"), ("", value, "value")]
+        )
+        return _fill_store(registry, users, key, np.array(list(map(float, values.values)))[values.codes])
 
 
-def dump_store(table: RawFeatureTable, path: str | Path, registry: FeatureRegistry, readers: int) -> None:
-    """``dump_table`` of a normalized table, whose store, as ``load_store``
-    would read it from those bytes, is held for the next ``readers`` calls of
-    ``load_store`` on them with an equal registry."""
-    dump_table(table, path)
-    users = CodedColumn(sorted(table.users), _ranks(table.users)[table.user])
-    store = _fill_store(registry, users, CodedColumn(table.keys, table.key), table.value)
-    lineio.hold(_held, path, store, readers, registry)
-
-
-# the store last parsed or dumped, as one ((file digest, registry), store) per
-# call it is held for, until its last reader or the next reader of other bytes
-_held: list = []
-
-
-def load_store(path: str | Path, registry: FeatureRegistry) -> FeatureStore:
-    """Read a ``dump_table`` file into vectors aligned to ``keys_for``; a
-    (user, network) pair gets a vector iff the file has a line for it. A line
-    not of 3 fields, a key outside the registry, a value not finite and >= 0,
-    or a repeated (user, key) raises ``ValueError`` naming the file.
-
-    The vectors are read-only. A store that ``dump_store`` holds for these
-    bytes is taken without a parse, so that train and score in an ``all`` run
-    parse nothing; a store parsed is held for the next call with the same
-    bytes and an equal registry, so that train and score run apart in one
-    process parse it once."""
-    return lineio.parse_once(_held, path, _parse_store, registry)
-
-
-def dump_maxima(maxima: Mapping[str, float], path: str | Path) -> None:
-    lineio.write_lines(path, [f"{key}\t{value!r}" for key, value in sorted(maxima.items())])
+def dump_maxima(maxima: Mapping[str, float], path: str | Path) -> str:
+    return lineio.write_lines(path, [f"{key}\t{value!r}" for key, value in sorted(maxima.items())])

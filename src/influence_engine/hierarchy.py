@@ -256,43 +256,28 @@ def score_population(tree: ScoreNode, store: FeatureStore, models: Mapping[str, 
 
 # -- snapshot files --------------------------------------------------------
 
-def save_snapshot(snapshot: ScoreSnapshot, path: str | Path, readers: int = 0) -> None:
-    """Write ``snapshot`` and hold it for the next ``readers`` calls of
-    ``load_snapshot`` on those bytes."""
+def save_snapshot(snapshot: ScoreSnapshot, path: str | Path) -> str:
+    """Write ``snapshot``, users in name order; the sha256 of the file."""
     lines = [f"as_of={snapshot.as_of.isoformat()}"]
     for user in sorted(snapshot.entries):
         entry = snapshot.entries[user]
         nodes = " ".join(f"{nid}={repr(s)}" for nid, s in entry.node_scores)
         lines.append(f"{lineio.encode_value(user)}\t{entry.overall!r}\t{entry.raw_root!r}\t{nodes}")
-    lineio.write_lines(path, lines)
-    lineio.hold(_held, path, snapshot, readers)
-
-
-def _parse_snapshot(path: str | Path) -> ScoreSnapshot:
-    lines = list(lineio.read_written_lines(path))
-    if not lines or not lines[0].startswith("as_of="):
-        raise ValueError("the as_of header is missing")
-    snapshot = ScoreSnapshot(as_of=date.fromisoformat(lines[0].split("=", 1)[1]))
-    for line in lines[1:]:
-        user, overall, raw, nodes = line.split("\t")
-        tokens = (token.partition("=") for token in nodes.split(" ") if token)
-        node_scores = tuple((node_id, float(score)) for node_id, _, score in tokens)
-        snapshot.entries[lineio.decode_value(user)] = ScoreEntry(
-            overall=float(overall), raw_root=float(raw), node_scores=node_scores
-        )
-    return snapshot
-
-
-# the snapshot last parsed or saved, as one ((file digest,), snapshot) per call
-# it is held for, until its last reader or the next reader of other bytes
-_held: list = []
+    return lineio.write_lines(path, lines)
 
 
 def load_snapshot(path: str | Path) -> ScoreSnapshot:
-    """A ``save_snapshot`` file; a damaged one raises ``ValueError`` naming it.
-
-    A snapshot that ``save_snapshot`` holds for these bytes is taken without a
-    parse, so that evaluate and simulate in an ``all`` run parse nothing; a
-    snapshot parsed is held for the next call with the same bytes, so that
-    evaluate and simulate run apart in one process parse it once."""
-    return lineio.parse_once(_held, path, _parse_snapshot)
+    """A ``save_snapshot`` file; a damaged one raises ``ValueError`` naming it."""
+    with lineio.naming(path):
+        lines = list(lineio.read_written_lines(path))
+        if not lines or not lines[0].startswith("as_of="):
+            raise ValueError("the as_of header is missing")
+        snapshot = ScoreSnapshot(as_of=date.fromisoformat(lines[0].split("=", 1)[1]))
+        for line in lines[1:]:
+            user, overall, raw, nodes = line.split("\t")
+            tokens = (token.partition("=") for token in nodes.split(" ") if token)
+            node_scores = tuple((node_id, float(score)) for node_id, _, score in tokens)
+            snapshot.entries[lineio.decode_value(user)] = ScoreEntry(
+                overall=float(overall), raw_root=float(raw), node_scores=node_scores
+            )
+    return snapshot

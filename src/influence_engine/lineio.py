@@ -20,9 +20,9 @@ the reader of raw input, skips. The patterns that ``canonical_patterns``
 compiles from a registry, and ``canonical_profiles`` (over
 ``CANONICAL_PROFILE``), take a raw line that already is its record's
 encoding, so that ingest can keep it without decoding it, and
-``read_profiles`` reads a profile off its match. ``parse_once`` hands the
-value that a writer (``hold``) or a parse of a file holds to the next
-readers of the same bytes. The data model forbids an empty user id, a
+``read_profiles`` reads a profile off its match. ``write_lines`` returns
+the sha256 of the bytes it wrote, hashed as it writes them, so that no
+output is read back to hash it. The data model forbids an empty user id, a
 self-loop edge, a label comparing one user with itself, a timestamp or vote
 count that is not an integer, a negative vote count, a numeric profile
 attribute that is negative or not finite, and a key given twice (a profile
@@ -70,29 +70,6 @@ def naming(path: str | Path) -> Iterator[None]:
         yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def parse_once(held: list, path: str | Path, parse: Callable, *key):
-    """``parse(path, *key)``, its ``ValueError`` naming ``path``, unless
-    ``held``, a reader's own list, holds a value for the same file bytes and an
-    equal ``key``: one ``((file digest, *key), value)`` entry per call it is
-    held for. Such a call takes an entry without a parse, and the last one
-    leaves nothing held. Any other call drops what is held before it parses,
-    so that a reader never holds two values, and holds its parse for one more."""
-    digest = sha256(path)
-    if held and held[0][0] == (digest, *key):
-        return held.pop()[1]
-    held.clear()
-    with naming(path):
-        value = parse(path, *key)
-    held.append(((digest, *key), value))
-    return value
-
-
-def hold(held: list, path: str | Path, value, readers: int, *key) -> None:
-    """Hold ``value``, what a writer just wrote to ``path``, in ``held`` for the
-    next ``readers`` calls of ``parse_once`` on those bytes and an equal ``key``."""
-    held[:] = [((sha256(path), *key), value)] * readers if readers else []
 
 
 def _tokens(line: str) -> Iterator[tuple[str, str]]:
@@ -415,15 +392,20 @@ def read_written_lines(path: str | Path) -> Iterator[str]:
             yield line
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+def write_lines(path: str | Path, lines: Iterable[str]) -> str:
+    """Write each line and its newline, in UTF-8; the hex sha256 of the bytes written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = iter(lines)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    lines, digest = iter(lines), hashlib.sha256()
+    with path.open("wb") as fh:
         # one write per bounded chunk of lines, each ending in its newline
         while chunk := list(islice(lines, 4096)):
             chunk.append("")
-            fh.write("\n".join(chunk))
+            data = "\n".join(chunk).encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+            del data  # so that two chunks' bytes are never held at once
+    return digest.hexdigest()
 
 
 def sha256(path: str | Path) -> str:

@@ -4,6 +4,8 @@ Stages communicate only through files in the output directory, so any
 stage can be re-run in isolation and reproduces its outputs bit-exactly
 from the upstream artifacts. ``RunConfig.from_file`` parses the registry
 and the score tree once, for every stage; ``_STAGE_FUNCS`` is the stage table.
+The stages of one ``run_pipeline`` call share one ``Run``, which keeps the
+digests its writers return and hands a file's value to its later readers.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from .graph import GRAPH_STATS
 from .hierarchy import (
     ScoreNode,
     ScoreSnapshot,
-    _parse_snapshot,
     load_snapshot,
     load_tree,
     save_snapshot,
@@ -146,30 +148,66 @@ def _sha256_or_none(path: Path | None) -> str | None:
     return lineio.sha256(path) if path is not None and path.is_file() else None
 
 
-def _normalized_path(out: Path) -> Path:
-    return out / "features" / "normalized_features.txt"
+# per registered network, its name and sorted GRAPH_STATS as key=repr tokens; features
+# writes it outside features/, which holds feature dumps, so score need not read edges
+_GRAPH_STATS = "graph_stats.txt"
+_NORMALIZED, _SNAPSHOT = "features/normalized_features.txt", "snapshot.txt"
+# each file of a run that a later stage of the run reads, with the stages that read it
+_READS = {_NORMALIZED: ("train", "score"), _SNAPSHOT: ("evaluate", "simulate")}
 
 
-def _graph_stats_path(out: Path) -> Path:
-    # per registered network, its name and sorted GRAPH_STATS as key=repr tokens; features
-    # writes it outside features/, which holds feature dumps, so score need not read edges
-    return out / "graph_stats.txt"
+class Run:
+    """One ``run_pipeline`` call: its config, its output directory, the stages
+    it has yet to run (``later``), the manifest line of each file it wrote
+    (``ledger``, by name under ``out``), and the values its writers offer.
+
+    A stage that writes a file of ``_READS`` offers its value, built only if a
+    stage in ``later`` reads the file. A reader takes it, or else parses the
+    file, and the run drops it once no stage in ``later`` reads the file."""
+
+    def __init__(self, cfg: RunConfig, out: str | Path, later: Iterable[str] = ()):
+        self.cfg, self.out, self.later = cfg, Path(out), list(later)
+        self.written: dict[Path, str] = {}  # the hex sha256 of each file the running stage wrote
+        self.ledger: dict[str, str] = {}
+        self._offered: dict[str, object] = {}
+
+    def settle(self) -> None:
+        """Move ``written`` into ``ledger`` once its stage has returned: a small
+        object made among a stage's own and kept past them keeps the memory they
+        took resident, and so would raise the run's peak RSS."""
+        for path, digest in self.written.items():
+            name = path.relative_to(self.out).as_posix()
+            self.ledger[name] = f"output.{name}.sha256={digest}"
+        self.written.clear()
+
+    def _read_later(self, name: str) -> bool:
+        return not set(_READS[name]).isdisjoint(self.later)
+
+    def offer(self, name: str, build: Callable, *args) -> None:
+        """``build(*args)``, the value of the file ``name`` just written, for its later readers."""
+        if self._read_later(name):
+            self._offered[name] = build(*args)
+
+    def take(self, name: str, parse: Callable, *args):
+        """The value offered for the file ``name``, or else ``parse(out / name, *args)``."""
+        value = self._offered.get(name) if self._read_later(name) else self._offered.pop(name, None)
+        return parse(self.out / name, *args) if value is None else value
 
 
-def _report(path: Path, lines: list[str]) -> None:
-    lineio.write_lines(path, lines)
+def _report(run: Run, name: str, lines: list[str]) -> None:
+    run.written[run.out / name] = lineio.write_lines(run.out / name, lines)
     for line in lines:
         print(line)
 
 
 # -- stages ----------------------------------------------------------------
 
-def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
-    batch, report = load_batch(cfg.input_dir, cfg.reference_time, cfg.registry)
-    dest = out / "ingest"
+def stage_ingest(run: Run) -> dict[str, int]:
+    batch, report = load_batch(run.cfg.input_dir, run.cfg.reference_time, run.cfg.registry)
     for name, lines in zip(INPUT_FILES, batch):
-        lineio.write_lines(dest / name, lines)
-    _report(dest / "load_report.txt", [report.summary_line()])
+        path = run.out / "ingest" / name
+        run.written[path] = lineio.write_lines(path, lines)
+    _report(run, "ingest/load_report.txt", [report.summary_line()])
     return {
         "accepted_events": report.accepted_events,
         "profiles": report.profiles,
@@ -178,16 +216,15 @@ def stage_ingest(cfg: RunConfig, out: Path) -> dict[str, int]:
     }
 
 
-def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
+def stage_features(run: Run) -> dict[str, int]:
     # ingest wrote these files and left only valid, in-window, unique records
     # in them, so only the data model is checked again; a line that does not
     # decode, or that does not hold its fields in ingest's order, is damage and
     # raises, naming its file
+    cfg, out = run.cfg, run.out
     ingested = out / "ingest"
-    prior = {}
-    if cfg.prior_snapshot is not None:  # parsed, not held: no later stage reads it
-        with lineio.naming(cfg.prior_snapshot):
-            prior = _parse_snapshot(cfg.prior_snapshot).prior_scores()
+    # no other stage reads the prior snapshot, so nothing holds it once its scores are taken
+    prior = {} if cfg.prior_snapshot is None else load_snapshot(cfg.prior_snapshot).prior_scores()
     # each input goes straight into its call, so that no two are held at once
     dynamic = feat.aggregate_dynamic(
         lineio.read_event_columns(ingested / "events.txt"), cfg.reference_time, prior, cfg.registry
@@ -203,11 +240,12 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
         print(f"warning\tpagerank-unconverged\tnetwork={network}")
 
     dest = out / "features"
-    feat.dump_table(table, dest / "raw_features.txt")
-    feat.dump_maxima(maxima, dest / "maxima.txt")
+    run.written[dest / "raw_features.txt"] = feat.dump_table(table, dest / "raw_features.txt")
+    run.written[dest / "maxima.txt"] = feat.dump_maxima(maxima, dest / "maxima.txt")
     feat.normalize_table(table, maxima)
-    feat.dump_store(table, _normalized_path(out), cfg.registry, _readers(cfg, "train", "score"))
-    lineio.write_lines(_graph_stats_path(out), (
+    run.written[out / _NORMALIZED] = feat.dump_table(table, out / _NORMALIZED)
+    run.offer(_NORMALIZED, feat.store_of, table, cfg.registry)
+    run.written[out / _GRAPH_STATS] = lineio.write_lines(out / _GRAPH_STATS, (
         "\t".join([network] + [f"{key}={value!r}" for key, value in sorted(values.items())])
         for network, values in stats.items()
     ))
@@ -219,10 +257,11 @@ def stage_features(cfg: RunConfig, out: Path) -> dict[str, int]:
     }
 
 
-def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
+def stage_train(run: Run) -> dict[str, int]:
+    cfg, out = run.cfg, run.out
     registry = cfg.registry
     labels = lineio.read_labels(out / "ingest" / "labels.txt")
-    store = load_store(_normalized_path(out), registry)
+    store = run.take(_NORMALIZED, load_store, registry)
     pairs = preprocess_labels(labels)
 
     report_lines = []
@@ -240,13 +279,15 @@ def stage_train(cfg: RunConfig, out: Path) -> dict[str, int]:
             if not w.converged:
                 unconverged += 1
                 print(f"warning\tnnls-unconverged\tnetwork={network}")
-        save_model(w, registry, out / "models" / f"{network}.model")
-    _report(out / "model_report.txt", report_lines)
+        path = out / "models" / f"{network}.model"
+        run.written[path] = save_model(w, registry, path)
+    _report(run, "model_report.txt", report_lines)
     return {"clean_pairs": len(pairs), "models": trained, "nnls_unconverged": unconverged}
 
 
-def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
-    store = load_store(_normalized_path(out), cfg.registry)
+def stage_score(run: Run) -> dict[str, int]:
+    cfg, out = run.cfg, run.out
+    store = run.take(_NORMALIZED, load_store, cfg.registry)
     models = {}
     for network in dict.fromkeys(cfg.tree.leaf_networks()):
         model_path = out / "models" / f"{network}.model"
@@ -255,19 +296,21 @@ def stage_score(cfg: RunConfig, out: Path) -> dict[str, int]:
         models[network] = load_model(model_path, cfg.registry)
 
     keys = sorted(GRAPH_STATS)  # in the order stage_features writes them
-    with lineio.naming(_graph_stats_path(out)):
+    with lineio.naming(out / _GRAPH_STATS):
         names, *columns = lineio.read_columns(
-            _graph_stats_path(out), [("", str, None), *((f"{key}=", float, None) for key in keys)]
+            out / _GRAPH_STATS, [("", str, None), *((f"{key}=", float, None) for key in keys)]
         )
     stats = {network: dict(zip(keys, values)) for network, *values in zip(names, *columns)}
     as_of = TimeWindow(cfg.reference_time, MAX_WINDOW_DAYS).reference_date()
     snapshot = score_population(cfg.tree, store, models, stats, as_of=as_of)
-    save_snapshot(snapshot, out / "snapshot.txt", _readers(cfg, "evaluate", "simulate"))
+    run.written[out / _SNAPSHOT] = save_snapshot(snapshot, out / _SNAPSHOT)
+    run.offer(_SNAPSHOT, lambda: snapshot)
     return {"scored_users": len(snapshot.entries)}
 
 
-def stage_evaluate(cfg: RunConfig, out: Path) -> dict[str, int]:
-    snapshot = load_snapshot(out / "snapshot.txt")
+def stage_evaluate(run: Run) -> dict[str, int]:
+    cfg = run.cfg
+    snapshot = run.take(_SNAPSHOT, load_snapshot)
     lines = []  # one per check
     if cfg.latent_path is not None:
         from .population import load_latent  # only where it is used, to keep start-up short
@@ -283,18 +326,18 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> dict[str, int]:
         p = len(reference.ordered_entities)
         value = ndcg(reference, order_by_external_scores(reference), p)
         lines.append(f"ndcg\treference={reference.name}\tp={p}\tvalue={repr(value)}")
-    _report(out / "eval_report.txt", lines)
+    _report(run, "eval_report.txt", lines)
     return {"evaluations": len(lines)}
 
 
-def stage_simulate(cfg: RunConfig, out: Path) -> dict[str, int]:
+def stage_simulate(run: Run) -> dict[str, int]:
+    cfg = run.cfg
     if cfg.population_path is None:
         raise ValueError("config has no population descriptor")
     from .population import CampaignParams, load_campaign_population, run_campaign
     pop = load_campaign_population(cfg.population_path)
-    snapshot = load_snapshot(out / "snapshot.txt")
-    result = run_campaign(pop, snapshot, CampaignParams(), cfg.seed)
-    _report(out / "campaign_report.txt", result.report_lines())
+    result = run_campaign(pop, run.take(_SNAPSHOT, load_snapshot), CampaignParams(), cfg.seed)
+    _report(run, "campaign_report.txt", result.report_lines())
     return {"targeted": len(result.records)}
 
 
@@ -321,34 +364,34 @@ def stages_for_mode(cfg: RunConfig, mode: str) -> list[str]:
     return [mode]
 
 
-def _readers(cfg: RunConfig, *stages: str) -> int:
-    """How many of ``stages``, which read a file, an ``all`` run of ``cfg`` runs."""
-    return len(set(stages).intersection(stages_for_mode(cfg, "all")))
-
-
 def run_pipeline(cfg: RunConfig, out: str | Path, mode: str = "all") -> Path:
     """Execute the requested stages and write a deterministic manifest.
 
     Wall-clock timings go to a separate file so the manifest is a pure
     function of inputs, config, and seed.
     """
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    run = Run(cfg, out, stages_for_mode(cfg, mode))
+    run.out.mkdir(parents=True, exist_ok=True)
     counts: dict[str, dict[str, int]] = {}
     timings = []
-    for stage in stages_for_mode(cfg, mode):
+    while run.later:
+        stage = run.later.pop(0)
         started = time.monotonic()
         try:
-            counts[stage] = _STAGE_FUNCS[stage](cfg, out)
+            counts[stage] = _STAGE_FUNCS[stage](run)
         except Exception as exc:  # noqa: BLE001 - rewrap with the stage name
             raise StageError(stage, str(exc)) from exc
+        run.settle()
         timings.append(f"{stage}\t{time.monotonic() - started:.3f}s")
-    lineio.write_lines(out / "timings.txt", timings)
-    write_manifest(cfg, out, counts)
-    return out / "manifest.txt"
+    lineio.write_lines(run.out / "timings.txt", timings)
+    write_manifest(run, counts)
+    return run.out / "manifest.txt"
 
 
-def write_manifest(cfg: RunConfig, out: Path, counts: dict[str, dict[str, int]]) -> None:
+def write_manifest(run: Run, counts: dict[str, dict[str, int]]) -> None:
+    """The config and input digests, the stage counts, and a line per file under
+    ``out``: the ledger's if this run wrote it, else from a hash of the file."""
+    cfg, out = run.cfg, run.out
     lines = [f"config_hash={cfg.config_digest()}"]
     for name in INPUT_FILES:
         path = cfg.input_dir / name
@@ -359,8 +402,8 @@ def write_manifest(cfg: RunConfig, out: Path, counts: dict[str, dict[str, int]])
             lines.append(f"stage.{stage}.{key}={value}")
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name not in ("manifest.txt", "timings.txt"):
-            rel = path.relative_to(out).as_posix()
-            lines.append(f"output.{rel}.sha256={lineio.sha256(path)}")
+            name = path.relative_to(out).as_posix()
+            lines.append(run.ledger.get(name) or f"output.{name}.sha256={lineio.sha256(path)}")
     lineio.write_lines(out / "manifest.txt", lines)
 
 

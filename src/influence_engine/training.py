@@ -205,7 +205,7 @@ def train_network(
 
 # -- model files -----------------------------------------------------------
 
-def save_model(w: WeightVector, registry: FeatureRegistry, path: str | Path) -> None:
+def save_model(w: WeightVector, registry: FeatureRegistry, path: str | Path) -> str:
     keys = registry.keys_for(w.network)
     if len(keys) != len(w.weights):
         raise ValueError("weight vector does not match registry size")
@@ -217,7 +217,7 @@ def save_model(w: WeightVector, registry: FeatureRegistry, path: str | Path) -> 
         f"residual_norm={repr(w.residual_norm)}",
     ]
     lines += [f"w\t{key}\t{float(v)!r}" for key, v in zip(keys, w.weights)]
-    lineio.write_lines(path, lines)
+    return lineio.write_lines(path, lines)
 
 
 def load_model(path: str | Path, registry: FeatureRegistry) -> WeightVector:

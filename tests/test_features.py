@@ -32,6 +32,7 @@ from oracles import brute_window_counts
 from test_ingest import REF, ev, write_inputs
 from influence_engine import features, lineio
 from influence_engine.ingest import load_batch
+from influence_engine.pipeline import Run
 from influence_engine.events import GraphEdge, InteractionEvent, ProfileSnapshot
 
 
@@ -519,28 +520,34 @@ class TestStoreAndDumps:
 
 
 class TestStoreHandOver:
-    """``load_store`` keeps what it parsed for the next reader of the same bytes."""
+    """A run hands the store that features offers to its later readers, and
+    ``load_store`` parses on every other call."""
 
     LINE = "a\tdyn/tw/photo/like/all/7d\t0.5\n"
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        """The paths ``load_store`` parsed, from a state that holds no store."""
+        """The paths ``load_store`` parsed."""
         parsed = []
-        parse = features._parse_store
-        monkeypatch.setattr(features, "_held", [])
-        monkeypatch.setattr(features, "_parse_store", lambda path, registry: parsed.append(path) or parse(path, registry))
+        read = lineio.read_columns
+        monkeypatch.setattr(lineio, "read_columns", lambda path, fields: parsed.append(path) or read(path, fields))
         return parsed
 
     def test_a_store_is_handed_over_once(self, tmp_path, small_registry, parses):
-        path = tmp_path / "normalized.txt"
-        path.write_text(self.LINE)
-        first = load_store(path, small_registry)
-        assert load_store(path, make_small_registry()) is first  # an equal registry
-        assert features._held == []  # nothing holds it after its second reader
-        third = load_store(path, small_registry)
-        assert third is not first and parses == [path, path]
-        assert third.vectors.keys() == first.vectors.keys()
+        # features offers the store it wrote to train and score, and the run drops it after score
+        name = "features/normalized_features.txt"
+        table = table_of({("a", "dyn/tw/photo/like/all/7d"): 0.5})
+        dump_table(table, tmp_path / name)
+        run = Run(None, tmp_path, ["train", "score"])
+        run.offer(name, features.store_of, table, small_registry)
+        taken = []
+        while run.later:
+            run.later.pop(0)
+            taken.append(run.take(name, load_store, small_registry))
+        assert taken[0] is taken[1] and parses == []
+        third = run.take(name, load_store, small_registry)
+        assert third is not taken[0] and parses == [tmp_path / name]
+        assert third.vectors.keys() == taken[0].vectors.keys()
 
     def test_other_bytes_or_another_registry_parse_again(self, tmp_path, small_registry, parses):
         path = tmp_path / "normalized.txt"
@@ -557,7 +564,7 @@ class TestStoreHandOver:
         for _ in range(2):
             with pytest.raises(ValueError, match="more than one line"):
                 load_store(path, small_registry)
-        assert features._held == [] and parses == [path] * 2
+        assert parses == [path] * 2
 
     def test_the_vectors_are_read_only(self, tmp_path, small_registry, parses):
         path = tmp_path / "normalized.txt"
@@ -566,18 +573,6 @@ class TestStoreHandOver:
         with pytest.raises(ValueError, match="read-only"):
             vec[0] = 1.0
 
-
-def test_dump_store_holds_a_store_for_its_readers_only(tmp_path, small_registry, monkeypatch):
-    monkeypatch.setattr(features, "_held", [])
-    table = table_of({("a", "dyn/tw/photo/like/all/7d"): 0.5})
-    path = tmp_path / "normalized.txt"
-    features.dump_store(table, path, small_registry, readers=2)
-    held = features._held[0][1]
-    assert load_store(path, small_registry) is held and load_store(path, small_registry) is held
-    assert features._held == []  # dropped after its last reader
-    assert load_store(path, small_registry) is not held  # and parsed again
-    features.dump_store(table, path, small_registry, readers=0)
-    assert features._held == []  # no reader: nothing held
 
 _registry = make_small_registry()
 NETWORK_OF = {
@@ -674,7 +669,6 @@ def test_load_store_reads_what_the_per_line_loop_reads(tmp_path_factory, cells, 
         table.value[0] = -0.0
     path = tmp_path_factory.mktemp("store") / "normalized.txt"
     dump_table(table, path)
-    features._held.clear()  # a parse of this file, not an earlier example's store
     with mock.patch.object(lineio, "CHUNK_HINT", chunk_hint):
         store = load_store(path, _registry)
     expected = load_store_per_line(path, _registry)
@@ -770,10 +764,9 @@ def test_the_store_features_holds_is_the_parse_of_its_file(tmp_path_factory, cel
     if idle:  # a user of the table without a cell, as an author on no dynamic network is
         table.users.append("idle")
     path = tmp_path_factory.mktemp("handed") / "normalized.txt"
-    features.dump_store(table, path, _registry, readers=1)
-    (_, held), = features._held
-    features._held.clear()
-    parsed = features._parse_store(path, _registry)
+    dump_table(table, path)
+    held = features.store_of(table, _registry)
+    parsed = load_store(path, _registry)
     assert list(held.vectors) == list(parsed.vectors)  # the same pairs, in the same order
     for pair, vec in parsed.vectors.items():
         assert held.vectors[pair].tobytes() == vec.tobytes()  # bitwise: -0.0 stays -0.0

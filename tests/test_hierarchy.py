@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from influence_engine import hierarchy
 from influence_engine.features import FeatureStore
 from influence_engine.hierarchy import (
     COMBINER_SUPERVISED,
@@ -455,18 +454,16 @@ def test_the_snapshot_score_holds_is_the_parse_of_its_file(tmp_path_factory, vec
     models = {network: uniform_model(registry, network, weights) for network in ("tw", "fb")}
     snapshot = score_population(tree, make_store(registry, vectors), models, {}, as_of=date(2023, 11, 14))
     path = tmp_path_factory.mktemp("handed") / "snapshot.txt"
-    save_snapshot(snapshot, path, readers=1)
-    (_, held), = hierarchy._held
-    hierarchy._held.clear()
-    parsed = hierarchy._parse_snapshot(path)
+    save_snapshot(snapshot, path)
+    parsed = load_snapshot(path)
 
     def bits(entry):  # each score as its bits, so that -0.0 is not 0.0
         scores = [entry.overall, entry.raw_root, *(score for _, score in entry.node_scores)]
         return np.array(scores).tobytes(), [node for node, _ in entry.node_scores]
 
-    assert held.as_of == parsed.as_of
-    assert list(held.entries) == list(parsed.entries)  # the same users, in the same order
-    assert [bits(entry) for entry in held.entries.values()] == [bits(entry) for entry in parsed.entries.values()]
+    assert snapshot.as_of == parsed.as_of
+    assert list(snapshot.entries) == list(parsed.entries)  # the same users, in the same order
+    assert [bits(entry) for entry in snapshot.entries.values()] == [bits(entry) for entry in parsed.entries.values()]
 
 
 # -- the walk over all users against the per-user reference --------------------

@@ -25,7 +25,7 @@ from influence_engine.ingest import (
     LoadReport,
     load_batch,
 )
-from influence_engine.pipeline import RunConfig, stage_ingest
+from influence_engine.pipeline import Run, RunConfig, stage_ingest
 from influence_engine.registry import FeatureRegistry, NetworkSpec
 
 REF = 1_700_000_000
@@ -88,7 +88,7 @@ class TestLoadBatch:
         cfg = RunConfig(
             input_dir=raw, registry_path=raw / "registry.json", tree_path=raw / "tree.json", reference_time=REF
         )
-        stage_ingest(cfg, tmp_path / "out")
+        stage_ingest(Run(cfg, tmp_path / "out"))
         assert (tmp_path / "out" / "ingest" / "events.txt").read_text() == line + "\n"
 
     def test_grouping_by_author(self, tmp_path, small_registry):
@@ -194,7 +194,7 @@ class TestLoadBatch:
         cfg = RunConfig(
             input_dir=raw, registry_path=raw / "registry.json", tree_path=raw / "tree.json", reference_time=REF
         )
-        stage_ingest(cfg, tmp_path / "out")
+        stage_ingest(Run(cfg, tmp_path / "out"))
         for name, lines in zip(INPUT_FILES, batch):
             assert (tmp_path / "out" / "ingest" / name).read_text() == "".join(line + "\n" for line in lines)
 
@@ -331,7 +331,7 @@ def test_strict_reader_of_ingest_output_equals_load_batch(
         input_dir=raw, registry_path=raw / "registry.json", tree_path=raw / "tree.json", reference_time=REF
     )
     out = tmp_path_factory.mktemp("out")
-    stage_ingest(cfg, out)
+    stage_ingest(Run(cfg, out))
 
     ingested = out / "ingest"
     checked, report = load_batch(ingested, REF, registry)

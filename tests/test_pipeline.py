@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import json
 from dataclasses import replace
 import math
@@ -845,38 +846,58 @@ class TestCLI:
         assert "simulate" in (tmp_path / "o" / "timings.txt").read_text()
 
     def test_an_all_run_never_parses_the_normalized_features(self, dataset, tmp_path, monkeypatch):
-        parsed, loaded = [], []
-        parse, load = features._parse_store, pipeline.load_store
+        parsed, built = [], []
+        load, fill = pipeline.load_store, features._fill_store
 
-        def counted_load(path, registry):
-            store = load(path, registry)
-            loaded.append(weakref.ref(store))
+        def counted_fill(*args):
+            store = fill(*args)
+            built.append(weakref.ref(store))
             return store
 
-        monkeypatch.setattr(features, "_held", [])  # no store of an earlier run in this process
-        monkeypatch.setattr(features, "_parse_store", lambda path, registry: parsed.append(path) or parse(path, registry))
-        monkeypatch.setattr(pipeline, "load_store", counted_load)
+        monkeypatch.setattr(features, "_fill_store", counted_fill)
+        monkeypatch.setattr(pipeline, "load_store", lambda path, registry: parsed.append(path) or load(path, registry))
         cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
         out = tmp_path / "out"
         gc.disable()  # so that only a reference, not a collection, can free the store
         try:
             run_pipeline(cfg, out, mode="all")
-            # the store that features held is train's and score's, and nothing holds it once score returns
-            assert len(loaded) == 2 and loaded[0]() is None and loaded[1]() is None
+            # the one store, which features offered to train and score, and nothing holds it once score returns
+            assert len(built) == 1 and built[0]() is None
         finally:
             gc.enable()
-        assert parsed == [] and features._held == []
+        assert parsed == []
         # train run on its own parses what features wrote, once
         run_pipeline(cfg, out, mode="train")
         assert parsed == [out / "features" / "normalized_features.txt"]
 
+    def test_features_alone_builds_no_store(self, dataset, tmp_path, monkeypatch):
+        built = []
+        fill = features._fill_store
+        monkeypatch.setattr(features, "_fill_store", lambda *args: built.append(args) or fill(*args))
+        cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
+        for stage in ("ingest", "features"):
+            run_pipeline(cfg, tmp_path / "out", mode=stage)
+        assert built == []  # no later stage of its run reads the store
+
+    def test_an_all_run_hashes_no_output_it_wrote(self, dataset, tmp_path, monkeypatch):
+        hashed = []
+        sha256 = lineio.sha256
+        monkeypatch.setattr(lineio, "sha256", lambda path: hashed.append(Path(path)) or sha256(path))
+        cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
+        out = tmp_path / "out"
+        run_pipeline(cfg, out, mode="all")
+        assert hashed and not [path for path in hashed if out in path.parents]
+        digests = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+        outputs = {key: value for key, value in digests.items() if key.startswith("output.")}
+        assert len(outputs) > 10  # every file the run wrote but the manifest and the timings
+        for key, value in outputs.items():
+            name = key.removeprefix("output.").removesuffix(".sha256")
+            assert value == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
+
     def test_a_changed_byte_between_stages_is_parsed_not_handed_over(self, dataset, tmp_path, monkeypatch):
         parsed = []
-        parse_store, parse_snapshot = features._parse_store, hierarchy._parse_snapshot
-        monkeypatch.setattr(features, "_held", [])
-        monkeypatch.setattr(hierarchy, "_held", [])
-        monkeypatch.setattr(features, "_parse_store", lambda path, reg: parsed.append(path) or parse_store(path, reg))
-        monkeypatch.setattr(hierarchy, "_parse_snapshot", lambda path: parsed.append(path) or parse_snapshot(path))
+        load = pipeline.load_store
+        monkeypatch.setattr(pipeline, "load_store", lambda path, registry: parsed.append(path) or load(path, registry))
         cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
         out = tmp_path / "out"
         for stage in ("ingest", "features"):
@@ -887,14 +908,12 @@ class TestCLI:
         lines[0] = f"{user}\t{key}\t{float(value) / 2!r}\n"  # the first cell, halved
         normalized.write_text("".join(lines))
         run_pipeline(cfg, out, mode="train")
-        run_pipeline(cfg, out, mode="score")  # takes train's parse
-        assert parsed == [normalized]
+        run_pipeline(cfg, out, mode="score")  # each staged stage parses what it reads
+        assert parsed == [normalized] * 2
         snapshot = out / "snapshot.txt"
-        entries = load_snapshot(snapshot).entries  # taken from what score held
-        assert parsed == [normalized]
+        entries = load_snapshot(snapshot).entries
         snapshot.write_text("".join(snapshot.read_text().splitlines(keepends=True)[:-1]))  # the last user dropped
         assert len(load_snapshot(snapshot).entries) == len(entries) - 1
-        assert parsed == [normalized, snapshot]
 
     @pytest.mark.parametrize(
         "fb_labels",
@@ -1151,46 +1170,62 @@ class TestEvaluateAndSimulateInputs:
         assert capsys.readouterr().err.startswith(f"stage {stage!r} failed: {path}: ")
 
     def test_an_all_run_never_parses_the_snapshot(self, dataset, tmp_path, monkeypatch):
-        parsed, loaded = [], []
-        parse, load = hierarchy._parse_snapshot, pipeline.load_snapshot
+        parsed, scored = [], []
+        load, score = pipeline.load_snapshot, pipeline.score_population
 
-        def counted_load(path):
-            snapshot = load(path)
-            loaded.append(weakref.ref(snapshot))
+        def counted_score(*args, **kwargs):
+            snapshot = score(*args, **kwargs)
+            scored.append(weakref.ref(snapshot))
             return snapshot
 
-        monkeypatch.setattr(hierarchy, "_held", [])  # no snapshot of an earlier run in this process
-        monkeypatch.setattr(hierarchy, "_parse_snapshot", lambda path: parsed.append(path) or parse(path))
-        monkeypatch.setattr(pipeline, "load_snapshot", counted_load)
+        monkeypatch.setattr(pipeline, "load_snapshot", lambda path: parsed.append(path) or load(path))
+        monkeypatch.setattr(pipeline, "score_population", counted_score)
         cfg = RunConfig.from_file(make_config(dataset, tmp_path / "config.json"))
         out = tmp_path / "out"
         gc.disable()
         try:
             run_pipeline(cfg, out, mode="all")
             # evaluate and simulate take what score wrote, and nothing holds it once simulate returns
-            assert len(loaded) == 2 and loaded[0]() is None and loaded[1]() is None
+            assert len(scored) == 1 and scored[0]() is None
         finally:
             gc.enable()
-        assert parsed == [] and hierarchy._held == []
+        assert parsed == []
+
+    def test_score_alone_holds_no_snapshot(self, full_run, tmp_path, monkeypatch):
+        scored = []
+        score = pipeline.score_population
+
+        def counted_score(*args, **kwargs):
+            snapshot = score(*args, **kwargs)
+            scored.append(weakref.ref(snapshot))
+            return snapshot
+
+        monkeypatch.setattr(pipeline, "score_population", counted_score)
+        out = tmp_path / "out"
+        shutil.copytree(full_run[1], out)
+        gc.disable()  # so that only a reference, not a collection, can free the snapshot
+        try:
+            run_pipeline(full_run[0], out, mode="score")  # no later stage of its run reads what score wrote
+            assert len(scored) == 1 and scored[0]() is None
+        finally:
+            gc.enable()
 
     def test_nothing_holds_the_prior_snapshot_once_features_returns(self, dataset, full_run, tmp_path, monkeypatch):
         # a day-2 run: the first run's snapshot is the prior, which only features reads
         parsed, alive = [], []
-        parse, stage = pipeline._parse_snapshot, pipeline._STAGE_FUNCS["features"]
+        load, stage = pipeline.load_snapshot, pipeline._STAGE_FUNCS["features"]
 
-        def counted_parse(path):
-            snapshot = parse(path)
+        def counted_load(path):
+            snapshot = load(path)
             parsed.append(weakref.ref(snapshot))
             return snapshot
 
-        def features_stage(cfg, out):
-            counts = stage(cfg, out)
+        def features_stage(run):
+            counts = stage(run)
             alive.extend(ref() is not None for ref in parsed)
             return counts
 
-        monkeypatch.setattr(hierarchy, "_held", [])
-        for module in (pipeline, hierarchy):  # however features reaches the parse
-            monkeypatch.setattr(module, "_parse_snapshot", counted_parse)
+        monkeypatch.setattr(pipeline, "load_snapshot", counted_load)
         monkeypatch.setitem(pipeline._STAGE_FUNCS, "features", features_stage)
         cfg = RunConfig.from_file(make_config(
             dataset, tmp_path / "config.json", prior_snapshot=str(full_run[1] / "snapshot.txt"),
@@ -1204,15 +1239,3 @@ class TestEvaluateAndSimulateInputs:
         assert alive == [False]  # features parsed the prior once, and nothing held it after
         raw = (tmp_path / "out" / "features" / "raw_features.txt").read_text()
         assert "/higher/" in raw and "/peers/" in raw  # the prior scores were read
-
-    def test_a_snapshot_is_handed_over_once_and_only_for_its_bytes(self, full_run, tmp_path, monkeypatch):
-        monkeypatch.setattr(hierarchy, "_held", [])
-        path = tmp_path / "snapshot.txt"
-        shutil.copy(full_run[1] / "snapshot.txt", path)
-        first = load_snapshot(path)
-        assert load_snapshot(path) is first and hierarchy._held == []  # handed over once
-        again = load_snapshot(path)  # parsed again, and held
-        assert again is not first and again.entries == first.entries
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # other bytes: parsed, not handed over
-        assert len(load_snapshot(path).entries) == len(again.entries) - 1
